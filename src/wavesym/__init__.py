@@ -6,7 +6,7 @@ from .detsys import (AnsatzBasis, ClassSpec, check_symmetry,
                      generate_determining_system, invariance_residual,
                      kernel_fields, solve_within_ansatz)
 from .expr import (Chart, Expr, Symbol, add, app, collect, diff, equal,
-                   evaluate, exp_, is_zero, lnabs, mul, normalize, pow_, rat,
+                   evaluate, exp_, is_zero, lnabs, mul, pow_, rat,
                    structurally_zero, substitute, sym, total_derivative)
 from .classif import (builtin_catalog, run_campaign, verify_adjoint_actions,
                       verify_case, verify_equivalence_algebra,

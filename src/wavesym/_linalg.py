@@ -31,10 +31,6 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     return [row for row in m[:r]], pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
 def solve(rows, rhs) -> Optional[list]:
     """One solution of A x = b, or None if inconsistent (A given by rows)."""
     if not rows:

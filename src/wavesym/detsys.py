@@ -9,14 +9,14 @@ the ansatz.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from ._linalg import nullspace
 from .charts import BASE_COORDS, equation_chart
-from .expr import (Add, Chart, Expr, Mul, Rat, ZERO, add, app, atoms,
-                   collect, diff, is_zero, mul, pow_, rat, structurally_zero,
+from .expr import (Chart, Expr, Sym, ZERO, add, app, atoms, collect, diff,
+                   is_zero, iter_terms, mul, pow_, rat, structurally_zero,
                    substitute, sym)
 from .parse import parse
 from .vecfield import VectorField, prolong2, vf
@@ -82,9 +82,6 @@ class DeterminingSystem:
     preliminary: list
     rows: list
     split_log: list
-
-    def all_equations(self) -> list:
-        return list(self.raw) + list(self.preliminary) + list(self.rows)
 
     def format(self) -> str:
         out = ["stage 1 (general tau, xi, eta; split over u_tx*u_t, u_tx, u_xx*u_t):"]
@@ -312,22 +309,17 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
 
     kset = set(ks)
     rows_map: dict = {}
-    terms = R.terms if isinstance(R, Add) else (R,)
-    if structurally_zero(R):
-        terms = ()
-    for term in terms:
-        if isinstance(term, Mul):
-            coef, factors = term.coef, term.factors
-        elif isinstance(term, Rat):
-            coef, factors = term.q, ()
-        else:
-            coef, factors = Fraction(1), (term,)
+    terms = () if structurally_zero(R) else iter_terms(R)
+    for coef, factors in terms:
         k_hits = [fct for fct in factors
-                  if hasattr(fct, "s") and getattr(fct, "s", None) in kset]
+                  if isinstance(fct, Sym) and fct.s in kset]
         if len(k_hits) != 1:
             raise CollectionFailure(
-                f"residual term not linear-homogeneous in the ansatz: {term!r}")
-        sig = tuple(sorted(fct.key() for fct in factors if fct is not k_hits[0]))
+                "residual term not linear-homogeneous in the ansatz: "
+                f"{mul(rat(coef), *factors)!r}")
+        # factors of a canonical product are key-sorted, so the remaining
+        # tuple is the monomial signature as it stands
+        sig = tuple(fct for fct in factors if fct is not k_hits[0])
         row = rows_map.setdefault(sig, [Fraction(0)] * len(ks))
         row[ks.index(k_hits[0].s)] += coef
 

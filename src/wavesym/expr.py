@@ -10,13 +10,18 @@ Every constructor returns the canonical normal form: sums of products with
 merged powers, sorted deterministically, with the constraint rewrites for
 marked parameters (square-one, idempotent) applied.  All arithmetic is exact;
 no floating point ever enters a stored tree.
+
+The invariant is enforced once, at construction: raw node classes are built
+only inside this module, every tree that leaves it is canonical, and there is
+no re-normalization pass.  ``iter_terms`` is the one way to read a canonical
+expression back as (coefficient, factors) terms.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -38,7 +43,7 @@ class Symbol:
     ``dep``/``index`` identify jet coordinates (dependent name and the
     (n_t, n_x) derivative multi-index).  ``arg_names`` lists the declared
     arguments of a function symbol.  Flag attributes record algebraic side
-    conditions used by normalization and by the sampling oracle.
+    conditions used by the constructors and by the sampling oracle.
     """
 
     __slots__ = ("name", "kind", "dep", "index", "arg_names",
@@ -719,29 +724,23 @@ ONE = rat(1)
 MINUS_ONE = rat(-1)
 
 
-def normalize(e: Expr) -> Expr:
-    """Rebuild ``e`` bottom-up through the canonical constructors."""
-    if isinstance(e, (Rat, Sym)):
-        return e
-    if isinstance(e, App):
-        return App(e.fn, e.didx, tuple(normalize(a) for a in e.args))
-    if isinstance(e, Pow):
-        return pow_(normalize(e.base), e.exp)
-    if isinstance(e, AbsPow):
-        return abspow(normalize(e.base), normalize(e.exp))
-    if isinstance(e, ExpF):
-        return exp_(normalize(e.arg))
-    if isinstance(e, LnAbs):
-        return lnabs(normalize(e.arg))
-    if isinstance(e, Mul):
-        return mul(Rat(e.coef), *[normalize(f) for f in e.factors])
-    if isinstance(e, Add):
-        return add(*[normalize(t) for t in e.terms])
-    raise TypeError(type(e))
-
-
 # ---------------------------------------------------------------------------
 # structural queries
+
+def iter_terms(e: Expr):
+    """Yield ``(coef, factors)`` for each term of canonical ``e``.
+
+    A constant term gives ``(q, ())``, a product its coefficient and its
+    key-sorted factor tuple, any other node ``(1, (node,))``.
+    """
+    for t in (e.terms if isinstance(e, Add) else (e,)):
+        if isinstance(t, Mul):
+            yield t.coef, t.factors
+        elif isinstance(t, Rat):
+            yield t.q, ()
+        else:
+            yield Fraction(1), (t,)
+
 
 def free_symbols(e: Expr) -> set:
     out = set()
@@ -841,10 +840,9 @@ def _diff(e: Expr, s: Symbol) -> Expr:
         dq = diff(e.exp, s)
         parts = []
         if not (isinstance(db, Rat) and db.q == 0):
-            parts.append(mul(e.exp, AbsPow(e.base, e.exp), pow_(e.base, -1), db)
-                         if isinstance(e.exp, Expr) else ZERO)
+            parts.append(mul(e.exp, e, pow_(e.base, -1), db))
         if not (isinstance(dq, Rat) and dq.q == 0):
-            parts.append(mul(AbsPow(e.base, e.exp), lnabs(e.base), dq))
+            parts.append(mul(e, lnabs(e.base), dq))
         return add(*parts) if parts else ZERO
     if isinstance(e, ExpF):
         da = diff(e.arg, s)
@@ -975,16 +973,8 @@ def collect(e: Expr, variables: Sequence[Symbol]) -> dict:
     buried inside a function argument / transcendental node).
     """
     vset = set(variables)
-    e = normalize(e)
-    terms = e.terms if isinstance(e, Add) else (e,)
     out: dict = {}
-    for t in terms:
-        if isinstance(t, Mul):
-            coef, factors = t.coef, t.factors
-        elif isinstance(t, Rat):
-            coef, factors = t.q, ()
-        else:
-            coef, factors = Fraction(1), (t,)
+    for coef, factors in iter_terms(e):
         mono = []
         rest = []
         for f in factors:
@@ -1030,9 +1020,8 @@ def _clear_denominators(e: Expr) -> Expr:
         if not isinstance(e, (Add, Mul, Pow)):
             return e
         need: dict = {}
-        terms = e.terms if isinstance(e, Add) else (e,)
-        for t in terms:
-            factors = t.factors if isinstance(t, Mul) else (t,)
+        terms = list(iter_terms(e))
+        for _, factors in terms:
             for f in factors:
                 if isinstance(f, Pow) and f.exp < 0 and isinstance(f.base, Add):
                     cur = need.get(f.base, Fraction(0))
@@ -1042,12 +1031,11 @@ def _clear_denominators(e: Expr) -> Expr:
         # multiply term by term with raw Pow nodes so each denominator merges
         # with its clearing factor before positive sum-powers expand
         mults = [Pow(b, k) for b, k in need.items()]
-        e = add(*[mul(t, *mults) for t in terms])
+        e = add(*[mul(Rat(coef), *factors, *mults) for coef, factors in terms])
     return e
 
 
 def structurally_zero(e: Expr) -> bool:
-    e = normalize(e)
     if isinstance(e, Rat) and e.q == 0:
         return True
     cleared = _clear_denominators(e)
@@ -1148,7 +1136,6 @@ def is_zero(e: Expr, rng: Optional[random.Random] = None, samples: int = 32,
     """Decide zero-ness: canonical zero is authoritative; random rational
     sampling is a falsifier only ("undecided" is surfaced, never treated as
     zero)."""
-    e = normalize(e)
     if isinstance(e, Rat):
         return ZeroResult(ZERO_V if e.q == 0 else NONZERO_V)
     cleared = _clear_denominators(e)

@@ -6,13 +6,14 @@ algebra is exact over Fraction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._linalg import nullspace, rref, solve
-from .expr import (Add, Chart, Expr, Mul, Rat, Sym, Pow, ZERO, add, diff, mul,
-                   normalize, pow_, rat, structurally_zero, substitute, sym)
+from .expr import (Chart, Expr, Mul, Rat, Sym, Pow, ZERO, add, diff,
+                   iter_terms, mul, pow_, rat, structurally_zero, substitute,
+                   sym)
 from .vecfield import VectorField, bracket
 
 
@@ -74,9 +75,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
-    def format_rows(self) -> str:
-        return "\n".join(" ".join(str(c) for c in row) for row in self.rows)
-
 
 def coordinate_subspace(indices: Sequence[int], ambient: int) -> Subspace:
     rows = []
@@ -124,14 +122,7 @@ class _Coordinatizer:
     def decompose(self, F: VectorField) -> dict:
         out: dict = {}
         for coord, e in F.coeffs.items():
-            terms = e.terms if isinstance(e, Add) else (e,)
-            for t in terms:
-                if isinstance(t, Rat):
-                    coef, sig = t.q, ()
-                elif isinstance(t, Mul):
-                    coef, sig = t.coef, tuple(f.key() for f in t.factors)
-                else:
-                    coef, sig = Fraction(1), (t.key(),)
+            for coef, sig in iter_terms(e):
                 ax = self._axis(coord, sig)
                 out[ax] = out.get(ax, Fraction(0)) + coef
         return out
@@ -313,18 +304,6 @@ def derived_series(A: LieAlgebraPresentation) -> list:
     return out
 
 
-def lower_central_series(A: LieAlgebraPresentation) -> list:
-    out = [A.whole()]
-    while True:
-        nxt = product_space(A, out[0], out[-1])
-        if nxt.dim == out[-1].dim:
-            break
-        out.append(nxt)
-        if nxt.dim == 0:
-            break
-    return out
-
-
 def centralizer(A: LieAlgebraPresentation, S: Subspace) -> Subspace:
     rows = []
     for w in S.rows:
@@ -474,7 +453,6 @@ def flag_automorphism_solve(A: LieAlgebraPresentation,
             for r in range(n):
                 eqs.append(add(lhs[r], mul(rat(-1), rhs[r])))
 
-    eqs = [normalize(e) for e in eqs]
     unknowns = sorted(syms.values(), key=lambda s: s.name)
     solved: dict = {}
 
@@ -501,10 +479,10 @@ def flag_automorphism_solve(A: LieAlgebraPresentation,
                 c = diff(eq, v)
                 if structurally_zero(c) or not structurally_zero(diff(c, v)):
                     continue
-                if not provably_nonzero(normalize(c)):
+                if not provably_nonzero(c):
                     continue
                 r = substitute(eq, {v: ZERO})
-                hit = (v, normalize(mul(rat(-1), r, pow_(normalize(c), -1))))
+                hit = (v, mul(rat(-1), r, pow_(c, -1)))
                 break
             if hit is not None:
                 solved[hit[0]] = hit[1]

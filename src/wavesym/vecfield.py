@@ -7,14 +7,14 @@ formula applied to the (t,x,u) part.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .charts import AUG_COORDS, BASE_COORDS
 from .expr import (Chart, Expr, Symbol, ZERO, add, diff, equal, free_symbols,
-                   mul, normalize, pow_, rat, structurally_zero, substitute,
-                   sym, total_derivative)
+                   mul, pow_, rat, structurally_zero, substitute, sym,
+                   total_derivative)
 
 
 class ChartMismatch(Exception):
@@ -40,7 +40,7 @@ class VectorField:
                  check: bool = True):
         self.chart = chart
         self.coords = tuple(coords)
-        self.coeffs = {c: normalize(e) for c, e in coeffs.items()
+        self.coeffs = {c: e for c, e in coeffs.items()
                        if not structurally_zero(e)}
         for c in self.coeffs:
             if c not in self.coords:
@@ -417,8 +417,8 @@ class LiftedTransform:
 
     def __init__(self, chart: Chart, maps: Mapping[str, Expr], inv: Mapping[str, Expr]):
         self.chart = chart
-        self.maps = {c: normalize(_id_default(chart, c, maps)) for c in AUG_COORDS}
-        self.inv = {c: normalize(_id_default(chart, c, inv)) for c in AUG_COORDS}
+        self.maps = {c: _id_default(chart, c, maps) for c in AUG_COORDS}
+        self.inv = {c: _id_default(chart, c, inv) for c in AUG_COORDS}
 
     def compose(self, first: "LiftedTransform") -> "LiftedTransform":
         """self after first (acts as self ∘ first)."""

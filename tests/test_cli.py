@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, report determinism."""
 import json
+from pathlib import Path
 
 from wavesym.cli import main
 
@@ -93,8 +94,15 @@ def test_verify_text_summary(capsys):
     assert "adjoint actions" in out and "0 fail" in out
 
 
-def test_verify_all_covers_catalog_once(capsys):
-    assert main(["verify", "all"]) == 0
+GOLDEN = Path(__file__).parent / "data" / "verify_all_seed0.json"
+
+
+def test_verify_all_covers_catalog_once(tmp_path, capsys):
+    report = tmp_path / "all.json"
+    assert main(["verify", "all", "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "catalog coverage: 32/32 entries verified" in out
     assert "0 fail, 0 undecided" in out
+    # refactors keep the report byte-identical; a change that alters it on
+    # purpose regenerates the golden file and says why
+    assert report.read_bytes() == GOLDEN.read_bytes()

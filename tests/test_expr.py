@@ -1,13 +1,14 @@
-"""Expression core: construction, differentiation, normalization, zero test."""
+"""Expression core: construction, differentiation, canonical form, zero test."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from wavesym.expr import (AbsPow, Pow, SingularValue, abspow, add, collect,
-                          diff, equal, evaluate, exp_, is_zero, lnabs, mul,
-                          normalize, pow_, rat, substitute, sym,
-                          total_derivative, NotPolynomial)
+from wavesym.expr import (AbsPow, Add, App, ExpF, LnAbs, Mul, Pow, Rat, Sym,
+                          SingularValue, abspow, add, app, collect, diff,
+                          equal, evaluate, exp_, is_zero, lnabs, mul, pow_,
+                          rat, substitute, sym, total_derivative,
+                          NotPolynomial)
 from wavesym.parse import parse
 from wavesym.printer import to_str
 
@@ -82,8 +83,6 @@ def test_substitute_inconsistent(ch):
     with pytest.raises(InconsistentBindings):
         # binding reintroduces the bound jet through derivation
         substitute(sym(ch.jet("u", 3, 0)),
-                   {ch.get("u_tt"): mul(sym(ch.get("t")), sym(ch.get("u_tt")))}
-                   if False else
                    {ch.get("u_t"): mul(sym(ch.get("u_tt")), sym(ch.get("t")))},
                    chart=ch)
 
@@ -182,33 +181,97 @@ def _random_expr(ch, rng, depth=3, transcendental=False):
         return a
 
 
-def test_normalize_idempotent_random():
-    from wavesym.charts import equation_chart
-    ch = equation_chart()
+def _rebuild(e):
+    """``e`` rebuilt one level through its constructor, children as they are."""
+    if isinstance(e, (Rat, Sym)):
+        return e
+    if isinstance(e, App):
+        return app(e.fn, e.didx, e.args)
+    if isinstance(e, Pow):
+        return pow_(e.base, e.exp)
+    if isinstance(e, AbsPow):
+        return abspow(e.base, e.exp)
+    if isinstance(e, ExpF):
+        return exp_(e.arg)
+    if isinstance(e, LnAbs):
+        return lnabs(e.arg)
+    if isinstance(e, Mul):
+        return mul(rat(e.coef), *e.factors)
+    if isinstance(e, Add):
+        return add(*e.terms)
+    raise TypeError(type(e))
+
+
+def _children(e):
+    if isinstance(e, App):
+        return e.args
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, AbsPow):
+        return (e.base, e.exp)
+    if isinstance(e, (ExpF, LnAbs)):
+        return (e.arg,)
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Add):
+        return e.terms
+    return ()
+
+
+def _assert_constructor_fixpoint(e):
+    """Every subtree of ``e`` is a fixpoint of its own constructor, so no
+    bottom-up re-canonicalization pass could change ``e``."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        assert _rebuild(n) == n, to_str(n)
+        stack.extend(_children(n))
+
+
+def test_constructor_fixpoint(spec, ch):
+    """Random transcendental trees and the parsed catalog are canonical at
+    every node."""
+    from wavesym.classif import builtin_catalog
     rng = random.Random(101)
     for _ in range(200):
-        e = _random_expr(ch, rng, transcendental=True)
-        assert normalize(e) == e  # constructors already canonicalize
-        assert normalize(normalize(e)) == normalize(e)
+        _assert_constructor_fixpoint(_random_expr(ch, rng, transcendental=True))
+    for case in builtin_catalog():
+        f, g, gens = case.parsed(spec)
+        for e in [f, g] + [c for Q in gens for c in Q.coeffs.values()]:
+            _assert_constructor_fixpoint(e)
+
+
+def _random_valued_expr(ch, rng, env, depth=3):
+    """A random polynomial tree and its exact value at ``env``, computed with
+    Fraction arithmetic alongside the constructors, not through them."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            q = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            return rat(q), q
+        s = ch.get(rng.choice(_SYMS))
+        return sym(s), env[s].q
+    op = rng.randrange(3)
+    a, va = _random_valued_expr(ch, rng, env, depth - 1)
+    b, vb = _random_valued_expr(ch, rng, env, depth - 1)
+    if op == 0:
+        return add(a, b), va + vb
+    if op == 1:
+        return mul(a, b), va * vb
+    k = rng.choice((2, 3))
+    return pow_(a, k), va ** k
 
 
 def test_evaluation_homomorphism_random():
-    """normalize preserves exact rational evaluation at 100 random points."""
+    """The canonical form of a polynomial tree keeps its exact rational value
+    at 100 random points."""
     from wavesym.charts import equation_chart
     ch = equation_chart()
     rng = random.Random(79)
-    pts = 0
-    while pts < 100:
-        e = _random_expr(ch, rng)
+    for _ in range(100):
         env = {ch.get(n): rat(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
                for n in _SYMS}
-        try:
-            v1 = evaluate(e, env)
-            v2 = evaluate(normalize(e), env)
-        except SingularValue:
-            continue
-        assert v1 == v2
-        pts += 1
+        e, value = _random_valued_expr(ch, rng, env)
+        assert evaluate(e, env) == value
 
 
 def test_mixed_partials_random():
