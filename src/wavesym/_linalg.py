@@ -6,29 +6,43 @@ from typing import Optional, Sequence
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row-echelon form; returns (rows, pivot_columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
+    """Reduced row-echelon form; returns (rows, pivot_columns).
+
+    Gauss-Jordan on sparse rows: each row is a ``{column: value}`` map of its
+    nonzero entries, so elimination touches only nonzeros.  The reduced form
+    is unique, so the dense rows returned do not depend on pivot choice.
+    """
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    ncols = len(rows[0])
+    todo = [{c: Fraction(v) for c, v in enumerate(row) if v} for row in rows]
+    todo = [row for row in todo if row]
+    done, pivots = [], []
+    # elimination only fills columns some row already holds
+    for c in sorted(set().union(*todo)):
+        pr = next((i for i, row in enumerate(todo) if c in row), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                fac = m[i][c]
-                m[i] = [a - fac * b for a, b in zip(m[i], m[r])]
+        prow = todo.pop(pr)
+        pv = prow.pop(c)
+        prow = {j: v / pv for j, v in prow.items()}
+        for row in (*todo, *done):
+            fac = row.pop(c, None)
+            if fac is None:
+                continue
+            for j, v in prow.items():
+                w = row.get(j, 0) - fac * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+        prow[c] = Fraction(1)
+        done.append(prow)
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if not todo:
             break
-    return [row for row in m[:r]], pivots
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(ncols)] for row in done], pivots
 
 
 def solve(rows, rhs) -> Optional[list]:

@@ -9,6 +9,7 @@ check, dim, transform) and the verification campaign (verify).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .charts import AUG_COORDS, BASE_COORDS, augmented_chart
@@ -37,12 +38,10 @@ def _read_config(path: str) -> dict:
 
 
 def _basis_from_config(cfg: dict, ch: Chart) -> AnsatzBasis:
-    basis = AnsatzBasis.default(ch)
-    for name in ("tau", "xi", "eta"):
-        if name in cfg:
-            exprs = [parse(s.strip(), ch) for s in cfg[name].split(";") if s.strip()]
-            setattr(basis, name, exprs)
-    return basis
+    overrides = {name: tuple(parse(s.strip(), ch)
+                             for s in cfg[name].split(";") if s.strip())
+                 for name in ("tau", "xi", "eta") if name in cfg}
+    return dataclasses.replace(AnsatzBasis.default(ch), **overrides)
 
 
 def _field_chart(args):

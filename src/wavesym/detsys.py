@@ -19,7 +19,7 @@ from .expr import (Chart, Expr, Sym, ZERO, add, app, atoms, collect, diff,
                    is_zero, iter_terms, mul, pow_, rat, structurally_zero,
                    substitute, sym)
 from .parse import parse
-from .vecfield import VectorField, prolong2, vf
+from .vecfield import ProlongedField, VectorField, prolong2, vf
 
 
 @dataclass
@@ -49,10 +49,15 @@ def kernel_fields(chart: Chart) -> list:
 
 def invariance_residual(spec: ClassSpec, Q: VectorField, f: Expr, g: Expr) -> Expr:
     """Q_(2) L restricted to L = 0, where L = u_tt - f u_xx - g."""
+    return _prolonged_residual(spec, prolong2(Q), f, g)
+
+
+def _prolonged_residual(spec: ClassSpec, pr: ProlongedField, f: Expr,
+                        g: Expr) -> Expr:
+    """``invariance_residual`` for a field already prolonged."""
     ch = spec.chart
     u_tt, u_xx = ch.get("u_tt"), ch.get("u_xx")
     L = add(sym(u_tt), mul(rat(-1), f, sym(u_xx)), mul(rat(-1), g))
-    pr = prolong2(Q)
     R = pr.apply(L)
     return substitute(R, {u_tt: add(mul(f, sym(u_xx)), g)}, chart=ch)
 
@@ -243,23 +248,22 @@ def union_consistency_residuals(Q: VectorField) -> list:
 # ---------------------------------------------------------------------------
 # finite-ansatz solving
 
-@dataclass
+@dataclass(frozen=True)
 class AnsatzBasis:
-    tau: list
-    xi: list
-    eta: list
+    tau: tuple
+    xi: tuple
+    eta: tuple
 
     @classmethod
     def default(cls, ch: Chart) -> "AnsatzBasis":
         """Closure of every coefficient function appearing in the built-in
         classification catalog."""
-        def P(s):
-            return parse(s, ch)
-        tau = [P("1"), P("t"), P("t^2")]
-        xi = [P("1"), P("x"), P("x^2"), P("exp(x)"), P("exp(2*x)"), P("exp(-x)")]
-        eta = [P("u"), P("t*u"), P("1"), P("t"), P("t^2"), P("x"), P("t*x"),
-               P("t^2*x"), P("x^2"), P("exp(x)"), P("x*lnabs(x)")]
-        return cls(tau=tau, xi=xi, eta=eta)
+        def P(*texts):
+            return tuple(parse(s, ch) for s in texts)
+        return cls(tau=P("1", "t", "t^2"),
+                   xi=P("1", "x", "x^2", "exp(x)", "exp(2*x)", "exp(-x)"),
+                   eta=P("u", "t*u", "1", "t", "t^2", "x", "t*x", "t^2*x",
+                         "x^2", "exp(x)", "x*lnabs(x)"))
 
     def size(self) -> int:
         return len(self.tau) + len(self.xi) + len(self.eta)
@@ -279,6 +283,35 @@ def _ansatz_symbols(ch: Chart, count: int) -> list:
     return pool[:count]
 
 
+@dataclass(frozen=True)
+class _ParametricAnsatz:
+    """Q = sum_i k_i b_i over a basis, with its second prolongation."""
+    basis: AnsatzBasis
+    ks: tuple
+    slots: tuple
+    prolonged: ProlongedField
+
+    @classmethod
+    def build(cls, ch: Chart, basis: AnsatzBasis) -> "_ParametricAnsatz":
+        ks = tuple(_ansatz_symbols(ch, basis.size()))
+        slots = tuple([("t", b) for b in basis.tau] + [("x", b) for b in basis.xi]
+                      + [("u", b) for b in basis.eta])
+        coeffs = {"t": ZERO, "x": ZERO, "u": ZERO}
+        for k, (coord, b) in zip(ks, slots):
+            coeffs[coord] = add(coeffs[coord], mul(sym(k), b))
+        Q = VectorField(ch, BASE_COORDS, coeffs, check=False)
+        return cls(basis, ks, slots, prolong2(Q))
+
+
+def _default_ansatz(ch: Chart) -> _ParametricAnsatz:
+    """The default basis, parsed and prolonged once per chart."""
+    ansatz = getattr(ch, "_default_ansatz", None)
+    if ansatz is None:
+        ansatz = ch._default_ansatz = _ParametricAnsatz.build(
+            ch, AnsatzBasis.default(ch))
+    return ansatz
+
+
 @dataclass
 class AnsatzSolution:
     dimension: int
@@ -293,19 +326,14 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
     exact linear system over canonical monomials, and return the null space.
 
     The reported dimension is a statement *within the declared ansatz*: an
-    under-approximation of the maximal algebra's dimension.
+    under-approximation of the maximal algebra's dimension.  Without an
+    explicit basis the default one is used, prolonged once per chart.
     """
     ch = spec.chart
-    if basis is None:
-        basis = AnsatzBasis.default(ch)
-    ks = _ansatz_symbols(ch, basis.size())
-    slots = [("t", b) for b in basis.tau] + [("x", b) for b in basis.xi] + \
-            [("u", b) for b in basis.eta]
-    coeffs = {"t": ZERO, "x": ZERO, "u": ZERO}
-    for k, (coord, b) in zip(ks, slots):
-        coeffs[coord] = add(coeffs[coord], mul(sym(k), b))
-    Q = VectorField(ch, BASE_COORDS, coeffs, check=False)
-    R = invariance_residual(spec, Q, f, g)
+    ansatz = (_default_ansatz(ch) if basis is None
+              else _ParametricAnsatz.build(ch, basis))
+    ks, slots = ansatz.ks, ansatz.slots
+    R = _prolonged_residual(spec, ansatz.prolonged, f, g)
 
     kset = set(ks)
     rows_map: dict = {}
@@ -332,5 +360,5 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
             if c != 0:
                 fcoeffs[coord] = add(fcoeffs[coord], mul(rat(c), b))
         fields.append(VectorField(ch, BASE_COORDS, fcoeffs, check=False))
-    return AnsatzSolution(dimension=len(null), fields=fields, basis=basis,
-                          n_equations=len(matrix))
+    return AnsatzSolution(dimension=len(null), fields=fields,
+                          basis=ansatz.basis, n_equations=len(matrix))

@@ -106,3 +106,13 @@ def test_verify_all_covers_catalog_once(tmp_path, capsys):
     # refactors keep the report byte-identical; a change that alters it on
     # purpose regenerates the golden file and says why
     assert report.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_verify_all_jobs2_matches_golden(tmp_path, capsys):
+    """The whole campaign fanned out over two workers, table and special
+    sections included, writes the same bytes as the serial golden report."""
+    report = tmp_path / "all.json"
+    assert main(["verify", "all", "--jobs", "2", "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "catalog coverage: 32/32 entries verified" in out
+    assert report.read_bytes() == GOLDEN.read_bytes()

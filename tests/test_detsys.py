@@ -1,10 +1,11 @@
 """Determining equations, kernel, ansatz solving."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from wavesym.charts import BASE_COORDS
-from wavesym.detsys import (AnsatzBasis,
+from wavesym.detsys import (AnsatzBasis, ClassSpec,
                             check_symmetry, generate_determining_system,
                             invariance_residual, kernel_fields,
                             satisfies_simplified_system, solve_within_ansatz,
@@ -176,14 +177,72 @@ def test_ansatz_solutions_are_symmetries(spec, ch):
         assert satisfies_simplified_system(F)
 
 
+def _small_basis(ch):
+    return AnsatzBasis(tau=(P("1", ch), P("t", ch)),
+                       xi=(P("1", ch), P("x", ch)),
+                       eta=(P("u", ch), P("1", ch), P("t", ch)))
+
+
 def test_ansatz_monotone_under_enlargement(spec, ch):
-    small = AnsatzBasis(tau=[P("1", ch), P("t", ch)],
-                        xi=[P("1", ch), P("x", ch)],
-                        eta=[P("u", ch), P("1", ch), P("t", ch)])
+    small = _small_basis(ch)
     f, g = P("u_x^(-4)", ch), rat(0)
     d_small = solve_within_ansatz(spec, f, g, small).dimension
     d_full = solve_within_ansatz(spec, f, g).dimension
     assert d_small <= d_full
+
+
+def test_ansatz_cache_isolation():
+    """The default ansatz, kept once per chart, and a custom basis solved on
+    the same chart do not leak into each other, in either order."""
+    def dims(order):
+        spec = ClassSpec.default()
+        ch = spec.chart
+        f, g = P("u_x^(-4)", ch), rat(0)
+        small = _small_basis(ch)
+        sols = [solve_within_ansatz(spec, f, g, small if b else None)
+                for b in order]
+        # the shared default basis cannot be edited in place
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sols[0].basis.tau = ()
+        return [sol.dimension for sol in sols]
+
+    fresh_default, fresh_small = dims([False]) + dims([True])
+    assert dims([False, True, False]) == [fresh_default, fresh_small,
+                                          fresh_default] == [7, 6, 7]
+
+
+def test_default_ansatz_built_once_per_chart(monkeypatch):
+    """Across several catalog cases on one chart, the default basis is
+    parsed once and the parametric ansatz field is prolonged once."""
+    from wavesym import classif, detsys
+    from wavesym.expr import free_symbols
+
+    spec = ClassSpec.default()
+    calls = {"parse": 0, "prolong_ansatz": 0, "prolong_other": 0, "solve": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def prolong2(Q):
+        names = {s.name for e in Q.coeffs.values() for s in free_symbols(e)}
+        calls["prolong_ansatz" if "k0" in names else "prolong_other"] += 1
+        return real_prolong2(Q)
+
+    real_prolong2 = detsys.prolong2
+    monkeypatch.setattr(detsys, "prolong2", prolong2)
+    monkeypatch.setattr(detsys, "parse", counting("parse", detsys.parse))
+    monkeypatch.setattr(classif, "solve_within_ansatz",
+                        counting("solve", classif.solve_within_ansatz))
+    reports = classif.verify_table(spec, ids=["1", "7", "22"])
+    assert [r.status for r in reports] == ["pass"] * 3
+    assert calls["solve"] == 7
+    assert calls["prolong_ansatz"] == 1
+    assert calls["parse"] == AnsatzBasis.default(spec.chart).size() == 20
+    # the generator checks still prolong each generator field
+    assert calls["prolong_other"] > 0
 
 
 def test_subclass_k_residuals(spec, ch):
