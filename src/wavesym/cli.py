@@ -15,7 +15,7 @@ import sys
 from .charts import AUG_COORDS, BASE_COORDS, augmented_chart
 from .detsys import (AnsatzBasis, ClassSpec, check_symmetry,
                      generate_determining_system, solve_within_ansatz)
-from .expr import Chart, SingularValue, UnknownIdentifier
+from .expr import Chart, SingularValue, UnknownIdentifier, structurally_zero
 from .parse import ParseError, parse, parse_vector_field
 from .printer import to_str
 from .classif import SECTIONS, builtin_catalog, run_campaign
@@ -42,6 +42,25 @@ def _basis_from_config(cfg: dict, ch: Chart) -> AnsatzBasis:
                              for s in cfg[name].split(";") if s.strip())
                  for name in ("tau", "xi", "eta") if name in cfg}
     return dataclasses.replace(AnsatzBasis.default(ch), **overrides)
+
+
+def _parse_fg(args, ch: Chart):
+    """The equation's (f, g); the class requires f != 0."""
+    f = parse(args.f, ch)
+    if structurally_zero(f):
+        raise ValueError(f"f must be nonzero, got {args.f!r}")
+    return f, parse(args.g, ch)
+
+
+def _jobs(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _field_chart(args):
@@ -77,8 +96,7 @@ def cmd_detsys(args) -> int:
 def cmd_check(args) -> int:
     spec = ClassSpec.default()
     ch = spec.chart
-    f = parse(args.f, ch)
-    g = parse(args.g, ch)
+    f, g = _parse_fg(args, ch)
     Q = parse_vector_field(args.Q, ch, BASE_COORDS)
     res, residual = check_symmetry(spec, f, g, Q)
     print(f"verdict: {res.verdict}")
@@ -93,7 +111,7 @@ def cmd_dim(args) -> int:
     basis = None
     if args.basis:
         basis = _basis_from_config(_read_config(args.basis), ch)
-    sol = solve_within_ansatz(spec, parse(args.f, ch), parse(args.g, ch), basis)
+    sol = solve_within_ansatz(spec, *_parse_fg(args, ch), basis)
     print(f"dimension within ansatz: {sol.dimension}")
     for F in sol.fields:
         print(f"  {F!r}")
@@ -190,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "reductions", "potential", "subalgebras",
                                       "special", "all"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--report", help="write the machine-readable report here")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)

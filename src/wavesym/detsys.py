@@ -278,8 +278,8 @@ def _ansatz_symbols(ch: Chart, count: int) -> list:
     if pool is None:
         pool = ch._ansatz_pool = []
     while len(pool) < count:
-        name = f"k{len(pool)}"
-        pool.append(ch.get(name) if name in ch else ch.parameter(name))
+        # a leading underscore: no chart declares it and no parse produces it
+        pool.append(ch.parameter(f"_k{len(pool)}"))
     return pool[:count]
 
 

@@ -15,6 +15,16 @@ The invariant is enforced once, at construction: raw node classes are built
 only inside this module, every tree that leaves it is canonical, and there is
 no re-normalization pass.  ``iter_terms`` is the one way to read a canonical
 expression back as (coefficient, factors) terms.
+
+Stored rationals (``Rat.q``, ``Mul.coef``, ``Pow.exp``) are ``int`` when
+integral and ``Fraction`` (denominator > 1) otherwise; the node constructors
+apply this through ``_q``.  Nearly every rational in a tree is a small
+integer, so the constructors' coefficient and exponent arithmetic runs as
+native ``int`` operations instead of ``fractions.py`` calls.  An ``int`` and
+the equal ``Fraction`` compare and hash alike and print the same, so keys,
+term order and report text do not depend on the representation.  Where a
+power could leave the rationals (``int ** -n`` is a float), the value is
+lifted to ``Fraction`` first, and ``evaluate`` always returns a ``Fraction``.
 """
 from __future__ import annotations
 
@@ -24,6 +34,16 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
+
+
+def _q(v) -> Rational:
+    """The stored form of a rational: ``int`` when integral, else ``Fraction``."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
 
 # ---------------------------------------------------------------------------
 # symbols
@@ -233,8 +253,8 @@ def _coerce(v) -> "Expr":
 class Rat(Expr):
     __slots__ = ("q",)
 
-    def __init__(self, q: Fraction):
-        self.q = q
+    def __init__(self, q: Rational):
+        self.q = _q(q)
         self._h = None
         self._k = None
 
@@ -277,9 +297,9 @@ class App(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exp")
 
-    def __init__(self, base: Expr, exp: Fraction):
+    def __init__(self, base: Expr, exp: Rational):
         self.base = base
-        self.exp = exp
+        self.exp = _q(exp)
         self._h = None
         self._k = None
 
@@ -331,8 +351,8 @@ class Mul(Expr):
 
     __slots__ = ("coef", "factors")
 
-    def __init__(self, coef: Fraction, factors: tuple):
-        self.coef = coef
+    def __init__(self, coef: Rational, factors: tuple):
+        self.coef = _q(coef)
         self.factors = factors
         self._h = None
         self._k = None
@@ -362,7 +382,7 @@ MINUS_ONE: Expr
 # smart constructors
 
 def rat(q: Rational) -> Expr:
-    return Rat(Fraction(q))
+    return Rat(q)
 
 
 def sym(s: Symbol) -> Expr:
@@ -403,10 +423,10 @@ def _is_nonzero_mark(e: Expr) -> bool:
 
 
 def add(*parts: Expr) -> Expr:
-    const = Fraction(0)
+    const = 0
     acc: dict = {}   # factor-tuple -> coefficient
 
-    def put(coef: Fraction, factors: tuple):
+    def put(coef: Rational, factors: tuple):
         nonlocal const
         if not factors:
             const += coef
@@ -424,7 +444,7 @@ def add(*parts: Expr) -> Expr:
         elif isinstance(e, Mul):
             put(e.coef, e.factors)
         else:
-            put(Fraction(1), (e,))
+            put(1, (e,))
 
     terms = []
     for factors, coef in acc.items():
@@ -437,30 +457,29 @@ def add(*parts: Expr) -> Expr:
     if const != 0:
         terms.append(Rat(const))
     if not terms:
-        return Rat(Fraction(0))
+        return Rat(0)
     if len(terms) == 1:
         return terms[0]
     terms.sort(key=lambda t: t.key())
     return Add(tuple(terms))
 
 
-def _constraint_fold(base: Expr, k: Fraction):
+def _constraint_fold(base: Expr, k: Rational):
     """Apply square-one / idempotent parameter rewrites to integer powers."""
     if isinstance(base, Sym) and k.denominator == 1:
         n = k.numerator
         if base.s.square_one:
-            n = n % 2
-            return base, Fraction(n)
+            return base, n % 2
         if base.s.idempotent and n > 0:
-            return base, Fraction(1)
+            return base, 1
     return base, k
 
 
 def mul(*parts: Expr, _depth: int = 0) -> Expr:
     if _depth > 24:
         raise RuntimeError("mul normalization did not reach a fixpoint")
-    coef = Fraction(1)
-    pow_acc: dict = {}    # base Expr -> Fraction exponent
+    coef = 1
+    pow_acc: dict = {}    # base Expr -> rational exponent
     abs_acc: dict = {}    # base Expr -> list of exponent Exprs
     exp_args: list = []   # summands of a single exp() factor
     adds: list = []       # Add factors to distribute at the end
@@ -476,22 +495,26 @@ def mul(*parts: Expr, _depth: int = 0) -> Expr:
         elif isinstance(e, ExpF):
             exp_args.append(e.arg)
         elif isinstance(e, Pow):
-            pow_acc[e.base] = pow_acc.get(e.base, Fraction(0)) + e.exp
+            pow_acc[e.base] = pow_acc.get(e.base, 0) + e.exp
         elif isinstance(e, AbsPow):
             abs_acc.setdefault(e.base, []).append(e.exp)
         elif isinstance(e, Add):
             adds.append(e)
         else:
-            pow_acc[e] = pow_acc.get(e, Fraction(0)) + 1
+            pow_acc[e] = pow_acc.get(e, 0) + 1
 
     if coef == 0:
-        return Rat(Fraction(0))
+        return Rat(0)
 
     # rebuild merged factors; a rebuild may itself reduce (rational folds,
     # even abs-powers, exp/ln extraction), in which case run another pass
     factors = []
     redo = []
     for base, k in pow_acc.items():
+        # base^1 is base itself unless it must be flattened or distributed
+        if k == 1 and not isinstance(base, (Rat, Mul, Add)):
+            factors.append(base)
+            continue
         base, k = _constraint_fold(base, k)
         if k == 0:
             continue
@@ -527,8 +550,8 @@ def mul(*parts: Expr, _depth: int = 0) -> Expr:
         return Mul(coef, tuple(factors))
 
     # distribute products over sums (full expansion)
-    head = Mul(Fraction(1), tuple(sorted(factors, key=lambda f: f.key()))) \
-        if factors else Rat(Fraction(1))
+    head = Mul(1, tuple(sorted(factors, key=lambda f: f.key()))) \
+        if factors else Rat(1)
     result_terms = [mul(Rat(coef), head)] if factors else [Rat(coef)]
     for a in adds:
         if isinstance(a, Add):
@@ -548,19 +571,21 @@ def pow_(base: Expr, exp) -> Expr:
                 return abspow(base, exp)
             raise ValueError(
                 "symbolic exponent on a base of unknown sign; use abspow()")
-    k = Fraction(exp)
+    k = _q(exp)
     if k == 0:
-        return Rat(Fraction(1))
+        return Rat(1)
     if k == 1:
         return base
     if isinstance(base, Rat):
         q = base.q
         if k.denominator == 1:
-            if q == 0 and k < 0:
+            if k > 0:
+                return Rat(q ** k)
+            if q == 0:
                 raise SingularValue("0 raised to a negative power")
-            return Rat(q ** k.numerator)
+            return Rat(Fraction(q) ** k)
         if q == 0:
-            return Rat(Fraction(0)) if k > 0 else _raise_singular()
+            return Rat(0) if k > 0 else _raise_singular()
         if q > 0:
             root = _exact_root(q, k)
             if root is not None:
@@ -588,7 +613,7 @@ def pow_(base: Expr, exp) -> Expr:
     if isinstance(base, Sym):
         base2, k2 = _constraint_fold(base, k)
         if k2 == 0:
-            return Rat(Fraction(1))
+            return Rat(1)
         if k2 == 1:
             return base2
         return Pow(base2, k2)
@@ -599,7 +624,7 @@ def _raise_singular():
     raise SingularValue("0 raised to a negative power")
 
 
-def _exact_root(q: Fraction, k: Fraction) -> Optional[Fraction]:
+def _exact_root(q: Rational, k: Fraction) -> Optional[Fraction]:
     """q**k as an exact Fraction when q > 0 is a perfect power, else None."""
     n, d = k.numerator, k.denominator
 
@@ -628,7 +653,7 @@ def _exact_root(q: Fraction, k: Fraction) -> Optional[Fraction]:
 def abspow(base: Expr, exp) -> Expr:
     exp = _coerce(exp)
     if isinstance(exp, Rat) and exp.q == 0:
-        return Rat(Fraction(1))
+        return Rat(1)
     if isinstance(base, Rat):
         if base.q == 0:
             raise SingularValue("|0|^q")
@@ -636,7 +661,7 @@ def abspow(base: Expr, exp) -> Expr:
         if isinstance(exp, Rat):
             return pow_(Rat(aq), exp.q)
         if aq == 1:
-            return Rat(Fraction(1))
+            return Rat(1)
         return AbsPow(Rat(aq), exp)
     if isinstance(base, Mul):
         parts = [abspow(Rat(base.coef), exp)]
@@ -657,27 +682,27 @@ def abspow(base: Expr, exp) -> Expr:
         even = 2 * (q.numerator // (2 * q.denominator))
         frac = q - even
         if frac == 0:
-            return pow_(base, Fraction(even))
+            return pow_(base, even)
         if even == 0:
             return AbsPow(base, Rat(frac))
-        return mul(pow_(base, Fraction(even)), AbsPow(base, Rat(frac)))
+        return mul(pow_(base, even), AbsPow(base, Rat(frac)))
     return AbsPow(base, exp)
 
 
 def exp_(a: Expr) -> Expr:
     a = _coerce(a)
     if isinstance(a, Rat) and a.q == 0:
-        return Rat(Fraction(1))
+        return Rat(1)
     # pull out q*lnabs(b) summands: exp(q ln|b|) = |b|^q
     terms = a.terms if isinstance(a, Add) else (a,)
     keep = []
     pulled = []
     for t in terms:
         ln_factor = None
-        rest_coef = Fraction(1)
+        rest_coef = 1
         rest = []
         if isinstance(t, LnAbs):
-            ln_factor, rest_coef = t, Fraction(1)
+            ln_factor = t
         elif isinstance(t, Mul):
             lns = [f for f in t.factors if isinstance(f, LnAbs)]
             if len(lns) == 1:
@@ -691,7 +716,7 @@ def exp_(a: Expr) -> Expr:
             pulled.append(abspow(ln_factor.arg, q))
     if not pulled:
         return ExpF(a)
-    rest_sum = add(*keep) if keep else Rat(Fraction(0))
+    rest_sum = add(*keep) if keep else Rat(0)
     parts = pulled
     if not (isinstance(rest_sum, Rat) and rest_sum.q == 0):
         parts = pulled + [ExpF(rest_sum)]
@@ -704,12 +729,12 @@ def lnabs(a: Expr) -> Expr:
         if a.q == 0:
             raise SingularValue("ln|0|")
         if abs(a.q) == 1:
-            return Rat(Fraction(0))
+            return Rat(0)
         return LnAbs(Rat(abs(a.q)))
     if isinstance(a, Mul):
         parts = [lnabs(Rat(a.coef))] if abs(a.coef) != 1 else []
         parts += [lnabs(f) for f in a.factors]
-        return add(*parts) if parts else Rat(Fraction(0))
+        return add(*parts) if parts else Rat(0)
     if isinstance(a, Pow):
         return mul(rat(a.exp), lnabs(a.base))
     if isinstance(a, AbsPow):
@@ -739,7 +764,7 @@ def iter_terms(e: Expr):
         elif isinstance(t, Rat):
             yield t.q, ()
         else:
-            yield Fraction(1), (t,)
+            yield 1, (t,)
 
 
 def free_symbols(e: Expr) -> set:
@@ -978,7 +1003,7 @@ def collect(e: Expr, variables: Sequence[Symbol]) -> dict:
         mono = []
         rest = []
         for f in factors:
-            base, k = (f.base, f.exp) if isinstance(f, Pow) else (f, Fraction(1))
+            base, k = (f.base, f.exp) if isinstance(f, Pow) else (f, 1)
             if isinstance(base, Sym) and base.s in vset:
                 if k.denominator != 1 or k < 0:
                     raise NotPolynomial(f"{base.s.name} appears with exponent {k}")
@@ -1024,7 +1049,7 @@ def _clear_denominators(e: Expr) -> Expr:
         for _, factors in terms:
             for f in factors:
                 if isinstance(f, Pow) and f.exp < 0 and isinstance(f.base, Add):
-                    cur = need.get(f.base, Fraction(0))
+                    cur = need.get(f.base, 0)
                     need[f.base] = max(cur, -f.exp)
         if not need:
             return e
@@ -1061,7 +1086,7 @@ class _Transcendental(Exception):
 
 def _eval_fraction(e: Expr) -> Fraction:
     if isinstance(e, Rat):
-        return e.q
+        return Fraction(e.q)
     if isinstance(e, Pow):
         b = _eval_fraction(e.base)
         if e.exp.denominator != 1:
@@ -1070,7 +1095,7 @@ def _eval_fraction(e: Expr) -> Fraction:
             raise SingularValue("pole")
         return b ** e.exp.numerator
     if isinstance(e, Mul):
-        v = e.coef
+        v = Fraction(e.coef)
         for f in e.factors:
             v *= _eval_fraction(f)
         return v

@@ -12,7 +12,6 @@ Grammar (byte-exact contract):
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .expr import (Chart, DEPENDENT, Expr, FUNCTION, Symbol, UNKNOWN,
@@ -174,7 +173,7 @@ class _Parser:
             self.expect(")")
             return e
         if kind == "num":
-            return rat(Fraction(int(val)))
+            return rat(int(val))
         if kind == "name":
             if val in _RESERVED:
                 return self.builtin(val, pos)

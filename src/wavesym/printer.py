@@ -5,8 +5,6 @@ accepted by :mod:`wavesym.parse`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .expr import (Add, AbsPow, App, Expr, ExpF, LnAbs, Mul, Pow, Rat, Sym)
 
 _PREC_ADD = 10
@@ -14,10 +12,6 @@ _PREC_MUL = 20
 _PREC_NEG = 30
 _PREC_POW = 40
 _PREC_ATOM = 50
-
-
-def _frac(q: Fraction) -> str:
-    return str(q)
 
 
 def _paren(s: str, inner: int, outer: int) -> str:
@@ -44,10 +38,10 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Rat):
         q = e.q
         if q < 0:
-            return f"-{_frac(-q)}", _PREC_NEG
+            return f"-{-q}", _PREC_NEG
         if q.denominator != 1:
-            return _frac(q), _PREC_MUL
-        return _frac(q), _PREC_ATOM
+            return str(q), _PREC_MUL
+        return str(q), _PREC_ATOM
     if isinstance(e, Sym):
         return e.s.name, _PREC_ATOM
     if isinstance(e, App):
@@ -64,7 +58,7 @@ def _render(e: Expr) -> tuple[str, int]:
         k = e.exp
         if k.denominator == 1 and k > 0:
             return f"{b}^{k}", _PREC_POW
-        return f"{b}^({_frac(k)})", _PREC_POW
+        return f"{b}^({k})", _PREC_POW
     if isinstance(e, AbsPow):
         b = to_str(e.base)
         if isinstance(e.exp, Rat) and e.exp.q == 1:
@@ -87,7 +81,7 @@ def _render(e: Expr) -> tuple[str, int]:
             return body, _PREC_MUL
         if c == -1:
             return f"-{body}", _PREC_NEG
-        prefix = _frac(c) if c > 0 else f"-{_frac(-c)}"
+        prefix = str(c) if c > 0 else f"-{-c}"
         s = f"{prefix}*{body}"
         return (s, _PREC_NEG) if c < 0 else (s, _PREC_MUL)
     if isinstance(e, Add):

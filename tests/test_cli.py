@@ -116,3 +116,30 @@ def test_verify_all_jobs2_matches_golden(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "catalog coverage: 32/32 entries verified" in out
     assert report.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_dim_with_chart_parameter_named_like_an_unknown(capsys):
+    """k1 is a declared classification parameter; the ansatz unknowns must
+    not capture it."""
+    assert main(["dim", "-f", "a1*u_x^(-4)", "-g", "0"]) == 0
+    want = capsys.readouterr().out.splitlines()[0]
+    assert main(["dim", "-f", "k1*u_x^(-4)", "-g", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == want == \
+        "dimension within ansatz: 7"
+
+
+def test_zero_f_rejected(capsys):
+    """The class requires f != 0: a canonically zero f is a usage error."""
+    assert main(["dim", "-f", "0", "-g", "0"]) == 2
+    assert main(["check", "-f", "u_x - u_x", "-g", "0", "-Q", "1@x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: f must be nonzero") == 2
+
+
+def test_verify_nonpositive_jobs_rejected(capsys):
+    for jobs in ("0", "-1"):
+        assert main(["verify", "all", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --jobs" in captured.err

@@ -228,7 +228,7 @@ def test_default_ansatz_built_once_per_chart(monkeypatch):
 
     def prolong2(Q):
         names = {s.name for e in Q.coeffs.values() for s in free_symbols(e)}
-        calls["prolong_ansatz" if "k0" in names else "prolong_other"] += 1
+        calls["prolong_ansatz" if "_k0" in names else "prolong_other"] += 1
         return real_prolong2(Q)
 
     real_prolong2 = detsys.prolong2

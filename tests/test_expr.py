@@ -228,17 +228,76 @@ def _assert_constructor_fixpoint(e):
         stack.extend(_children(n))
 
 
-def test_constructor_fixpoint(spec, ch):
-    """Random transcendental trees and the parsed catalog are canonical at
-    every node."""
+def _sample_trees(spec, ch):
+    """200 random transcendental trees, the parsed catalog and the prolonged
+    default ansatz."""
     from wavesym.classif import builtin_catalog
+    from wavesym.detsys import _default_ansatz
     rng = random.Random(101)
     for _ in range(200):
-        _assert_constructor_fixpoint(_random_expr(ch, rng, transcendental=True))
+        yield _random_expr(ch, rng, transcendental=True)
     for case in builtin_catalog():
         f, g, gens = case.parsed(spec)
-        for e in [f, g] + [c for Q in gens for c in Q.coeffs.values()]:
-            _assert_constructor_fixpoint(e)
+        yield from [f, g] + [c for Q in gens for c in Q.coeffs.values()]
+    pr = _default_ansatz(ch).prolonged
+    yield from pr.base.coeffs.values()
+    yield from (pr.eta_t, pr.eta_x, pr.eta_tt, pr.eta_tx, pr.eta_xx)
+
+
+def test_constructor_fixpoint(spec, ch):
+    """Random transcendental trees, the parsed catalog and the prolonged
+    default ansatz are canonical at every node."""
+    for e in _sample_trees(spec, ch):
+        _assert_constructor_fixpoint(e)
+
+
+def _stored_rational(n):
+    if isinstance(n, Rat):
+        return n.q
+    if isinstance(n, Mul):
+        return n.coef
+    if isinstance(n, Pow):
+        return n.exp
+    return None
+
+
+def test_stored_rationals_int_when_integral(spec, ch):
+    """Every stored rational is an int, or a Fraction that is not integral:
+    never a float and never an integral Fraction."""
+    for e in _sample_trees(spec, ch):
+        stack = [e]
+        while stack:
+            n = stack.pop()
+            q = _stored_rational(n)
+            if q is not None:
+                assert type(q) is int or \
+                    (type(q) is Fraction and q.denominator != 1), \
+                    (to_str(n), repr(q))
+            stack.extend(_children(n))
+
+
+@pytest.mark.parametrize("base, k, want", [
+    (2, -3, Fraction(1, 8)),
+    (3, -2, Fraction(1, 9)),
+    (Fraction(1, 2), -1, 2),
+    (4, Fraction(1, 2), 2),
+    (Fraction(4, 9), Fraction(-1, 2), Fraction(3, 2)),
+    (Fraction(8, 27), Fraction(2, 3), Fraction(4, 9)),
+])
+def test_rational_powers_exact(base, k, want):
+    got = pow_(rat(base), k)
+    assert got == rat(want)
+    assert isinstance(got, Rat) and type(got.q) is type(want)
+
+
+def test_evaluate_returns_fraction(ch):
+    """x^-2 * u evaluates exactly, as a Fraction even where it is integral."""
+    x, u = ch.get("x"), ch.get("u")
+    e = mul(pow_(sym(x), -2), sym(u))
+    for xv, uv, want in ((3, 5, Fraction(5, 9)), (1, 3, Fraction(3)),
+                         (Fraction(1, 2), 2, Fraction(8))):
+        got = evaluate(e, {x: rat(xv), u: rat(uv)})
+        assert type(got) is Fraction and got == want
 
 
 def _random_valued_expr(ch, rng, env, depth=3):

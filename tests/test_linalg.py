@@ -129,3 +129,14 @@ def test_solve_inconsistent_returns_none():
     assert solve([[1, 2], [2, 4]], [1, 3]) is None
     assert solve([[0, 0], [0, 0]], [0, 1]) is None
     assert solve([[1, 2], [2, 4]], [1, 2]) == [1, 0]
+
+
+def test_int_rows_give_fraction_entries():
+    """Rows of ints, as the ansatz solver's coefficients often are, come back
+    as exact Fraction entries, also where a pivot division is not integral."""
+    for rows, ncols in ([[2, 4, 6], [1, 3, 2]], 3), ([[3, 1], [6, 2]], 2):
+        red, _ = rref(rows)
+        basis = nullspace(rows, ncols)
+        assert red and basis
+        assert all(type(v) is Fraction for r in red + basis for v in r)
+    assert all(type(v) is Fraction for v in solve([[2, 1], [1, 3]], [1, 2]))
