@@ -1,8 +1,8 @@
-"""Exact linear algebra over Fraction: RREF, solve, nullspace."""
+"""Exact linear algebra over Fraction: RREF and nullspace."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):
@@ -43,24 +43,6 @@ def rref(rows: Sequence[Sequence[Fraction]]):
             break
     zero = Fraction(0)
     return [[row.get(j, zero) for j in range(ncols)] for row in done], pivots
-
-
-def solve(rows, rhs) -> Optional[list]:
-    """One solution of A x = b, or None if inconsistent (A given by rows)."""
-    if not rows:
-        return None
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    n = len(rows[0])
-    for row in red:
-        if all(v == 0 for v in row[:n]) and row[n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None
-        x[p] = row[n]
-    return x
 
 
 def nullspace(rows, ncols: int) -> list:

@@ -219,6 +219,17 @@ def _instantiate(e: Expr, ch: Chart, sample: dict) -> Expr:
     return substitute(e, table) if table else e
 
 
+def _kernel_extension(ch: Chart, case: ClassificationCase,
+                      gens: Sequence[VectorField]) -> list:
+    """The kernel and the case's generators at its first sample: the span
+    whose closure under the bracket ``verify_case`` checks."""
+    sample0 = case.samples[0] if case.samples else {}
+    return kernel_fields(ch) + [
+        VectorField(ch, BASE_COORDS, {c: _instantiate(v, ch, sample0)
+                                      for c, v in Q.coeffs.items()}, check=False)
+        for Q in gens]
+
+
 def verify_case(spec: ClassSpec, case: ClassificationCase,
                 rng: Optional[random.Random] = None) -> CaseReport:
     ch = spec.chart
@@ -235,13 +246,8 @@ def verify_case(spec: ClassSpec, case: ClassificationCase,
         else:
             rep.add(f"generator {i + 1} residual", False, f"residual {residual!r}")
 
-    sample0 = case.samples[0] if case.samples else {}
-    inst_gens = [VectorField(ch, BASE_COORDS,
-                             {c: _instantiate(v, ch, sample0)
-                              for c, v in Q.coeffs.items()}, check=False)
-                 for Q in gens]
     try:
-        close_or_fail(kernel_fields(ch) + inst_gens)
+        close_or_fail(_kernel_extension(ch, case, gens))
         rep.add("kernel+extension closes under bracket", True)
     except NonClosure as e:
         rep.add("kernel+extension closes under bracket", False, str(e))
@@ -336,6 +342,20 @@ def verify_equivalence_algebra(seed: int = 0) -> CaseReport:
     return rep
 
 
+G11_LABELS = ("Du", "Dt", "Pt", "F1", "F2", "D1", "Dx", "G1", "Gx", "Gx2", "Gx3")
+
+
+def _g11_fields(ea: EquivalenceAlgebra) -> list:
+    """The closed 11-dimensional instantiation of the equivalence algebra:
+    phi in {1, x}, psi in {1, x, x^2, x^3}, in the order of ``G11_LABELS``."""
+    x = sym(ea.chart.get("x"))
+    phis = [rat(1), x]
+    psis = [rat(1), x, mul(x, x), mul(x, x, x)]
+    return ([ea.field(Gen(k)) for k in ("Du", "Dt", "Pt", "F1", "F2")]
+            + [ea.field(Gen("D", fn)) for fn in phis]
+            + [ea.field(Gen("G", fn)) for fn in psis])
+
+
 def verify_megaideals() -> CaseReport:
     """The chain m' , m'', Z_m, C_m(m'') of the five-dimensional subalgebra
     m = <G(1), F1, F2, Pt, Dt>, and the flag-constrained automorphism solve."""
@@ -370,15 +390,8 @@ def verify_megaideals() -> CaseReport:
             _automorphism_numeric_check(m, fam, seed=7, trials=20))
 
     # solvable-ideal candidate for the radical on a closed instantiation
-    x = sym(ea.chart.get("x"))
-    phis = [rat(1), x]
-    psis = [rat(1), x, mul(x, x), mul(x, x, x)]
-    big_fields = ([ea.field(Gen("Du")), ea.field(Gen("Dt")), ea.field(Gen("Pt")),
-                   ea.field(Gen("F1")), ea.field(Gen("F2"))]
-                  + [ea.field(Gen("D", fn)) for fn in phis]
-                  + [ea.field(Gen("G", fn)) for fn in psis])
-    labels = ["Du", "Dt", "Pt", "F1", "F2", "D1", "Dx", "G1", "Gx", "Gx2", "Gx3"]
-    g11 = close_or_fail(big_fields, labels=labels)
+    labels = list(G11_LABELS)
+    g11 = close_or_fail(_g11_fields(ea), labels=labels)
     rad_idx = [i for i, lbl in enumerate(labels) if lbl not in ("D1", "Dx")]
     cand = coordinate_subspace(rad_idx, len(labels))
     rep.add("radical candidate <Du,Dt,Pt,G(psi),F1,F2> is an ideal (instantiated)",
@@ -854,10 +867,9 @@ def _span_subspace(coordz: _Coordinatizer, fields: Sequence[VectorField],
     return Subspace(vecs, size)
 
 
-def verify_subalgebra_lists(seed: int = 0) -> list:
-    """Closure (with the prolonged kernel) and the membership exclusions for
-    the one-, two- and three-dimensional extension lists."""
-    ea = EquivalenceAlgebra()
+def _subalgebra_list_items(ea: EquivalenceAlgebra) -> list:
+    """(name, span + prolonged kernel) for each item of the one-, two- and
+    three-dimensional extension lists, and for the kernel alone."""
     ch = ea.chart
     x = sym(ch.get("x"))
     ex = parse("exp(x)", ch)
@@ -912,19 +924,30 @@ def verify_subalgebra_lists(seed: int = 0) -> list:
         items.append((f"(10.3) <Du + D(x) + {d} G(x), Dt - G(x), D(1)>",
                       [q1, q2, q3]))
     items.append(("kernel only (empty extension)", []))
+    return [(name, hat_kernel + span) for name, span in items]
+
+
+def verify_subalgebra_lists(seed: int = 0) -> list:
+    """Closure (with the prolonged kernel) and the membership exclusions for
+    the one-, two- and three-dimensional extension lists."""
+    ea = EquivalenceAlgebra()
+    x = sym(ea.chart.get("x"))
+    ex = parse("exp(x)", ea.chart)
+    Du, Dt, F2 = (ea.field(Gen(k)) for k in ("Du", "Dt", "F2"))
 
     # finite families large enough to capture every G/D component occurring
     psis = [rat(1), x, mul(x, x), mul(x, mul(x, x)), ex]
     phis = [rat(1), x, mul(x, x), ex]
-    exclusion_DuGF2 = [Du, F2] + [G(p) for p in psis]
+    Gs = [ea.field(Gen("G", p)) for p in psis]
+    Ds = [ea.field(Gen("D", p)) for p in phis]
+    exclusion_DuGF2 = [Du, F2] + Gs
     exclusion_DtF2 = [Dt, F2]
-    cap_DGF2 = [F2] + [G(p) for p in psis] + [D(p) for p in phis]
+    cap_DGF2 = [F2] + Gs + Ds
 
     reports = []
-    for name, span in items:
+    for name, fields in _subalgebra_list_items(ea):
         rep = CaseReport(name)
         start = time.monotonic()
-        fields = hat_kernel + span
         try:
             close_or_fail(fields)
             rep.add("span + prolonged kernel closes under bracket", True)
@@ -936,7 +959,7 @@ def verify_subalgebra_lists(seed: int = 0) -> list:
             coordz.decompose(F)
         size = len(coordz.index)
         S = _span_subspace(coordz, fields, size)
-        G1_span = _span_subspace(coordz, [G(rat(1))], size)
+        G1_span = _span_subspace(coordz, Gs[:1], size)
 
         inter1 = subspace_intersection(
             S, _span_subspace(coordz, exclusion_DuGF2, size))

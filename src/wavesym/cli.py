@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, UnknownIdentifier, SingularValue, ValueError,
-            FileNotFoundError) as e:
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -965,26 +965,40 @@ def substitute(e: Expr, bindings: Mapping, chart: Optional[Chart] = None) -> Exp
 
 
 def _subst(e: Expr, table: Mapping) -> Expr:
+    """``e`` with the bound atoms replaced.  A node whose children all come
+    back as the same objects is returned itself: the constructors' fixpoint
+    invariant makes the rebuild equal to it."""
     hit = table.get(e)
     if hit is not None:
         return hit
     if isinstance(e, (Rat, Sym)):
         return e
     if isinstance(e, App):
-        return App(e.fn, e.didx, tuple(_subst(a, table) for a in e.args))
+        args = tuple(_subst(a, table) for a in e.args)
+        return e if _same(args, e.args) else App(e.fn, e.didx, args)
     if isinstance(e, Pow):
-        return pow_(_subst(e.base, table), e.exp)
+        base = _subst(e.base, table)
+        return e if base is e.base else pow_(base, e.exp)
     if isinstance(e, AbsPow):
-        return abspow(_subst(e.base, table), _subst(e.exp, table))
+        base, ex = _subst(e.base, table), _subst(e.exp, table)
+        return e if base is e.base and ex is e.exp else abspow(base, ex)
     if isinstance(e, ExpF):
-        return exp_(_subst(e.arg, table))
+        arg = _subst(e.arg, table)
+        return e if arg is e.arg else exp_(arg)
     if isinstance(e, LnAbs):
-        return lnabs(_subst(e.arg, table))
+        arg = _subst(e.arg, table)
+        return e if arg is e.arg else lnabs(arg)
     if isinstance(e, Mul):
-        return mul(Rat(e.coef), *[_subst(f, table) for f in e.factors])
+        factors = [_subst(f, table) for f in e.factors]
+        return e if _same(factors, e.factors) else mul(Rat(e.coef), *factors)
     if isinstance(e, Add):
-        return add(*[_subst(t, table) for t in e.terms])
+        terms = [_subst(t, table) for t in e.terms]
+        return e if _same(terms, e.terms) else add(*terms)
     raise TypeError(type(e))
+
+
+def _same(new: Sequence[Expr], old: Sequence[Expr]) -> bool:
+    return all(a is b for a, b in zip(new, old))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._linalg import nullspace, rref, solve
+from ._linalg import nullspace, rref
 from .expr import (Chart, Expr, Mul, Rat, Sym, Pow, ZERO, add, diff,
                    iter_terms, mul, pow_, rat, structurally_zero, substitute,
                    sym)
@@ -120,29 +120,26 @@ class _Coordinatizer:
         return self.index[key]
 
     def decompose(self, F: VectorField) -> dict:
+        """``{axis: Fraction}``, nonzero entries only."""
         out: dict = {}
         for coord, e in F.coeffs.items():
             for coef, sig in iter_terms(e):
                 ax = self._axis(coord, sig)
                 out[ax] = out.get(ax, Fraction(0)) + coef
-        return out
-
-    def vector(self, F: VectorField, size: Optional[int] = None) -> list:
-        d = self.decompose(F)
-        n = size if size is not None else len(self.index)
-        v = [Fraction(0)] * n
-        for ax, c in d.items():
-            if ax >= n:
-                return v + [Fraction(1)]  # sentinel; caller treats as escape
-            v[ax] = c
-        return v
+        return {ax: c for ax, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
 # presentations
 
 class LieAlgebraPresentation:
-    """Basis with a closed bracket table [e_i,e_j] = sum_k c^k_ij e_k."""
+    """Basis with a closed bracket table [e_i,e_j] = sum_k c^k_ij e_k.
+
+    ``table`` is the dense public form (i < j, nonzero rows only).  Besides it
+    the presentation keeps each nonzero row for both orders, dense for ``c``
+    and as ``(k, c)`` pairs for ``bracket_coords`` and the Jacobi check, and
+    one zero row that ``c`` returns for every vanishing bracket.
+    """
 
     def __init__(self, labels: Sequence[str], table: dict,
                  fields: Optional[Sequence[VectorField]] = None,
@@ -158,30 +155,35 @@ class LieAlgebraPresentation:
             row = tuple(Fraction(c) for c in coords)
             if any(v != 0 for v in row):
                 self.table[(i, j)] = row
+        self._zero = (Fraction(0),) * self.n
+        self._rows: dict = {}
+        self._sparse: dict = {}
+        for (i, j), row in self.table.items():
+            neg = tuple(-v for v in row)
+            self._rows[(i, j)], self._rows[(j, i)] = row, neg
+            self._sparse[(i, j)] = tuple((k, v) for k, v in enumerate(row) if v)
+            self._sparse[(j, i)] = tuple((k, v) for k, v in enumerate(neg) if v)
         self.fields = tuple(fields) if fields is not None else None
         if check:
             self._check_jacobi()
 
     def c(self, i: int, j: int) -> tuple:
-        if i == j:
-            return tuple(Fraction(0) for _ in range(self.n))
-        if i < j:
-            return self.table.get((i, j), tuple(Fraction(0) for _ in range(self.n)))
-        return tuple(-v for v in self.c(j, i))
+        return self._rows.get((i, j), self._zero)
 
     def bracket_coords(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> list:
         out = [Fraction(0)] * self.n
-        for i in range(self.n):
-            if v[i] == 0:
+        w_nz = [(j, b) for j, b in enumerate(w) if b]
+        sparse = self._sparse
+        for i, a in enumerate(v):
+            if not a:
                 continue
-            for j in range(self.n):
-                if w[j] == 0 or i == j:
+            for j, b in w_nz:
+                row = sparse.get((i, j))
+                if row is None:
                     continue
-                cij = self.c(i, j)
-                f = v[i] * w[j]
-                for k in range(self.n):
-                    if cij[k] != 0:
-                        out[k] += f * cij[k]
+                f = a * b
+                for k, c in row:
+                    out[k] += f * c
         return out
 
     def basis_vector(self, i: int) -> list:
@@ -190,15 +192,18 @@ class LieAlgebraPresentation:
         return v
 
     def _check_jacobi(self):
+        sparse = self._sparse
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 for k in range(j + 1, self.n):
-                    ei, ej, ek = (self.basis_vector(m) for m in (i, j, k))
-                    s = [a + b + c for a, b, c in zip(
-                        self.bracket_coords(ei, self.bracket_coords(ej, ek)),
-                        self.bracket_coords(ej, self.bracket_coords(ek, ei)),
-                        self.bracket_coords(ek, self.bracket_coords(ei, ej)))]
-                    if any(v != 0 for v in s):
+                    s = [Fraction(0)] * self.n
+                    # [e_a, [e_b, e_c]] over the cyclic shifts, the inner
+                    # bracket of basis vectors read off the table
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in sparse.get((b, c), ()):
+                            for l, y in sparse.get((a, m), ()):
+                                s[l] += x * y
+                    if any(s):
                         raise NonClosure(
                             f"Jacobi identity fails on ({self.labels[i]}, "
                             f"{self.labels[j]}, {self.labels[k]})", s)
@@ -230,32 +235,76 @@ class LieAlgebraPresentation:
         return cls(labels, table)
 
 
+class _EchelonBasis:
+    """Incremental echelon basis of sparse ``{axis: Fraction}`` vectors.
+
+    Each row has pivot 1, is zero at the pivots of the rows before it, and
+    carries the combination ``{m: Fraction}`` of kept input vectors it
+    equals; so one pass in insertion order reduces a vector and also yields
+    its coordinates over the kept vectors.
+    """
+
+    def __init__(self):
+        self.rows: list = []  # (pivot, row, combination)
+
+    def reduce(self, vec: dict):
+        """(remainder, expansion) with vec = remainder + sum_m expansion[m] kept[m];
+        the remainder is empty exactly when vec lies in the span."""
+        rem, expansion = dict(vec), {}
+        for p, row, comb in self.rows:
+            f = rem.get(p)
+            if f is None:
+                continue
+            for ax, c in row.items():
+                w = rem.get(ax, 0) - f * c
+                if w:
+                    rem[ax] = w
+                else:
+                    del rem[ax]
+            for m, c in comb.items():
+                w = expansion.get(m, 0) + f * c
+                if w:
+                    expansion[m] = w
+                else:
+                    del expansion[m]
+        return rem, expansion
+
+    def insert(self, vec: dict) -> bool:
+        """Keep ``vec`` as the next input vector unless it lies in the span."""
+        rem, expansion = self.reduce(vec)
+        if not rem:
+            return False
+        p = min(rem)
+        pv = rem[p]
+        comb = {m: -c / pv for m, c in expansion.items()}
+        comb[len(self.rows)] = 1 / pv
+        self.rows.append((p, {ax: c / pv for ax, c in rem.items()}, comb))
+        return True
+
+
 def close_or_fail(fields: Sequence[VectorField],
                   labels: Optional[Sequence[str]] = None) -> LieAlgebraPresentation:
     """Structure constants if all pairwise brackets lie in the span.
 
     Raises NonClosure naming the escaping bracket; linearly dependent input
-    is pruned (recorded on the result as ``pruned``).
+    is pruned (recorded on the result as ``pruned``).  One echelon basis
+    serves both: a field that reduces to zero is pruned, and a bracket that
+    reduces to zero reads its structure constants off the reduction.
     """
     if labels is None:
         labels = [f"e{i + 1}" for i in range(len(fields))]
     coord = _Coordinatizer()
     decomps = [coord.decompose(F) for F in fields]
     size = len(coord.index)
-    vecs = [[d.get(ax, Fraction(0)) for ax in range(size)] for d in decomps]
 
-    kept, kept_vecs, pruned = [], [], []
-    span_rows: list = []
-    for lbl, F, v in zip(labels, fields, vecs):
-        test = Subspace(span_rows + [v], size)
-        if test.dim == len(span_rows) + 1:
-            span_rows.append(v)
+    basis = _EchelonBasis()
+    kept, pruned = [], []
+    for lbl, F, d in zip(labels, fields, decomps):
+        if basis.insert(d):
             kept.append((lbl, F))
-            kept_vecs.append(v)
         else:
             pruned.append(lbl)
     n = len(kept)
-    span = Subspace(kept_vecs, size)
 
     table: dict = {}
     for i in range(n):
@@ -265,16 +314,11 @@ def close_or_fail(fields: Sequence[VectorField],
             if any(ax >= size for ax in bd):
                 raise NonClosure(
                     f"[{kept[i][0]}, {kept[j][0]}] escapes the span", br)
-            bv = [bd.get(ax, Fraction(0)) for ax in range(size)]
-            if not span.contains(bv):
+            rem, coords = basis.reduce(bd)
+            if rem:
                 raise NonClosure(
                     f"[{kept[i][0]}, {kept[j][0]}] escapes the span", br)
-            coords = solve([[kept_vecs[m][ax] for m in range(n)]
-                            for ax in range(size)], bv)
-            if coords is None:
-                raise NonClosure(
-                    f"[{kept[i][0]}, {kept[j][0]}] has no basis expansion", br)
-            table[(i, j)] = coords
+            table[(i, j)] = [coords.get(m, Fraction(0)) for m in range(n)]
     pres = LieAlgebraPresentation([lbl for lbl, _ in kept], table,
                                   fields=[F for _, F in kept])
     pres.pruned = tuple(pruned)

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, exit codes, report determinism."""
 import json
+import runpy
+import sys
 from pathlib import Path
+
+import pytest
 
 from wavesym.cli import main
 
@@ -143,3 +147,20 @@ def test_verify_nonpositive_jobs_rejected(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument --jobs" in captured.err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    """A config path that cannot be read as a file is a usage error (exit 2),
+    not a verification failure (exit 1)."""
+    assert main(["transform", "--params", str(tmp_path), "-f", "1", "-g", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["dim", "-f", "1", "-g", "0", "--basis", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_python_m_wavesym(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["wavesym", "detsys"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("wavesym", run_name="__main__")
+    assert exc.value.code == 0
+    assert "eta_uu" in capsys.readouterr().out

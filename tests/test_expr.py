@@ -1,4 +1,5 @@
 """Expression core: construction, differentiation, canonical form, zero test."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 
 from wavesym.expr import (AbsPow, Add, App, ExpF, LnAbs, Mul, Pow, Rat, Sym,
                           SingularValue, abspow, add, app, collect, diff,
-                          equal, evaluate, exp_, is_zero, lnabs, mul, pow_,
-                          rat, substitute, sym, total_derivative,
+                          equal, evaluate, exp_, free_symbols, is_zero, lnabs,
+                          mul, pow_, rat, substitute, sym, total_derivative,
                           NotPolynomial)
 from wavesym.parse import parse
 from wavesym.printer import to_str
@@ -181,24 +182,26 @@ def _random_expr(ch, rng, depth=3, transcendental=False):
         return a
 
 
-def _rebuild(e):
-    """``e`` rebuilt one level through its constructor, children as they are."""
+def _rebuild(e, kids=None):
+    """``e`` rebuilt one level through its constructor, from ``kids`` in
+    place of its children (by default the children as they are)."""
     if isinstance(e, (Rat, Sym)):
         return e
+    kids = _children(e) if kids is None else kids
     if isinstance(e, App):
-        return app(e.fn, e.didx, e.args)
+        return app(e.fn, e.didx, kids)
     if isinstance(e, Pow):
-        return pow_(e.base, e.exp)
+        return pow_(kids[0], e.exp)
     if isinstance(e, AbsPow):
-        return abspow(e.base, e.exp)
+        return abspow(*kids)
     if isinstance(e, ExpF):
-        return exp_(e.arg)
+        return exp_(kids[0])
     if isinstance(e, LnAbs):
-        return lnabs(e.arg)
+        return lnabs(kids[0])
     if isinstance(e, Mul):
-        return mul(rat(e.coef), *e.factors)
+        return mul(rat(e.coef), *kids)
     if isinstance(e, Add):
-        return add(*e.terms)
+        return add(*kids)
     raise TypeError(type(e))
 
 
@@ -249,6 +252,51 @@ def test_constructor_fixpoint(spec, ch):
     default ansatz are canonical at every node."""
     for e in _sample_trees(spec, ch):
         _assert_constructor_fixpoint(e)
+
+
+def _subst_reference(e, table):
+    """Substitution that rebuilds every node through its constructor."""
+    if e in table:
+        return table[e]
+    return _rebuild(e, [_subst_reference(c, table) for c in _children(e)])
+
+
+def test_substitute_unbound_returns_input(ch):
+    e = P("exp(x)*u_x^2 + lnabs(t + u)*f(x,u_x)", ch)
+    assert substitute(e, {ch.get("u_t"): rat(3)}) is e
+    assert substitute(e, {}) is e
+
+
+def test_substitute_shares_untouched_terms(ch):
+    e = P("x*u + exp(t) + u_x^2 + f(x,u_x)", ch)
+    got = substitute(e, {ch.get("u"): rat(2)})
+    assert got == P("2*x + exp(t) + u_x^2 + f(x,u_x)", ch)
+    untouched = [t for t in e.terms if ch.get("u") not in free_symbols(t)]
+    assert len(untouched) == 3
+    assert all(any(g is t for g in got.terms) for t in untouched)
+
+
+def test_substitute_matches_rebuilding_reference(spec, ch):
+    """On the random trees, with random bindings of one or two symbols, the
+    sharing substitution equals one that rebuilds every node."""
+    rng = random.Random(103)
+    values = [rat(0), rat(2), rat(Fraction(-1, 3)), P("x + 1", ch),
+              P("t*u", ch), P("exp(u_x)", ch), P("u_t^2 - x", ch)]
+    checked = 0  # trees the bindings change
+    for e in itertools.islice(_sample_trees(spec, ch), 200):
+        free = sorted(free_symbols(e), key=lambda s: s.name)
+        bound = rng.sample(free, min(len(free), rng.randint(1, 2)))
+        bindings = {s: rng.choice(values) for s in bound}
+        try:
+            want = _subst_reference(e, {sym(s): v for s, v in bindings.items()})
+        except SingularValue:
+            with pytest.raises(SingularValue):
+                substitute(e, bindings)
+            continue
+        got = substitute(e, bindings)
+        assert got == want, to_str(e)
+        checked += got is not e
+    assert checked > 100
 
 
 def _stored_rational(n):

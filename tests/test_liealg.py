@@ -1,18 +1,20 @@
 """Lie algebra structure analysis on exact rational presentations."""
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from wavesym.charts import BASE_COORDS
 from wavesym.equivalence import EquivalenceAlgebra, Gen
 from wavesym.expr import add, equal, mul, rat, structurally_zero, sym
 from wavesym.liealg import (LieAlgebraPresentation, NonClosure, Subspace,
-                            center, centralizer, close_or_fail,
+                            _Coordinatizer, center, centralizer, close_or_fail,
                             coordinate_subspace, derived_series,
                             flag_automorphism_solve, is_ideal,
                             radical, subspace_intersection)
 from wavesym.parse import parse
-from wavesym.vecfield import vf
+from wavesym.vecfield import bracket, vf
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +50,10 @@ def test_close_abelian_projections(ch):
 
 
 def test_close_failure_witness(ch):
-    with pytest.raises(NonClosure):
-        close_or_fail([vf(ch, BASE_COORDS, t=rat(1)),
-                       vf(ch, BASE_COORDS, t=parse("t^2", ch))])
+    fields = [vf(ch, BASE_COORDS, t=rat(1)), vf(ch, BASE_COORDS, t=parse("t^2", ch))]
+    with pytest.raises(NonClosure, match=r"^\[e1, e2\] escapes the span$") as exc:
+        close_or_fail(fields)
+    assert exc.value.witness.coeffs == bracket(*fields).coeffs
 
 
 def test_dependent_input_pruned(ch):
@@ -137,3 +140,171 @@ def test_jacobi_validated():
         LieAlgebraPresentation(
             ["a", "b", "c"],
             {(0, 1): [0, 0, 1], (1, 2): [0, 1, 0]})
+
+
+def test_jacobi_validated_through_reversed_pair():
+    # [a,b] = c, [a,c] = a: J(a,b,c) = [b,[c,a]] = [b,-a] = c, read off the
+    # table only through the reversed pairs (c,a) and (b,a)
+    with pytest.raises(NonClosure, match=r"\(a, b, c\)"):
+        LieAlgebraPresentation(
+            ["a", "b", "c"],
+            {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
+
+
+# ---------------------------------------------------------------------------
+# close_or_fail against a sympy oracle on the coordinatized fields
+
+def _sympy(q: Fraction):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def _columns(vecs, size):
+    """The sympy matrix whose columns are the sparse vectors ``vecs``."""
+    return sympy.Matrix(size, len(vecs),
+                        lambda ax, m: _sympy(vecs[m].get(ax, Fraction(0))))
+
+
+def _assert_closure_matches_oracle(fields, labels):
+    """Kept and pruned labels follow the rank increments in input order; an
+    escaping bracket raises NonClosure naming the first escaping pair; every
+    table row solves kept_matrix * c = bracket_vector exactly."""
+    coordz = _Coordinatizer()
+    decs = [coordz.decompose(F) for F in fields]
+    kept, pruned, cols = [], [], []
+    for lbl, F, d in zip(labels, fields, decs):
+        if _columns(cols + [d], len(coordz.index)).rank() == len(cols) + 1:
+            kept.append((lbl, F))
+            cols.append(d)
+        else:
+            pruned.append(lbl)
+    brackets, escape = {}, None
+    for i in range(len(kept)):
+        for j in range(i + 1, len(kept)):
+            br = bracket(kept[i][1], kept[j][1])
+            b = coordz.decompose(br)
+            size = len(coordz.index)
+            if _columns(cols + [b], size).rank() > len(cols):
+                escape = (f"[{kept[i][0]}, {kept[j][0]}] escapes the span", br)
+                break
+            brackets[(i, j)] = (_columns([b], size), size)
+        if escape:
+            break
+    if escape:
+        with pytest.raises(NonClosure) as exc:
+            close_or_fail(fields, labels=labels)
+        assert str(exc.value) == escape[0]
+        assert exc.value.witness.coeffs == escape[1].coeffs
+        return False
+    pres = close_or_fail(fields, labels=labels)
+    assert list(pres.labels) == [lbl for lbl, _ in kept]
+    assert list(pres.pruned) == pruned
+    for (i, j), (bv, size) in brackets.items():
+        c = pres.c(i, j)
+        assert all(type(v) is Fraction for v in c)
+        assert _columns(cols, size) * sympy.Matrix([_sympy(v) for v in c]) == bv
+    return True
+
+
+def test_close_matches_oracle_on_catalog(spec, ch):
+    from wavesym.classif import _kernel_extension, builtin_catalog
+    closed = 0
+    for case in builtin_catalog():
+        fields = _kernel_extension(ch, case, case.parsed(spec)[2])
+        closed += _assert_closure_matches_oracle(
+            fields, [f"e{i + 1}" for i in range(len(fields))])
+    assert closed == 32
+
+
+def test_close_matches_oracle_on_subalgebra_lists():
+    from wavesym.classif import _subalgebra_list_items
+    items = _subalgebra_list_items(EquivalenceAlgebra())
+    assert len(items) == 23
+    for _, fields in items:
+        assert _assert_closure_matches_oracle(
+            fields, [f"e{i + 1}" for i in range(len(fields))])
+
+
+def test_close_matches_oracle_on_random_spans(ch):
+    """Seeded spans of base-chart fields, polynomial in (t, x, u), with
+    duplicates, scalar multiples and sums of earlier fields mixed in."""
+    t, x, u = (sym(ch.get(n)) for n in ("t", "x", "u"))
+    gens = [{"t": rat(1)}, {"t": t}, {"t": mul(t, t)}, {"x": rat(1)},
+            {"x": x}, {"u": rat(1)}, {"u": u}, {"u": t}, {"u": x},
+            {"t": x}, {"u": mul(t, t)}]
+    rng = random.Random(47)
+    coefs = [Fraction(c) for c in (-2, -1, 1, 2, 3)] + [Fraction(1, 2)]
+
+    def combo():
+        out = vf(ch, BASE_COORDS, **rng.choice(gens))
+        for _ in range(rng.randrange(2)):
+            out = out + vf(ch, BASE_COORDS, **rng.choice(gens)).scale(rng.choice(coefs))
+        return out
+
+    outcomes = set()
+    for _ in range(40):
+        fields = [combo() for _ in range(rng.randint(2, 4))]
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                extra = rng.choice(fields)
+            elif kind == 1:
+                extra = rng.choice(fields).scale(rng.choice(coefs))
+            else:
+                extra = rng.choice(fields) + rng.choice(fields)
+            fields.insert(rng.randint(1, len(fields)), extra)
+        outcomes.add(_assert_closure_matches_oracle(
+            fields, [f"v{i}" for i in range(len(fields))]))
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# sparse structure constants against a dense reference
+
+@pytest.fixture(scope="module")
+def g11():
+    from wavesym.classif import G11_LABELS, _g11_fields
+    return close_or_fail(_g11_fields(EquivalenceAlgebra()), labels=G11_LABELS)
+
+
+def _dense_bracket(A, v, w):
+    """sum_ijk v_i w_j c^k_ij e_k with c read off the public dense table."""
+    def c(i, j):
+        if i < j:
+            return A.table.get((i, j), [0] * A.n)
+        if i > j:
+            return [-a for a in A.table.get((j, i), [0] * A.n)]
+        return [0] * A.n
+    out = [Fraction(0)] * A.n
+    for i in range(A.n):
+        for j in range(A.n):
+            cij = c(i, j)
+            for k in range(A.n):
+                out[k] += v[i] * w[j] * cij[k]
+    return out
+
+
+@pytest.mark.parametrize("name", ["m", "g11"])
+def test_bracket_coords_matches_dense(name, request):
+    A = request.getfixturevalue(name)
+    assert A.n == {"m": 5, "g11": 11}[name] and not A.pruned
+    rng = random.Random(61)
+
+    def vec():
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                if rng.random() < 0.5 else Fraction(0) for _ in range(A.n)]
+    for _ in range(60):
+        v, w = vec(), vec()
+        assert A.bracket_coords(v, w) == _dense_bracket(A, v, w)
+    for i in range(A.n):
+        for j in range(A.n):
+            ei, ej = A.basis_vector(i), A.basis_vector(j)
+            assert list(A.c(i, j)) == _dense_bracket(A, ei, ej)
+
+
+def test_absent_bracket_is_the_shared_zero_row(m):
+    absent = [(i, j) for i in range(m.n) for j in range(m.n)
+              if i != j and (min(i, j), max(i, j)) not in m.table]
+    assert absent
+    zero = m.c(0, 0)
+    assert zero == (0,) * m.n
+    assert all(m.c(i, j) is zero for i, j in absent)

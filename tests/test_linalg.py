@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wavesym._linalg import nullspace, rref, solve
+from wavesym._linalg import nullspace, rref
 
 SHAPES = [(12, 5), (5, 12), (8, 8), (40, 20), (3, 20), (20, 3)]
 
@@ -99,38 +99,6 @@ def test_nullspace_random_matches_oracle():
             assert all(sum(a * b for a, b in zip(r, vec)) == 0 for r in rows)
 
 
-def test_solve_random_matches_oracle():
-    rng = random.Random(32)
-    consistent = inconsistent = 0
-    for rows, ncols in _cases():
-        A = _oracle(rows, ncols)
-        if rng.random() < 0.5:
-            # b in the column space: A times a random vector
-            y = [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                 for _ in range(ncols)]
-            b = [sum(a * c for a, c in zip(r, y)) for r in rows]
-        else:
-            b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows]
-        x = solve(rows, b)
-        try:
-            sol, params = A.gauss_jordan_solve(_oracle([[v] for v in b], 1))
-        except ValueError:  # the oracle finds no solution
-            assert x is None
-            inconsistent += 1
-            continue
-        sol = sol.subs({p: 0 for p in params})
-        assert x == [_frac(sol[i, 0]) for i in range(ncols)]
-        assert [sum(a * c for a, c in zip(r, x)) for r in rows] == b
-        consistent += 1
-    assert consistent > 15 and inconsistent > 15
-
-
-def test_solve_inconsistent_returns_none():
-    assert solve([[1, 2], [2, 4]], [1, 3]) is None
-    assert solve([[0, 0], [0, 0]], [0, 1]) is None
-    assert solve([[1, 2], [2, 4]], [1, 2]) == [1, 0]
-
-
 def test_int_rows_give_fraction_entries():
     """Rows of ints, as the ansatz solver's coefficients often are, come back
     as exact Fraction entries, also where a pivot division is not integral."""
@@ -139,4 +107,3 @@ def test_int_rows_give_fraction_entries():
         basis = nullspace(rows, ncols)
         assert red and basis
         assert all(type(v) is Fraction for r in red + basis for v in r)
-    assert all(type(v) is Fraction for v in solve([[2, 1], [1, 3]], [1, 2]))
