@@ -30,15 +30,15 @@ def _common_parameters(ch: Chart) -> None:
         ch.parameter(name)
 
 
-def equation_chart(jet_cap: int = 4) -> Chart:
-    ch = Chart(jet_cap=jet_cap)
+def equation_chart() -> Chart:
+    ch = Chart(jet_cap=4)
     ch.independent("t")
     ch.independent("x")
     for dep in ("u", "v", "w1"):
         ch.dependent(dep)
-        for nt in range(jet_cap + 1):
-            for nx in range(jet_cap + 1):
-                if 0 < nt + nx <= jet_cap:
+        for nt in range(ch.jet_cap + 1):
+            for nx in range(ch.jet_cap + 1):
+                if 0 < nt + nx <= ch.jet_cap:
                     ch.jet(dep, nt, nx)
     _common_parameters(ch)
     ch.function("f", ("x", "u_x"), nonzero=True)

@@ -230,8 +230,7 @@ def _kernel_extension(ch: Chart, case: ClassificationCase,
         for Q in gens]
 
 
-def verify_case(spec: ClassSpec, case: ClassificationCase,
-                rng: Optional[random.Random] = None) -> CaseReport:
+def verify_case(spec: ClassSpec, case: ClassificationCase) -> CaseReport:
     ch = spec.chart
     rep = CaseReport(case.id)
     start = time.monotonic()
@@ -292,10 +291,10 @@ def verify_special_lists(spec: Optional[ClassSpec] = None) -> list:
 # ---------------------------------------------------------------------------
 # equivalence algebra: commutator table, megaideals, automorphism flags
 
-def _sample_polys(ea: EquivalenceAlgebra, rng: random.Random, count: int = 2) -> list:
+def _sample_polys(ea: EquivalenceAlgebra, rng: random.Random) -> list:
     x = sym(ea.chart.get("x"))
     out = []
-    for _ in range(count):
+    for _ in range(2):
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(3)] + \
                  [Fraction(rng.randint(1, 5))]
         out.append(add(*[mul(rat(c), pow_(x, k)) for k, c in enumerate(coeffs)]))
@@ -406,56 +405,23 @@ def verify_megaideals() -> CaseReport:
     g3_span = span_of("D1", "Dx", "G1", "Gx", "Gx2", "Gx3")
     rep.add("g' candidate <Pt,D(phi),G(psi),F1,F2> is an ideal (instantiated)",
             is_ideal(g11, g1_span))
+    # inside a subalgebra h: C_h(S) = C_g(S) ^ h, and Z_h = C_g(h) ^ h
+    c_g3 = centralizer(g11, g3_span)
     rep.add("C_g(g''') = <Dt,Pt,G(1),F1,F2> (instantiated)",
-            centralizer(g11, g3_span) == span_of("Dt", "Pt", "G1", "F1", "F2"))
-    sub_g1 = _restrict(g11, g1_span)
+            c_g3 == span_of("Dt", "Pt", "G1", "F1", "F2"))
     rep.add("C_g'(g''') = <Pt,G(1),F1,F2> (instantiated)",
-            _lift(centralizer(sub_g1, _project(g3_span, g1_span)), g1_span)
-            == span_of("Pt", "G1", "F1", "F2"))
+            subspace_intersection(c_g3, g1_span) == span_of("Pt", "G1", "F1", "F2"))
     g2_span = span_of("D1", "Dx", "G1", "Gx", "Gx2", "Gx3", "F1")
+    c_g2 = centralizer(g11, g2_span)
     rep.add("C_g'(g'') = <G(1),F1,F2> (instantiated)",
-            _lift(centralizer(sub_g1, _project(g2_span, g1_span)), g1_span)
-            == span_of("G1", "F1", "F2"))
-    sub_g2 = _restrict(g11, g2_span)
+            subspace_intersection(c_g2, g1_span) == span_of("G1", "F1", "F2"))
     rep.add("Z_g'' = <G(1),F1> (instantiated)",
-            _lift(center(sub_g2), g2_span) == span_of("G1", "F1"))
+            subspace_intersection(c_g2, g2_span) == span_of("G1", "F1"))
     rep.add("Z_g' = <G(1)> (instantiated)",
-            _lift(center(sub_g1), g1_span) == span_of("G1"))
+            subspace_intersection(centralizer(g11, g1_span), g1_span)
+            == span_of("G1"))
     rep.wall_time = time.monotonic() - start
     return rep
-
-
-def _restrict(A: LieAlgebraPresentation, S: Subspace) -> LieAlgebraPresentation:
-    """Subalgebra presentation on a coordinate subspace (must be closed)."""
-    idx = list(S.pivots)
-    table = {}
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            if a >= b:
-                continue
-            coords = A.c(i, j)
-            for k, c in enumerate(coords):
-                if c != 0 and k not in idx:
-                    raise NonClosure("coordinate subspace is not a subalgebra")
-            table[(a, b)] = [coords[k] for k in idx]
-    return LieAlgebraPresentation([A.labels[i] for i in idx], table)
-
-
-def _project(S: Subspace, onto: Subspace) -> Subspace:
-    idx = list(onto.pivots)
-    rows = [[row[i] for i in idx] for row in S.rows]
-    return Subspace(rows, len(idx))
-
-
-def _lift(S: Subspace, frm: Subspace) -> Subspace:
-    idx = list(frm.pivots)
-    rows = []
-    for row in S.rows:
-        v = [Fraction(0)] * frm.ambient
-        for a, i in enumerate(idx):
-            v[i] = row[a]
-        rows.append(v)
-    return Subspace(rows, frm.ambient)
 
 
 def _automorphism_numeric_check(m: LieAlgebraPresentation, fam, seed: int,
@@ -548,11 +514,11 @@ def verify_adjoint_actions() -> CaseReport:
 # ---------------------------------------------------------------------------
 # equivalence group: elementary rows, consistency, group law
 
-def _elementary_point_transforms(spec: ClassSpec):
-    """The seven elementary transformations as (name, PointTransform,
-    expected (f~, g~) in old coordinates)."""
+def _elementary_rows(spec: ClassSpec):
+    """The seven elementary transformations as (name, EquivParams, expected
+    (f~, g~) in old coordinates); each moves one parameter off the identity."""
     ch = spec.chart
-    t, x = sym(ch.get("t")), sym(ch.get("x"))
+    x = sym(ch.get("x"))
     ux = sym(ch.get("u_x"))
     c0, c1, c2, c3, c4 = (sym(ch.get(n)) for n in ("c0", "c1", "c2", "c3", "c4"))
     phi = app(ch.get("phi"), (0,), (x,))
@@ -561,19 +527,21 @@ def _elementary_point_transforms(spec: ClassSpec):
     phi_xx = diff(phi_x, ch.get("x"))
     psi_xx = diff(diff(psi, ch.get("x")), ch.get("x"))
     f, g = spec.f_symbolic(), spec.g_symbolic()
-    one, zero = rat(1), ZERO
+
+    def par(**moved):
+        identity = dict(c0=ZERO, c1=rat(1), c2=rat(1), c3=ZERO, c4=ZERO,
+                        phi=x, psi=ZERO)
+        return EquivParams(ch, **{**identity, **moved})
+
     return [
-        ("P^t(c0)", PointTransform(ch, add(t, c0), x, one, zero), f, g),
-        ("D^t(c1)", PointTransform(ch, mul(c1, t), x, one, zero),
-         mul(pow_(c1, -2), f), mul(pow_(c1, -2), g)),
-        ("D(phi)", PointTransform(ch, t, phi, one, zero),
+        ("P^t(c0)", par(c0=c0), f, g),
+        ("D^t(c1)", par(c1=c1), mul(pow_(c1, -2), f), mul(pow_(c1, -2), g)),
+        ("D(phi)", par(phi=phi),
          mul(pow_(phi_x, 2), f), add(g, mul(phi_xx, ux, f, pow_(phi_x, -1)))),
-        ("D^u(c2)", PointTransform(ch, t, x, c2, zero), f, mul(c2, g)),
-        ("F^1(c3)", PointTransform(ch, t, x, one, mul(c3, t)), f, g),
-        ("F^2(c4)", PointTransform(ch, t, x, one, mul(c4, t, t)),
-         f, add(g, mul(rat(2), c4))),
-        ("G(psi)", PointTransform(ch, t, x, one, psi),
-         f, add(g, mul(rat(-1), psi_xx, f))),
+        ("D^u(c2)", par(c2=c2), f, mul(c2, g)),
+        ("F^1(c3)", par(c3=c3), f, g),
+        ("F^2(c4)", par(c4=c4), f, add(g, mul(rat(2), c4))),
+        ("G(psi)", par(psi=psi), f, add(g, mul(rat(-1), psi_xx, f))),
     ]
 
 
@@ -589,33 +557,11 @@ def verify_equivalence_group(spec: Optional[ClassSpec] = None,
     f, g = spec.f_symbolic(), spec.g_symbolic()
     x, t = sym(ch.get("x")), sym(ch.get("t"))
 
-    params_for = {
-        "P^t(c0)": dict(c0="c0", c1=1, c2=1, c3=0, c4=0, phi="x", psi="0"),
-        "D^t(c1)": dict(c0=0, c1="c1", c2=1, c3=0, c4=0, phi="x", psi="0"),
-        "D(phi)": dict(c0=0, c1=1, c2=1, c3=0, c4=0, phi="phi", psi="0"),
-        "D^u(c2)": dict(c0=0, c1=1, c2="c2", c3=0, c4=0, phi="x", psi="0"),
-        "F^1(c3)": dict(c0=0, c1=1, c2=1, c3="c3", c4=0, phi="x", psi="0"),
-        "F^2(c4)": dict(c0=0, c1=1, c2=1, c3=0, c4="c4", phi="x", psi="0"),
-        "G(psi)": dict(c0=0, c1=1, c2=1, c3=0, c4=0, phi="x", psi="psi"),
-    }
-
-    def P_(spec_entry):
-        def conv(v):
-            if isinstance(v, str):
-                return parse(v, ch) if v in ("x", "0") else (
-                    app(ch.get(v), (0,), (x,)) if v in ("phi", "psi")
-                    else sym(ch.get(v)))
-            return rat(v)
-        return EquivParams(ch, conv(spec_entry["c0"]), conv(spec_entry["c1"]),
-                           conv(spec_entry["c2"]), conv(spec_entry["c3"]),
-                           conv(spec_entry["c4"]), conv(spec_entry["phi"]),
-                           conv(spec_entry["psi"]))
-
-    for name, P, f_want, g_want in _elementary_point_transforms(spec):
-        f_got, g_got = transform_equation_old_coords(P, f, g)
+    for name, par, f_want, g_want in _elementary_rows(spec):
+        f_got, g_got = transform_equation_old_coords(par.to_point_transform(), f, g)
         ok = equal(f_got, f_want) and equal(g_got, g_want)
         rep.add(f"{name}: change of variables equals the printed row", ok)
-        fp, gp = apply_equivalence_old_coords(P_(params_for[name]), f, g)
+        fp, gp = apply_equivalence_old_coords(par, f, g)
         rep.add(f"{name}: closed-form action agrees",
                 equal(f_got, fp) and equal(g_got, gp))
 
@@ -654,10 +600,8 @@ def verify_equivalence_group(spec: Optional[ClassSpec] = None,
         psi_c = add(*[mul(rat(rnd()), pow_(x, k)) for k in range(3)])
         par = EquivParams(ch, rat(c0v), rat(c1v), rat(c2v), rat(c3v), rat(c4v),
                           phi_c, psi_c, phi_inv=phi_inv)
-        P_whole = par.to_point_transform()
-        P_whole.image_positive = a > 0
-        whole = transform_equation(P_whole, f, g)
-        direct = apply_equivalence(par, f, g, image_positive=a > 0)
+        whole = transform_equation(par.to_point_transform(), f, g)
+        direct = apply_equivalence(par, f, g)
         rep.add(f"composition decomposition (random draw {trial + 1}): "
                 "closed-form group action equals the change of variables",
                 equal(direct[0], whole[0]) and equal(direct[1], whole[1]))
@@ -667,8 +611,7 @@ def verify_equivalence_group(spec: Optional[ClassSpec] = None,
             PointTransform(ch, t, x, one, mul(rat(c4v / c2v), t, t)),       # F2(c4/c2)
             PointTransform(ch, t, x, one, mul(rat(c3v / c2v), t)),          # F1(c3/c2)
             PointTransform(ch, t, x, rat(c2v), zero),                        # Du(c2)
-            PointTransform(ch, t, phi_c, one, zero, x_inv=phi_inv,
-                           image_positive=a > 0),                            # D(phi)
+            PointTransform(ch, t, phi_c, one, zero, x_inv=phi_inv),          # D(phi)
             PointTransform(ch, add(t, rat(c0v / c1v)), x, one, zero),        # Pt(c0/c1)
             PointTransform(ch, mul(rat(c1v), t), x, one, zero),              # Dt(c1)
         ]
@@ -710,8 +653,7 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
         scale = Fraction(p + 1) ** (-(p + 1))
         P = PointTransform(ch, mul(rat(scale), t),
                            parse(f"exp(-x/{p + 1})", ch), one, zero,
-                           x_inv=mul(rat(-(p + 1)), lnabs(x)),
-                           image_positive=True)
+                           x_inv=mul(rat(-(p + 1)), lnabs(x)))
         fn, gn = transform_equation(P, fzn, gzn)
         nu_t = add(delta, mul(rat(-(p + 1)), nu))
         ok_f = equal(fn, mul(delta, pow_(ux, Fraction(2 * p))))
@@ -747,7 +689,7 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
     rep = CaseReport("x-free subclass case X -> 20|p=-1")
     start = time.monotonic()
     PX = PointTransform(ch, t, parse("exp(x)", ch), one, zero,
-                        x_inv=lnabs(x), image_positive=True)
+                        x_inv=lnabs(x))
     fX = parse("delta*u_x^(-2)", ch)
     fn, gn = transform_equation(PX, fX, parse("-delta*u_x^(-1)", ch))
     rep.add("x~ = e^x maps (delta u_x^-2, -delta u_x^-1) to (delta u_x^-2, 0)",
@@ -978,29 +920,22 @@ def verify_subalgebra_lists(seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 # campaign driver
 
-SECTIONS = ("table", "special", "algebra", "group", "adjoint", "reductions",
-            "potential", "subalgebras")
+_SECTION_RUNNERS = {
+    "table": lambda spec, seed: verify_table(spec),
+    "special": lambda spec, seed: verify_special_lists(spec),
+    "algebra": lambda spec, seed: [verify_equivalence_algebra(seed),
+                                   verify_megaideals()],
+    "group": lambda spec, seed: [verify_equivalence_group(spec, seed)],
+    "adjoint": lambda spec, seed: [verify_adjoint_actions()],
+    "reductions": lambda spec, seed: verify_reductions(spec),
+    "potential": lambda spec, seed: [verify_potential_link(spec)],
+    "subalgebras": lambda spec, seed: verify_subalgebra_lists(seed),
+}
+SECTIONS = tuple(_SECTION_RUNNERS)
 
 
 def run_section(name: str, seed: int = 0) -> list:
-    spec = ClassSpec.default()
-    if name == "table":
-        return verify_table(spec)
-    if name == "special":
-        return verify_special_lists(spec)
-    if name == "algebra":
-        return [verify_equivalence_algebra(seed), verify_megaideals()]
-    if name == "group":
-        return [verify_equivalence_group(spec, seed)]
-    if name == "adjoint":
-        return [verify_adjoint_actions()]
-    if name == "reductions":
-        return verify_reductions(spec)
-    if name == "potential":
-        return [verify_potential_link(spec)]
-    if name == "subalgebras":
-        return verify_subalgebra_lists(seed)
-    raise ValueError(f"unknown section {name!r}")
+    return _SECTION_RUNNERS[name](ClassSpec.default(), seed)
 
 
 def run_campaign(sections: Sequence[str], seed: int = 0, jobs: int = 1) -> CampaignReport:

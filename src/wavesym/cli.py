@@ -15,7 +15,8 @@ import sys
 from .charts import AUG_COORDS, BASE_COORDS, augmented_chart
 from .detsys import (AnsatzBasis, ClassSpec, check_symmetry,
                      generate_determining_system, solve_within_ansatz)
-from .expr import Chart, SingularValue, UnknownIdentifier, structurally_zero
+from .expr import (DEPENDENT, INDEPENDENT, JET, Chart, SingularValue,
+                   UnknownIdentifier, free_symbols, structurally_zero)
 from .parse import ParseError, parse, parse_vector_field
 from .printer import to_str
 from .classif import SECTIONS, builtin_catalog, run_campaign
@@ -45,11 +46,20 @@ def _basis_from_config(cfg: dict, ch: Chart) -> AnsatzBasis:
 
 
 def _parse_fg(args, ch: Chart):
-    """The equation's (f, g); the class requires f != 0."""
-    f = parse(args.f, ch)
-    if structurally_zero(f):
+    """The equation's (f, g): functions of (x, u_x) alone, and f != 0."""
+    allowed = {ch.get("x"), ch.get("u_x")}
+    fg = []
+    for name, text in (("f", args.f), ("g", args.g)):
+        e = parse(text, ch)
+        bad = sorted(s.name for s in free_symbols(e)
+                     if s.kind in (INDEPENDENT, DEPENDENT, JET) and s not in allowed)
+        if bad:
+            raise ValueError(f"{name} may depend on x and u_x only, "
+                             f"got {text!r} (depends on {', '.join(bad)})")
+        fg.append(e)
+    if structurally_zero(fg[0]):
         raise ValueError(f"f must be nonzero, got {args.f!r}")
-    return f, parse(args.g, ch)
+    return fg
 
 
 def _jobs(text: str) -> int:
@@ -131,22 +141,15 @@ def cmd_transform(args) -> int:
         c3=val("c3", "0"), c4=val("c4", "0"), phi=val("phi", "x"),
         psi=val("psi", "0"),
         phi_inv=parse(cfg["phi_inv"], ch) if "phi_inv" in cfg else None)
-    f_new, g_new = apply_equivalence(par, parse(args.f, ch), parse(args.g, ch))
+    f_new, g_new = apply_equivalence(par, *_parse_fg(args, ch))
     print(f"f~ = {to_str(f_new)}")
     print(f"g~ = {to_str(g_new)}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    targets = {"table": ["table"], "algebra": ["algebra"], "group": ["group"],
-               "adjoint": ["adjoint"], "reductions": ["reductions"],
-               "potential": ["potential"], "subalgebras": ["subalgebras"],
-               "special": ["special"], "all": list(SECTIONS)}
-    if args.target not in targets:
-        print(f"unknown verify target {args.target!r}", file=sys.stderr)
-        return 2
-    seed = args.seed
-    report = run_campaign(targets[args.target], seed=seed, jobs=args.jobs)
+    sections = SECTIONS if args.target == "all" else [args.target]
+    report = run_campaign(sections, seed=args.seed, jobs=args.jobs)
     if args.target == "all":
         n_catalog = sum(1 for _ in builtin_catalog())
         n_run = len(report.section("table")) + len(report.section("special"))
@@ -204,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("verify", help="run the verification campaign")
-    p.add_argument("target", choices=("table", "algebra", "group", "adjoint",
-                                      "reductions", "potential", "subalgebras",
-                                      "special", "all"))
+    p.add_argument("target", choices=SECTIONS + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--report", help="write the machine-readable report here")

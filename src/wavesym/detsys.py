@@ -16,7 +16,7 @@ from typing import Optional
 from ._linalg import nullspace
 from .charts import BASE_COORDS, equation_chart
 from .expr import (Chart, Expr, Sym, ZERO, add, app, atoms, collect, diff,
-                   is_zero, iter_terms, mul, pow_, rat, structurally_zero,
+                   is_zero, iter_terms, mul, rat, structurally_zero,
                    substitute, sym)
 from .parse import parse
 from .vecfield import ProlongedField, VectorField, prolong2, vf
@@ -72,7 +72,6 @@ def check_symmetry(spec: ClassSpec, f: Expr, g: Expr, Q: VectorField):
 @dataclass
 class DeterminingEquation:
     monomial: str
-    stage: int
     expr: Expr
 
     def __repr__(self):
@@ -110,11 +109,11 @@ def _unknown_coefficient_field(ch: Chart) -> VectorField:
               check=False)
 
 
-def _kill_u_partials(e: Expr, ch: Chart, fns=("tau", "xi")) -> Expr:
+def _kill_u_partials(e: Expr) -> Expr:
     """Impose tau_u = xi_u = 0 by sending every u-slot partial to zero."""
     table = {}
     for a in atoms(e):
-        if a.fn.name in fns and a.didx[2] > 0:
+        if a.fn.name in ("tau", "xi") and a.didx[2] > 0:
             table[a] = ZERO
     return substitute(e, table) if table else e
 
@@ -133,9 +132,9 @@ def generate_determining_system(spec: ClassSpec) -> DeterminingSystem:
     m_txt = mul(sym(u_tx), sym(u_t))
     m_xxt = mul(sym(u_xx), sym(u_t))
     raw = [
-        DeterminingEquation("u_tx*u_t", 1, col1.get(m_txt, ZERO)),
-        DeterminingEquation("u_tx", 1, col1.get(sym(u_tx), ZERO)),
-        DeterminingEquation("u_xx*u_t", 1, col1.get(m_xxt, ZERO)),
+        DeterminingEquation("u_tx*u_t", col1.get(m_txt, ZERO)),
+        DeterminingEquation("u_tx", col1.get(sym(u_tx), ZERO)),
+        DeterminingEquation("u_xx*u_t", col1.get(m_xxt, ZERO)),
     ]
     # tau_u = 0: differentiating the u_tx split by u_x and combining with the
     # u_xx*u_t split leaves 3 f tau_u = 0, and f != 0.
@@ -146,24 +145,24 @@ def generate_determining_system(spec: ClassSpec) -> DeterminingSystem:
     xi_u = app(ch.get("xi"), (0, 0, 1), (sym(ch.get("t")), sym(ch.get("x")),
                                          sym(ch.get("u"))))
 
-    R2 = _kill_u_partials(R1, ch)
+    R2 = _kill_u_partials(R1)
     col2 = collect(R2, [u_t, u_tx, u_xx])
     eta_uu = app(ch.get("eta"), (0, 0, 2), (sym(ch.get("t")), sym(ch.get("x")),
                                             sym(ch.get("u"))))
     rest = substitute(col2.get(rat(1), ZERO), {eta_uu: ZERO})
 
     preliminary = [
-        DeterminingEquation("xi_u", 1, xi_u),
-        DeterminingEquation("tau_u", 1, tau_u),
-        DeterminingEquation("xi_t - f*tau_x", 2,
+        DeterminingEquation("xi_u", xi_u),
+        DeterminingEquation("tau_u", tau_u),
+        DeterminingEquation("xi_t - f*tau_x",
                             mul(rat(Fraction(-1, 2)), col2.get(sym(u_tx), ZERO))),
-        DeterminingEquation("tau_x*f_ux", 2, col2.get(m_xxt, ZERO)),
+        DeterminingEquation("tau_x*f_ux", col2.get(m_xxt, ZERO)),
     ]
     rows = [
-        DeterminingEquation("u_t^2", 2, col2.get(mul(sym(u_t), sym(u_t)), ZERO)),
-        DeterminingEquation("u_xx", 2, mul(rat(-1), col2.get(sym(u_xx), ZERO))),
-        DeterminingEquation("u_t", 2, col2.get(sym(u_t), ZERO)),
-        DeterminingEquation("rest", 2, rest),
+        DeterminingEquation("u_t^2", col2.get(mul(sym(u_t), sym(u_t)), ZERO)),
+        DeterminingEquation("u_xx", mul(rat(-1), col2.get(sym(u_xx), ZERO))),
+        DeterminingEquation("u_t", col2.get(sym(u_t), ZERO)),
+        DeterminingEquation("rest", rest),
     ]
     log = [f"stage 1 monomials: {sorted(repr(k) for k in col1)}",
            f"stage 2 monomials: {sorted(repr(k) for k in col2)}",
@@ -175,7 +174,7 @@ def generate_determining_system(spec: ClassSpec) -> DeterminingSystem:
 
 
 # ---------------------------------------------------------------------------
-# simplified (always-valid) conditions and the union consistency system
+# simplified (always-valid) conditions
 
 def simplified_system_residuals(Q: VectorField) -> list:
     """tau_u, tau_x, xi_u, xi_t, eta_uu, eta_xu, eta_ttx, tau_ttt and
@@ -193,56 +192,6 @@ def simplified_system_residuals(Q: VectorField) -> list:
 
 def satisfies_simplified_system(Q: VectorField) -> bool:
     return all(structurally_zero(e) for e in simplified_system_residuals(Q))
-
-
-def subclass_k_residuals(spec: ClassSpec, f: Expr, g: Expr) -> list:
-    """Recorded characterization of the subclass equivalent to
-    (f,g) = (+-u_x^-4, mu(x) u_x^-3): with V = -4 f / f_ux and
-    W = V^3 (g + f V_x + f_x V / 2), membership requires
-
-        V_ux = 1,
-        W_xux (V^3)_ux - W_ux (V^3)_xux = 0,
-        W_uxux (V^3)_ux - W_ux (V^3)_uxux = 0.
-
-    Returns the three residuals (deciding their joint solution set is out of
-    scope; this is a pointwise checker only).
-    """
-    ch = spec.chart
-    x, ux = ch.get("x"), ch.get("u_x")
-    V = mul(rat(-4), f, pow_(diff(f, ux), -1))
-    W = mul(pow_(V, 3), add(g, mul(f, diff(V, x)),
-                            mul(rat(Fraction(1, 2)), diff(f, x), V)))
-    V3 = pow_(V, 3)
-    r1 = add(diff(V, ux), rat(-1))
-    r2 = add(mul(diff(diff(W, x), ux), diff(V3, ux)),
-             mul(rat(-1), diff(W, ux), diff(diff(V3, x), ux)))
-    r3 = add(mul(diff(diff(W, ux), ux), diff(V3, ux)),
-             mul(rat(-1), diff(W, ux), diff(diff(V3, ux), ux)))
-    return [r1, r2, r3]
-
-
-def union_consistency_residuals(Q: VectorField) -> list:
-    """The three bilinear consistency conditions on (tau, xi, eta) for
-    membership in the union of the maximal invariance algebras."""
-    ch = Q.chart
-    t, x, u = (ch.get(n) for n in ("t", "x", "u"))
-    tau, xi, eta = Q.coeff("t"), Q.coeff("x"), Q.coeff("u")
-
-    def d(e, *ss):
-        for s in ss:
-            e = diff(e, s)
-        return e
-
-    r1 = add(mul(d(eta, t, x), add(d(eta, u), mul(rat(-1), d(xi, x)))),
-             mul(rat(-1), d(eta, x), d(eta, t, u)),
-             mul(rat(-1), xi, d(eta, t, x, x)))
-    r2 = add(mul(d(eta, t, u), add(d(xi, x, x), d(eta, x, x))),
-             mul(rat(-1), d(eta, t, x, x),
-                 add(d(eta, u), mul(rat(-2), d(tau, t)), xi)))
-    r3 = add(mul(d(eta, t, t, t), add(d(eta, u), mul(rat(-2), d(tau, t)))),
-             mul(rat(-1), d(eta, t, t),
-                 add(d(eta, t, u), mul(rat(-2), d(tau, t, t)))))
-    return [r1, r2, r3]
 
 
 # ---------------------------------------------------------------------------

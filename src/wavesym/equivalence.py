@@ -36,8 +36,8 @@ class Gen:
 
 
 class EquivalenceAlgebra:
-    def __init__(self, chart: Optional[Chart] = None):
-        self.chart = chart or augmented_chart()
+    def __init__(self):
+        self.chart = augmented_chart()
 
     def _s(self, name: str) -> Expr:
         return sym(self.chart.get(name))

@@ -165,7 +165,7 @@ class Chart:
         return name in self.symbols
 
 
-class JetOrderError(Exception):
+class JetOrderError(ValueError):
     pass
 
 
@@ -406,7 +406,7 @@ def is_positive(e: Expr) -> bool:
     if isinstance(e, (ExpF, AbsPow)):
         return True
     if isinstance(e, Pow):
-        return is_positive(e.base) or e.exp.denominator == 1 and e.exp % 2 == 0 and _is_nonzero_mark(e.base)
+        return is_positive(e.base) or e.exp.denominator == 1 and e.exp % 2 == 0 and provably_nonzero(e.base)
     if isinstance(e, Mul):
         return e.coef > 0 and all(is_positive(f) for f in e.factors)
     if isinstance(e, Add):
@@ -414,11 +414,18 @@ def is_positive(e: Expr) -> bool:
     return False
 
 
-def _is_nonzero_mark(e: Expr) -> bool:
+def provably_nonzero(e: Expr) -> bool:
+    """Conservative nonvanishing: True only when provable from structure/marks."""
+    if isinstance(e, Rat):
+        return e.q != 0
     if isinstance(e, Sym):
         return e.s.nonzero or e.s.positive
     if isinstance(e, App):
         return e.fn.nonzero
+    if isinstance(e, Pow):
+        return provably_nonzero(e.base)
+    if isinstance(e, Mul):
+        return e.coef != 0 and all(provably_nonzero(f) for f in e.factors)
     return isinstance(e, (ExpF, AbsPow))
 
 
@@ -1170,8 +1177,7 @@ def evaluate(e: Expr, env: Mapping) -> Fraction:
     return _eval_fraction(bound)
 
 
-def is_zero(e: Expr, rng: Optional[random.Random] = None, samples: int = 32,
-            retry_factor: int = 4) -> ZeroResult:
+def is_zero(e: Expr) -> ZeroResult:
     """Decide zero-ness: canonical zero is authoritative; random rational
     sampling is a falsifier only ("undecided" is surfaced, never treated as
     zero)."""
@@ -1181,19 +1187,18 @@ def is_zero(e: Expr, rng: Optional[random.Random] = None, samples: int = 32,
     if isinstance(cleared, Rat):
         return ZeroResult(ZERO_V if cleared.q == 0 else NONZERO_V)
 
-    if rng is None:
-        # seed from the canonical text so runs are bit-for-bit reproducible
-        # (Python's built-in hash is randomized per process)
-        import zlib
-        from .printer import to_str
-        rng = random.Random(0x5EED ^ zlib.crc32(to_str(e).encode()))
+    # seed from the canonical text so runs are bit-for-bit reproducible
+    # (Python's built-in hash is randomized per process)
+    import zlib
+    from .printer import to_str
+    rng = random.Random(0x5EED ^ zlib.crc32(to_str(e).encode()))
     syms = sorted(free_symbols(e), key=lambda s: s.name)
     base_syms = [s for s in syms if s.arg_names is None]
 
     tried = 0
     done = 0
-    budget = samples * retry_factor
-    while done < samples and tried < budget:
+    # 32 evaluated points, out of at most 128 tried (singular ones skipped)
+    while done < 32 and tried < 128:
         tried += 1
         env = {s: rat(_sample_value(s, rng)) for s in base_syms}
         try:

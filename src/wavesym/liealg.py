@@ -11,9 +11,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._linalg import nullspace, rref
-from .expr import (Chart, Expr, Mul, Rat, Sym, Pow, ZERO, add, diff,
-                   iter_terms, mul, pow_, rat, structurally_zero, substitute,
-                   sym)
+from .expr import (Chart, Expr, ZERO, add, diff, iter_terms, mul, pow_,
+                   provably_nonzero, rat, structurally_zero, substitute, sym)
 from .vecfield import VectorField, bracket
 
 
@@ -38,10 +37,6 @@ class Subspace:
         self.rows = tuple(tuple(r) for r in red)
         self.pivots = tuple(piv)
         self.ambient = ambient
-
-    @classmethod
-    def span(cls, vectors: Sequence[Sequence[Fraction]], ambient: int) -> "Subspace":
-        return cls(list(vectors), ambient)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -142,8 +137,7 @@ class LieAlgebraPresentation:
     """
 
     def __init__(self, labels: Sequence[str], table: dict,
-                 fields: Optional[Sequence[VectorField]] = None,
-                 check: bool = True):
+                 fields: Optional[Sequence[VectorField]] = None):
         self.labels = tuple(labels)
         self.n = len(self.labels)
         self.table = {}
@@ -164,8 +158,7 @@ class LieAlgebraPresentation:
             self._sparse[(i, j)] = tuple((k, v) for k, v in enumerate(row) if v)
             self._sparse[(j, i)] = tuple((k, v) for k, v in enumerate(neg) if v)
         self.fields = tuple(fields) if fields is not None else None
-        if check:
-            self._check_jacobi()
+        self._check_jacobi()
 
     def c(self, i: int, j: int) -> tuple:
         return self._rows.get((i, j), self._zero)
@@ -210,29 +203,6 @@ class LieAlgebraPresentation:
 
     def whole(self) -> Subspace:
         return coordinate_subspace(range(self.n), self.n)
-
-    # -- table I/O ("i j k c" lines, 1-based) --------------------------------
-    def format_table(self) -> str:
-        lines = []
-        for (i, j), coords in sorted(self.table.items()):
-            for k, c in enumerate(coords):
-                if c != 0:
-                    lines.append(f"{i + 1} {j + 1} {k + 1} {c}")
-        return "\n".join(lines)
-
-    @classmethod
-    def parse_table(cls, text: str, labels: Sequence[str]) -> "LieAlgebraPresentation":
-        n = len(labels)
-        table: dict = {}
-        for line in text.strip().splitlines():
-            if not line.strip():
-                continue
-            i, j, k, c = line.split()
-            i, j, k = int(i) - 1, int(j) - 1, int(k) - 1
-            row = list(table.get((i, j), [Fraction(0)] * n))
-            row[k] = Fraction(c)
-            table[(i, j)] = row
-        return cls(labels, table)
 
 
 class _EchelonBasis:
@@ -366,8 +336,8 @@ def is_ideal(A: LieAlgebraPresentation, S: Subspace) -> bool:
     return S.contains_subspace(product_space(A, A.whole(), S))
 
 
-def is_solvable(A: LieAlgebraPresentation, S: Optional[Subspace] = None) -> bool:
-    cur = S if S is not None else A.whole()
+def is_solvable(A: LieAlgebraPresentation, S: Subspace) -> bool:
+    cur = S
     while True:
         nxt = product_space(A, cur, cur)
         if not cur.contains_subspace(nxt):
@@ -431,18 +401,6 @@ class AutomorphismFamily:
 
     def entry(self, i: int, j: int) -> Expr:
         return self.entries[(i, j)]
-
-
-def provably_nonzero(e: Expr) -> bool:
-    if isinstance(e, Rat):
-        return e.q != 0
-    if isinstance(e, Sym):
-        return e.s.nonzero or e.s.positive
-    if isinstance(e, Pow):
-        return provably_nonzero(e.base)
-    if isinstance(e, Mul):
-        return e.coef != 0 and all(provably_nonzero(f) for f in e.factors)
-    return False
 
 
 def flag_automorphism_solve(A: LieAlgebraPresentation,

@@ -13,19 +13,19 @@ from typing import Mapping, Optional, Sequence
 
 from .charts import AUG_COORDS, BASE_COORDS
 from .expr import (Chart, Expr, Symbol, ZERO, add, diff, equal, free_symbols,
-                   mul, pow_, rat, structurally_zero, substitute, sym,
-                   total_derivative)
+                   is_positive, mul, pow_, rat, structurally_zero, substitute,
+                   sym, total_derivative)
 
 
-class ChartMismatch(Exception):
+class ChartMismatch(ValueError):
     pass
 
 
-class ProlongationError(Exception):
+class ProlongationError(ValueError):
     pass
 
 
-class TransformLeavesClass(Exception):
+class TransformLeavesClass(ValueError):
     """The image equation is not of the form u_tt = f(x,u_x) u_xx + g(x,u_x)."""
 
     def __init__(self, message: str, residual: Expr):
@@ -205,7 +205,6 @@ class PointTransform:
     U0: Expr
     t_inv: Optional[Expr] = None
     x_inv: Optional[Expr] = None
-    image_positive: bool = False  # the new x ranges over a positive half-line
 
     def __post_init__(self):
         ch = self.chart
@@ -238,7 +237,7 @@ class PointTransform:
         return self._invert_component(self.X, self.chart.get("x"), self.x_inv)
 
 
-def _new_symbols(chart: Chart, positive_x: bool = False):
+def _new_symbols(chart: Chart, positive_x: bool):
     """Internal placeholders for the new coordinates during conversion."""
     xname = "newXP" if positive_x else "newX"
     names = ("newT", xname, "newU", "newUT", "newUX")
@@ -301,7 +300,8 @@ def _to_new_coords(P: PointTransform, e: Expr) -> Expr:
     ch = P.chart
     t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
     u_t, u_x = ch.get("u_t"), ch.get("u_x")
-    nT, nX, nU, nUT, nUX = _new_symbols(ch, positive_x=P.image_positive)
+    # a provably positive X puts the new x on a positive half-line
+    nT, nX, nU, nUT, nUX = _new_symbols(ch, positive_x=is_positive(P.X))
 
     t_map = substitute(P.inverse_t(), {t: sym(nT)})
     x_map = substitute(P.inverse_x(), {x: sym(nX)})
@@ -335,7 +335,6 @@ def compose_point_transforms(P2: PointTransform, P1: PointTransform) -> PointTra
     ch = P1.chart
     t, x = ch.get("t"), ch.get("x")
     base = {t: P1.T, x: P1.X}
-    x_identity = P2.X == sym(x)
     return PointTransform(
         ch,
         T=substitute(P2.T, {t: P1.T}),
@@ -344,7 +343,6 @@ def compose_point_transforms(P2: PointTransform, P1: PointTransform) -> PointTra
         U0=add(mul(substitute(P2.U1, base), P1.U0), substitute(P2.U0, base)),
         t_inv=substitute(P1.inverse_t(), {t: P2.inverse_t()}),
         x_inv=substitute(P1.inverse_x(), {x: P2.inverse_x()}),
-        image_positive=(P1.image_positive if x_identity else P2.image_positive),
     )
 
 
@@ -395,12 +393,10 @@ def apply_equivalence_old_coords(par: EquivParams, f: Expr, g: Expr):
     return f_new, g_new
 
 
-def apply_equivalence(par: EquivParams, f: Expr, g: Expr,
-                      image_positive: bool = False):
+def apply_equivalence(par: EquivParams, f: Expr, g: Expr):
     """Equivalence action with arguments rewritten to the new coordinates."""
     f_old, g_old = apply_equivalence_old_coords(par, f, g)
     P = par.to_point_transform()
-    P.image_positive = image_positive
     return _to_new_coords(P, f_old), _to_new_coords(P, g_old)
 
 

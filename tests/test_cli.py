@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, report determinism."""
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -132,13 +134,16 @@ def test_dim_with_chart_parameter_named_like_an_unknown(capsys):
         "dimension within ansatz: 7"
 
 
-def test_zero_f_rejected(capsys):
+def test_zero_f_rejected(tmp_path, capsys):
     """The class requires f != 0: a canonically zero f is a usage error."""
+    cfg = tmp_path / "par.cfg"
+    cfg.write_text("c2 = 2\n")
     assert main(["dim", "-f", "0", "-g", "0"]) == 2
     assert main(["check", "-f", "u_x - u_x", "-g", "0", "-Q", "1@x"]) == 2
+    assert main(["transform", "--params", str(cfg), "-f", "0", "-g", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error: f must be nonzero") == 2
+    assert captured.err.count("error: f must be nonzero") == 3
 
 
 def test_verify_nonpositive_jobs_rejected(capsys):
@@ -164,3 +169,77 @@ def test_python_m_wavesym(monkeypatch, capsys):
         runpy.run_module("wavesym", run_name="__main__")
     assert exc.value.code == 0
     assert "eta_uu" in capsys.readouterr().out
+
+
+def _assert_usage_error(code, capsys):
+    """Exit 2 with one ``error: ...`` line on stderr and no traceback."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prolong", "u_x@t"],                              # ChartMismatch
+    ["bracket", "1@t", "u_x@x"],                       # ChartMismatch
+    ["check", "-f", "1", "-g", "0", "-Q", "u_x@u"],    # ChartMismatch
+    ["check", "-f", "u_xxxxx", "-g", "0", "-Q", "1@x"],  # JetOrderError
+])
+def test_bad_field_or_jet_exits_2(argv, capsys):
+    _assert_usage_error(main(argv), capsys)
+
+
+@pytest.mark.parametrize("params", [
+    "phi = exp(x)\n",   # ProlongationError: no closed-form inverse of phi
+    "psi = u\n",        # ChartMismatch: U0 may not depend on u
+    "c2 = t\n",         # TransformLeavesClass: the image depends on t
+])
+def test_bad_transform_params_exit_2(params, tmp_path, capsys):
+    cfg = tmp_path / "par.cfg"
+    cfg.write_text(params)
+    _assert_usage_error(main(["transform", "--params", str(cfg),
+                              "-f", "u_x^(-4)", "-g", "1"]), capsys)
+
+
+@pytest.mark.parametrize("f, g", [
+    ("u_tx", "0"), ("1", "t"), ("u", "0"), ("1", "F(t)"), ("F(x + v)", "0"),
+    ("1", "mu(x)*w1"), ("u_xx", "0"),
+])
+def test_f_g_outside_the_class_rejected(f, g, tmp_path, capsys):
+    """f and g are functions of (x, u_x) alone, also inside function
+    arguments; dim, check and transform all reject anything else."""
+    cfg = tmp_path / "par.cfg"
+    cfg.write_text("c2 = 2\n")
+    for argv in (["dim"], ["check", "-Q", "1@t"], ["transform", "--params", str(cfg)]):
+        _assert_usage_error(main(argv + ["-f", f, "-g", g]), capsys)
+
+
+def test_parameters_and_arbitrary_functions_allowed(capsys):
+    assert main(["dim", "-f", "F(x - eps*lnabs(u_x))*u_x^(-1)",
+                 "-g", "G(x - eps*lnabs(u_x)) + 2*lnabs(u_x)"]) == 0
+    assert main(["check", "-f", "delta*u_x^(-4)", "-g", "mu(x)*u_x^(-3)",
+                 "-Q", "t^2@t + t*u@u"]) == 0
+    assert "verdict: zero" in capsys.readouterr().out
+
+
+def test_transform_positive_image(tmp_path, capsys):
+    """x~ = e^x is provably positive, so |x~| folds to x~ in the image."""
+    cfg = tmp_path / "par.cfg"
+    cfg.write_text("phi = exp(x)\nphi_inv = lnabs(x)\n")
+    assert main(["transform", "--params", str(cfg),
+                 "-f", "F(x)*abs(u_x)^(2*p)", "-g", "lnabs(x)*u_x"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].endswith(" + u_x*x*lnabs(lnabs(x))")
+
+
+def test_verify_all_report_independent_of_hash_seed(tmp_path):
+    """One cold process under a fixed, non-default PYTHONHASHSEED writes the
+    golden bytes: nothing in the report follows set or dict hash order."""
+    report = tmp_path / "all.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavesym", "verify", "all", "--report", str(report)],
+        env=dict(os.environ, PYTHONHASHSEED="12345"),
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert report.read_bytes() == GOLDEN.read_bytes()

@@ -8,8 +8,7 @@ from wavesym.charts import BASE_COORDS
 from wavesym.detsys import (AnsatzBasis, ClassSpec,
                             check_symmetry, generate_determining_system,
                             invariance_residual, kernel_fields,
-                            satisfies_simplified_system, solve_within_ansatz,
-                            union_consistency_residuals)
+                            satisfies_simplified_system, solve_within_ansatz)
 from wavesym.expr import add, app, equal, is_zero, mul, rat, sym
 from wavesym.parse import parse, parse_vector_field
 from wavesym.vecfield import vf
@@ -243,32 +242,3 @@ def test_default_ansatz_built_once_per_chart(monkeypatch):
     assert calls["parse"] == AnsatzBasis.default(spec.chart).size() == 20
     # the generator checks still prolong each generator field
     assert calls["prolong_other"] > 0
-
-
-def test_subclass_k_residuals(spec, ch):
-    from wavesym.detsys import subclass_k_residuals
-    from wavesym.expr import app, sym
-    # members of the u_x^-4 subclass satisfy all three constraints
-    mu = app(ch.get("mu"), (0,), (sym(ch.get("x")),))
-    f = P("delta*u_x^(-4)", ch)
-    g = mul(mu, P("u_x^(-3)", ch))
-    assert all(is_zero(r).verdict == "zero"
-               for r in subclass_k_residuals(spec, f, g))
-    # a non-member violates the first constraint (V_ux != 1)
-    rs = subclass_k_residuals(spec, P("exp(2*u_x)", ch), rat(0))
-    assert is_zero(rs[0]).verdict == "nonzero"
-
-
-def test_union_consistency_residuals(ch):
-    # kernel fields trivially satisfy the consistency system
-    for Q in kernel_fields(ch):
-        assert all(is_zero(r).verdict == "zero"
-                   for r in union_consistency_residuals(Q))
-    # t^2 dt + t u du (the extension outside P g~) satisfies it as well
-    Q = parse_vector_field("t^2@t + t*u@u", ch, BASE_COORDS)
-    assert all(is_zero(r).verdict == "zero"
-               for r in union_consistency_residuals(Q))
-    # a coefficient triple violating it is reported nonzero
-    Q = vf(ch, BASE_COORDS, t=P("t", ch), u=P("t^3", ch), check=False)
-    vals = [is_zero(r).verdict for r in union_consistency_residuals(Q)]
-    assert "nonzero" in vals

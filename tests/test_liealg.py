@@ -121,12 +121,6 @@ def test_flag_identity_on_abelian(ch):
     assert not fam.solved and not fam.unresolved
 
 
-def test_table_io_roundtrip(m):
-    text = m.format_table()
-    again = LieAlgebraPresentation.parse_table(text, m.labels)
-    assert again.table == m.table
-
-
 def test_subspace_intersection():
     S = Subspace([[1, 0, 0], [0, 1, 0]], 3)
     T = Subspace([[0, 1, 0], [0, 0, 1]], 3)
@@ -308,3 +302,114 @@ def test_absent_bracket_is_the_shared_zero_row(m):
     zero = m.c(0, 0)
     assert zero == (0,) * m.n
     assert all(m.c(i, j) is zero for i, j in absent)
+
+
+# ---------------------------------------------------------------------------
+# subspace operations against a sympy oracle
+
+def _oracle_rows(vectors, n):
+    """The reduced row-echelon rows of span(vectors) in Q^n, by sympy."""
+    if not vectors:
+        return ()
+    R, piv = sympy.Matrix([[_sympy(Fraction(v)) for v in row]
+                           for row in vectors]).rref()
+    return tuple(tuple(Fraction(int(R[i, j].p), int(R[i, j].q))
+                       for j in range(n)) for i in range(len(piv)))
+
+
+def _oracle_intersection(S, T):
+    """span(S) ^ span(T) from the sympy null space of [S^T | -T^T]."""
+    if not S.rows or not T.rows:
+        return ()
+    A = sympy.Matrix([[_sympy(v) for v in row] for row in S.rows]).T
+    B = sympy.Matrix([[_sympy(v) for v in row] for row in T.rows]).T
+    vecs = [list(A * z[:S.dim, :]) for z in A.row_join(-B).nullspace()]
+    return _oracle_rows(vecs, S.ambient)
+
+
+def _oracle_centralizer(A, S):
+    """{v : [v, w] = 0 for w in S}, the bracket read off the public table."""
+    n = A.n
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in A.table.items():
+        c[i][j] = list(row)
+        c[j][i] = [-v for v in row]
+    # row k of the block for w: v -> [v, w]_k = sum_i v_i sum_j w_j c_ij^k
+    rows = [[_sympy(sum(w[j] * c[i][j][k] for j in range(n))) for i in range(n)]
+            for w in S.rows for k in range(n)]
+    if not rows:
+        return _oracle_rows([A.basis_vector(i) for i in range(n)], n)
+    return _oracle_rows([list(z) for z in sympy.Matrix(rows).nullspace()], n)
+
+
+def _random_span(rng, n, shared=()):
+    """A few seeded rational vectors of Q^n, some of them shared with another
+    span or combined from earlier ones, so that spans meet and repeat."""
+    def vec():
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+    out = [list(v) for v in shared if rng.random() < 0.7]
+    for _ in range(rng.randint(0, n)):
+        out.append(vec())
+    if len(out) >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(out, 2)
+        out.append([x + rng.randint(-2, 2) * y for x, y in zip(a, b)])
+    rng.shuffle(out)
+    return Subspace(out, n)
+
+
+def test_subspace_intersection_matches_oracle():
+    rng = random.Random(83)
+    dims = []
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        shared = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                  for _ in range(rng.randint(0, 2))]
+        S, T = _random_span(rng, n, shared), _random_span(rng, n, shared)
+        got = subspace_intersection(S, T)
+        assert got.rows == _oracle_intersection(S, T)
+        assert subspace_intersection(T, S) == got
+        stacked = Subspace(list(S.rows) + list(T.rows), n)
+        assert got.dim == S.dim + T.dim - stacked.dim
+        dims.append((got.dim, min(S.dim, T.dim)))
+    # trivial, proper and whole intersections all occur
+    assert any(d == 0 < m for d, m in dims)
+    assert any(0 < d < m for d, m in dims)
+    assert any(0 < d == m for d, m in dims)
+
+
+@pytest.mark.parametrize("name", ["m", "g11"])
+def test_centralizer_and_center_match_oracle(name, request):
+    A = request.getfixturevalue(name)
+    rng = random.Random(89)
+    assert center(A).rows == _oracle_centralizer(A, A.whole())
+    spans = [_random_span(rng, A.n) for _ in range(25)]
+    spans += [coordinate_subspace(rng.sample(range(A.n), k), A.n)
+              for k in range(A.n + 1)]
+    for S in spans:
+        C = centralizer(A, S)
+        assert C.rows == _oracle_centralizer(A, S)
+        # inside a subalgebra h: C_h(S) = C(S) ^ h, checked against the oracle
+        H = Subspace(list(S.rows) + list(C.rows), A.n)
+        assert subspace_intersection(C, H).rows == _oracle_intersection(C, H)
+
+
+def test_megaideal_spans_against_oracle(g11):
+    """The four relative centralizers of the megaideal chain, as the campaign
+    computes them, equal the sympy centralizers restricted to each subspace."""
+    idx = {lbl: i for i, lbl in enumerate(g11.labels)}
+
+    def span(*names):
+        return coordinate_subspace([idx[s] for s in names], g11.n)
+
+    g1 = span("Pt", "F1", "F2", "D1", "Dx", "G1", "Gx", "Gx2", "Gx3")
+    g2 = span("D1", "Dx", "G1", "Gx", "Gx2", "Gx3", "F1")
+    g3 = span("D1", "Dx", "G1", "Gx", "Gx2", "Gx3")
+    for S, h, want in ((g3, g1, span("Pt", "G1", "F1", "F2")),
+                       (g2, g1, span("G1", "F1", "F2")),
+                       (g2, g2, span("G1", "F1")),
+                       (g1, g1, span("G1"))):
+        got = subspace_intersection(centralizer(g11, S), h)
+        assert got == want
+        assert got.rows == _oracle_intersection(
+            Subspace(_oracle_centralizer(g11, S), g11.n), h)
