@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .charts import AUG_COORDS, BASE_COORDS, augmented_chart
 from .detsys import (AnsatzBasis, ClassSpec, check_symmetry,
                      generate_determining_system, solve_within_ansatz)
 from .expr import (DEPENDENT, INDEPENDENT, JET, Chart, SingularValue,
-                   UnknownIdentifier, free_symbols, structurally_zero)
+                   UnknownIdentifier, diff, free_symbols, structurally_zero)
 from .parse import ParseError, parse, parse_vector_field
 from .printer import to_str
 from .classif import SECTIONS, builtin_catalog, run_campaign
@@ -46,7 +47,8 @@ def _basis_from_config(cfg: dict, ch: Chart) -> AnsatzBasis:
 
 
 def _parse_fg(args, ch: Chart):
-    """The equation's (f, g): functions of (x, u_x) alone, and f != 0."""
+    """The equation's (f, g): functions of (x, u_x) alone, f != 0 and
+    (f_ux, g_uxux) != 0."""
     allowed = {ch.get("x"), ch.get("u_x")}
     fg = []
     for name, text in (("f", args.f), ("g", args.g)):
@@ -59,6 +61,11 @@ def _parse_fg(args, ch: Chart):
         fg.append(e)
     if structurally_zero(fg[0]):
         raise ValueError(f"f must be nonzero, got {args.f!r}")
+    ux = ch.get("u_x")
+    if (structurally_zero(diff(fg[0], ux))
+            and structurally_zero(diff(diff(fg[1], ux), ux))):
+        raise ValueError(f"f = {args.f!r}, g = {args.g!r} is outside the "
+                         "class: f_ux and g_uxux both vanish")
     return fg
 
 
@@ -223,7 +230,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send what is left to devnull, so the
+        # flush at interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, UnknownIdentifier, SingularValue, ValueError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._linalg import nullspace, rref
+from ._linalg import EchelonBasis, axpy, nullspace, sparse
 from .expr import (Chart, Expr, ZERO, add, diff, iter_terms, mul, pow_,
                    provably_nonzero, rat, structurally_zero, substitute, sym)
 from .vecfield import VectorField, bracket
@@ -30,72 +30,63 @@ class NotRational(Exception):
 # subspaces
 
 class Subspace:
-    """Subspace of Q^n stored in reduced row-echelon form."""
+    """Subspace of Q^n stored in reduced row-echelon form.
+
+    ``rows`` and ``pivots`` are the dense RREF; membership reduces sparsely
+    against the echelon basis they were read from.
+    """
 
     def __init__(self, rows: Sequence[Sequence[Fraction]], ambient: int):
-        red, piv = rref(rows)
-        self.rows = tuple(tuple(r) for r in red)
+        self._basis = EchelonBasis(rows)
+        red, piv = self._basis.dense(ambient)
+        self.rows = tuple(map(tuple, red))
         self.pivots = tuple(piv)
         self.ambient = ambient
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls([], ambient)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence[Fraction]) -> list:
-        v = list(map(Fraction, vec))
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
+        return not self._basis.reduce(sparse(vec))[0]
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(map(self.contains, other.rows))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
                 and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
 def coordinate_subspace(indices: Sequence[int], ambient: int) -> Subspace:
-    rows = []
-    for i in indices:
-        v = [Fraction(0)] * ambient
-        v[i] = Fraction(1)
-        rows.append(v)
-    return Subspace(rows, ambient)
+    return Subspace([[int(i == j) for j in range(ambient)] for i in indices],
+                    ambient)
 
 
 def subspace_intersection(S: Subspace, T: Subspace) -> Subspace:
-    """Intersection via the kernel of [S^T | -T^T]."""
+    """span(S) ^ span(T): each row of T that S and the earlier rows of T
+    already span contributes the S-part of its expansion."""
     if S.ambient != T.ambient:
         raise ValueError("ambient dimensions differ")
-    ns, nt = len(S.rows), len(T.rows)
-    if ns == 0 or nt == 0:
-        return Subspace.zero(S.ambient)
-    rows = []
-    for d in range(S.ambient):
-        rows.append([S.rows[i][d] for i in range(ns)] +
-                    [-T.rows[j][d] for j in range(nt)])
-    basis = []
-    for vec in nullspace(rows, ns + nt):
-        basis.append([sum(vec[i] * S.rows[i][d] for i in range(ns))
-                      for d in range(S.ambient)])
-    return Subspace(basis, S.ambient)
+    basis = EchelonBasis(combinations=True)
+    s_rows = list(S._basis.rows.values())
+    for row in s_rows:
+        basis.insert(row)
+    meet = []
+    for row in T._basis.rows.values():
+        rem, expansion = basis.reduce(row)
+        if rem:
+            basis.insert(row)
+            continue
+        part: dict = {}
+        for m, c in expansion.items():
+            if m < len(s_rows):
+                axpy(part, -c, s_rows[m])
+        meet.append([part.get(j, Fraction(0)) for j in range(S.ambient)])
+    return Subspace(meet, S.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -205,53 +196,6 @@ class LieAlgebraPresentation:
         return coordinate_subspace(range(self.n), self.n)
 
 
-class _EchelonBasis:
-    """Incremental echelon basis of sparse ``{axis: Fraction}`` vectors.
-
-    Each row has pivot 1, is zero at the pivots of the rows before it, and
-    carries the combination ``{m: Fraction}`` of kept input vectors it
-    equals; so one pass in insertion order reduces a vector and also yields
-    its coordinates over the kept vectors.
-    """
-
-    def __init__(self):
-        self.rows: list = []  # (pivot, row, combination)
-
-    def reduce(self, vec: dict):
-        """(remainder, expansion) with vec = remainder + sum_m expansion[m] kept[m];
-        the remainder is empty exactly when vec lies in the span."""
-        rem, expansion = dict(vec), {}
-        for p, row, comb in self.rows:
-            f = rem.get(p)
-            if f is None:
-                continue
-            for ax, c in row.items():
-                w = rem.get(ax, 0) - f * c
-                if w:
-                    rem[ax] = w
-                else:
-                    del rem[ax]
-            for m, c in comb.items():
-                w = expansion.get(m, 0) + f * c
-                if w:
-                    expansion[m] = w
-                else:
-                    del expansion[m]
-        return rem, expansion
-
-    def insert(self, vec: dict) -> bool:
-        """Keep ``vec`` as the next input vector unless it lies in the span."""
-        rem, expansion = self.reduce(vec)
-        if not rem:
-            return False
-        p = min(rem)
-        pv = rem[p]
-        comb = {m: -c / pv for m, c in expansion.items()}
-        comb[len(self.rows)] = 1 / pv
-        self.rows.append((p, {ax: c / pv for ax, c in rem.items()}, comb))
-        return True
-
-
 def close_or_fail(fields: Sequence[VectorField],
                   labels: Optional[Sequence[str]] = None) -> LieAlgebraPresentation:
     """Structure constants if all pairwise brackets lie in the span.
@@ -264,13 +208,10 @@ def close_or_fail(fields: Sequence[VectorField],
     if labels is None:
         labels = [f"e{i + 1}" for i in range(len(fields))]
     coord = _Coordinatizer()
-    decomps = [coord.decompose(F) for F in fields]
-    size = len(coord.index)
-
-    basis = _EchelonBasis()
+    basis = EchelonBasis(combinations=True)
     kept, pruned = [], []
-    for lbl, F, d in zip(labels, fields, decomps):
-        if basis.insert(d):
+    for lbl, F in zip(labels, fields):
+        if basis.insert(coord.decompose(F)):
             kept.append((lbl, F))
         else:
             pruned.append(lbl)
@@ -280,11 +221,8 @@ def close_or_fail(fields: Sequence[VectorField],
     for i in range(n):
         for j in range(i + 1, n):
             br = bracket(kept[i][1], kept[j][1])
-            bd = coord.decompose(br)
-            if any(ax >= size for ax in bd):
-                raise NonClosure(
-                    f"[{kept[i][0]}, {kept[j][0]}] escapes the span", br)
-            rem, coords = basis.reduce(bd)
+            # an axis no field has is left in the remainder
+            rem, coords = basis.reduce(coord.decompose(br))
             if rem:
                 raise NonClosure(
                     f"[{kept[i][0]}, {kept[j][0]}] escapes the span", br)
@@ -299,11 +237,8 @@ def close_or_fail(fields: Sequence[VectorField],
 # structure subspaces
 
 def product_space(A: LieAlgebraPresentation, S: Subspace, T: Subspace) -> Subspace:
-    vecs = []
-    for v in S.rows:
-        for w in T.rows:
-            vecs.append(A.bracket_coords(v, w))
-    return Subspace(vecs, A.n)
+    return Subspace([A.bracket_coords(v, w) for v in S.rows for w in T.rows],
+                    A.n)
 
 
 def derived_series(A: LieAlgebraPresentation) -> list:
@@ -321,11 +256,10 @@ def derived_series(A: LieAlgebraPresentation) -> list:
 def centralizer(A: LieAlgebraPresentation, S: Subspace) -> Subspace:
     rows = []
     for w in S.rows:
-        cols = [A.bracket_coords(A.basis_vector(i), list(w)) for i in range(A.n)]
-        for k in range(A.n):
-            rows.append([cols[i][k] for i in range(A.n)])
-    basis = nullspace(rows, A.n)
-    return Subspace(basis, A.n)
+        # row k of ad(w)^T: the k-th coordinate of [e_i, w] over i
+        rows.extend(zip(*(A.bracket_coords(A.basis_vector(i), w)
+                          for i in range(A.n))))
+    return Subspace(nullspace(rows, A.n), A.n)
 
 
 def center(A: LieAlgebraPresentation) -> Subspace:
@@ -350,19 +284,10 @@ def is_solvable(A: LieAlgebraPresentation, S: Subspace) -> bool:
 
 
 def killing_form(A: LieAlgebraPresentation) -> list:
-    ad = []
-    for i in range(A.n):
-        ad.append([A.bracket_coords(A.basis_vector(i), A.basis_vector(j))
-                   for j in range(A.n)])  # ad[i][j] = coords of [e_i, e_j]
-    K = [[Fraction(0)] * A.n for _ in range(A.n)]
-    for i in range(A.n):
-        for j in range(A.n):
-            s = Fraction(0)
-            for k in range(A.n):
-                for l in range(A.n):
-                    s += ad[i][k][l] * ad[j][l][k]
-            K[i][j] = s
-    return K
+    """K[i][j] = tr(ad e_i ad e_j) = sum_{k,l} c^l_ik c^k_jl."""
+    r = range(A.n)
+    return [[sum((A.c(i, k)[l] * A.c(j, l)[k] for k in r for l in r),
+                 Fraction(0)) for j in r] for i in r]
 
 
 def radical(A: LieAlgebraPresentation) -> Subspace:
@@ -370,11 +295,9 @@ def radical(A: LieAlgebraPresentation) -> Subspace:
     rad = {x : K(x, y) = 0 for all y in [A,A]}; verified post hoc."""
     K = killing_form(A)
     derived = product_space(A, A.whole(), A.whole())
-    rows = []
-    for y in derived.rows:
-        rows.append([sum(K[i][j] * y[j] for j in range(A.n)) for i in range(A.n)])
-    R = Subspace(nullspace(rows, A.n) if rows else
-                 [A.basis_vector(i) for i in range(A.n)], A.n)
+    rows = [[sum(K[i][j] * y[j] for j in range(A.n)) for i in range(A.n)]
+            for y in derived.rows]
+    R = Subspace(nullspace(rows, A.n), A.n)
     if not is_ideal(A, R) or not is_solvable(A, R):
         raise NotRational(
             "radical post-check failed (parameterized table?); refuse")

@@ -220,7 +220,10 @@ class _Parser:
 def parse(text: str, chart: Chart) -> Expr:
     """Parse ``text`` against ``chart``; returns the canonical Expr."""
     p = _Parser(_tokenize(text), chart)
-    e = p.expr()
+    try:
+        e = p.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", p.peek()[2]) from None
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)

@@ -37,7 +37,7 @@ def test_detsys_prints_rows(capsys):
 def test_check_exit_codes(capsys):
     assert main(["check", "-f", "u_x^(-4)", "-g", "0",
                  "-Q", "t^2@t + t*u@u"]) == 0
-    assert main(["check", "-f", "exp(2*x)", "-g", "0", "-Q", "1@x"]) == 1
+    assert main(["check", "-f", "exp(2*x)*u_x", "-g", "0", "-Q", "1@x"]) == 1
 
 
 def test_check_undecided_exit_code(capsys):
@@ -146,6 +146,39 @@ def test_zero_f_rejected(tmp_path, capsys):
     assert captured.err.count("error: f must be nonzero") == 3
 
 
+@pytest.mark.parametrize("f, g", [("1", "0"), ("1", "u_x"), ("exp(2*x)", "x*u_x + 1")])
+def test_f_ux_and_g_uxux_both_zero_rejected(f, g, tmp_path, capsys):
+    """The class requires (f_ux, g_uxux) != 0; the linear wave equation and
+    its kin fall outside it, in dim, check and transform alike."""
+    cfg = tmp_path / "par.cfg"
+    cfg.write_text("c2 = 2\n")
+    for argv in (["dim"], ["check", "-Q", "1@t"], ["transform", "--params", str(cfg)]):
+        _assert_usage_error(main(argv + ["-f", f, "-g", g]), capsys)
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that has gone away ends the process with exit 1, and neither
+    an ``error:`` line nor a message at interpreter exit."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavesym", "dim", "-f", "u_x^(-4)", "-g", "0"],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    deep = "(" * 400 + "u_x" + ")" * 400
+    _assert_usage_error(main(["dim", "-f", deep, "-g", "0"]), capsys)
+    moderate = "(" * 40 + "u_x^(-4)" + ")" * 40
+    assert main(["dim", "-f", moderate, "-g", "0"]) == 0
+    assert "dimension within ansatz: 7" in capsys.readouterr().out
+
+
 def test_verify_nonpositive_jobs_rejected(capsys):
     for jobs in ("0", "-1"):
         assert main(["verify", "all", "--jobs", jobs]) == 2
@@ -157,9 +190,11 @@ def test_verify_nonpositive_jobs_rejected(capsys):
 def test_unreadable_config_exits_2(tmp_path, capsys):
     """A config path that cannot be read as a file is a usage error (exit 2),
     not a verification failure (exit 1)."""
-    assert main(["transform", "--params", str(tmp_path), "-f", "1", "-g", "0"]) == 2
+    assert main(["transform", "--params", str(tmp_path),
+                 "-f", "u_x^(-4)", "-g", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert main(["dim", "-f", "1", "-g", "0", "--basis", str(tmp_path)]) == 2
+    assert main(["dim", "-f", "u_x^(-4)", "-g", "0",
+                 "--basis", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -183,7 +218,7 @@ def _assert_usage_error(code, capsys):
 @pytest.mark.parametrize("argv", [
     ["prolong", "u_x@t"],                              # ChartMismatch
     ["bracket", "1@t", "u_x@x"],                       # ChartMismatch
-    ["check", "-f", "1", "-g", "0", "-Q", "u_x@u"],    # ChartMismatch
+    ["check", "-f", "u_x^(-4)", "-g", "0", "-Q", "u_x@u"],  # ChartMismatch
     ["check", "-f", "u_xxxxx", "-g", "0", "-Q", "1@x"],  # JetOrderError
 ])
 def test_bad_field_or_jet_exits_2(argv, capsys):

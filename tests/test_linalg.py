@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wavesym._linalg import nullspace, rref
+from wavesym._linalg import EchelonBasis, nullspace, rref, sparse
 
 SHAPES = [(12, 5), (5, 12), (8, 8), (40, 20), (3, 20), (20, 3)]
 
@@ -107,3 +107,34 @@ def test_int_rows_give_fraction_entries():
         basis = nullspace(rows, ncols)
         assert red and basis
         assert all(type(v) is Fraction for r in red + basis for v in r)
+
+
+def _combination(coeffs, vecs, ncols):
+    """sum_m coeffs[m] * vecs[m], dense."""
+    return [sum((c * vecs[m].get(j, 0) for m, c in coeffs.items()), Fraction(0))
+            for j in range(ncols)]
+
+
+def test_echelon_basis_rows_and_combinations():
+    """Inserted one at a time, the rows sorted by pivot are sympy's RREF;
+    each row equals its combination of the kept inputs, and each pruned
+    vector's expansion over the kept inputs gives the vector back."""
+    n_pruned = 0
+    for rows, ncols in _cases():
+        basis = EchelonBasis(combinations=True)
+        kept, pruned = [], []
+        for row in rows:
+            vec = sparse(row)
+            (kept if basis.insert(vec) else pruned).append(vec)
+        assert basis.dense(ncols) == _oracle_rref(rows, ncols)
+        assert basis.kept == len(kept) == len(basis.rows)
+        for p, row in basis.rows.items():
+            assert _combination(basis.combs[p], kept, ncols) == \
+                [row.get(j, 0) for j in range(ncols)]
+        for vec in pruned:
+            rem, expansion = basis.reduce(vec)
+            assert rem == {}
+            assert _combination(expansion, kept, ncols) == \
+                [vec.get(j, 0) for j in range(ncols)]
+        n_pruned += len(pruned)
+    assert n_pruned > 100
