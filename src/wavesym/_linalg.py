@@ -1,20 +1,17 @@
 """Exact linear algebra over Fraction, all on one row reduction.
 
-``EchelonBasis`` grows the reduced row-echelon form of sparse
-``{column: Fraction}`` vectors one insert at a time; on request each row
-also keeps the combination of kept input vectors it equals.  ``rref`` and
-``nullspace`` read off it, and so do ``liealg``'s subspaces and closure.
+A vector is a sparse map ``{index: Fraction}`` that holds no zero entry.
+``EchelonBasis`` grows the reduced row-echelon form of such vectors one
+insert at a time; on request each row also keeps the combination of kept
+input vectors it equals.  ``nullspace`` reads off it, and so do
+``liealg``'s subspaces and closure.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def sparse(row: Sequence) -> dict:
-    return {c: Fraction(v) for c, v in enumerate(row) if v}
+_ONE = Fraction(1)
 
 
 def axpy(dst: dict, f, src: dict) -> None:
@@ -28,21 +25,22 @@ def axpy(dst: dict, f, src: dict) -> None:
 
 
 class EchelonBasis:
-    """Reduced echelon basis of sparse vectors, seeded with dense ``rows``.
+    """Reduced echelon basis of sparse vectors, seeded with ``vecs``.
 
     ``rows`` maps each pivot to its row: pivot entry 1, nothing left of the
     pivot, zero at every other pivot.  Such a row set is the unique RREF of
     its span.  With ``combinations``, ``combs`` maps each pivot to the
     combination ``{m: Fraction}`` of kept inputs (in insertion order) that
-    its row equals.
+    its row equals.  Input vectors may hold ``int`` and zero entries: zeros
+    are dropped, and each pivot divides as a Fraction.
     """
 
-    def __init__(self, rows=(), combinations: bool = False):
+    def __init__(self, vecs: Iterable[dict] = (), combinations: bool = False):
         self.rows: dict = {}
         self.combs = {} if combinations else None
         self.kept = 0
-        for row in rows:
-            self.insert(sparse(row))
+        for vec in vecs:
+            self.insert(vec)
 
     def reduce(self, vec: dict):
         """(remainder, expansion): vec = remainder + sum_m expansion[m] kept[m].
@@ -51,8 +49,8 @@ class EchelonBasis:
         expansion is None without combinations.  As rows vanish at each
         other's pivots, each pivot of ``vec`` is cleared by its own row.
         """
-        hits = [(p, f) for p, f in vec.items() if p in self.rows]
-        rem = dict(vec)
+        rem = {k: c for k, c in vec.items() if c}
+        hits = [(p, f) for p, f in rem.items() if p in self.rows]
         for p, f in hits:
             axpy(rem, f, self.rows[p])
         if self.combs is None:
@@ -68,7 +66,7 @@ class EchelonBasis:
         if not rem:
             return False
         p = min(rem)
-        pv = rem.pop(p)
+        pv = Fraction(rem.pop(p))
         row = {ax: c / pv for ax, c in rem.items()}
         row[p] = _ONE
         if expansion is not None:
@@ -87,26 +85,16 @@ class EchelonBasis:
         self.kept += 1
         return True
 
-    def dense(self, ncols: int):
-        """The RREF as dense rows of length ``ncols``, and its pivot columns."""
-        pivots = sorted(self.rows)
-        return [[self.rows[p].get(j, _ZERO) for j in range(ncols)]
-                for p in pivots], pivots
 
-
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row-echelon form; returns (rows, pivot_columns)."""
-    return EchelonBasis(rows).dense(len(rows[0])) if rows else ([], [])
-
-
-def nullspace(rows, ncols: int) -> list:
-    """Basis of the right null space of the matrix given by ``rows``."""
-    red = EchelonBasis(rows).rows
+def nullspace(vecs: Iterable[dict], ncols: int) -> list:
+    """Basis of the right null space of the matrix whose rows are ``vecs``:
+    one vector per free column, in increasing column order."""
+    red = EchelonBasis(vecs).rows
     basis = []
     for fc in (c for c in range(ncols) if c not in red):
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
+        v = {fc: _ONE}
         for p, row in red.items():
-            v[p] = -row.get(fc, _ZERO)
+            if fc in row:
+                v[p] = -row[fc]
         basis.append(v)
     return basis

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._linalg import axpy
 from .charts import BASE_COORDS
 from .detsys import (ClassSpec, check_symmetry, kernel_fields,
                      solve_within_ansatz)
@@ -436,22 +437,22 @@ def _automorphism_numeric_check(m: LieAlgebraPresentation, fam, seed: int,
             if rng.random() < 0.5 and not s.nonzero:
                 v = -v
             env[s] = rat(v)
-        A = [[None] * n for _ in range(n)]
-        ok_num = True
+        # column j of the matrix: the sparse image A e_j
+        cols = [{} for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 e = substitute(fam.entry(i, j), env)
                 if not isinstance(e, Rat):
                     return False
-                A[i][j] = e.q
+                if e.q:
+                    cols[j][i] = e.q
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = [sum(A[r][k] * m.c(i, j)[k] for k in range(n))
-                       for r in range(n)]
-                Aei = [A[r][i] for r in range(n)]
-                Aej = [A[r][j] for r in range(n)]
-                rhs = m.bracket_coords(Aei, Aej)
-                if lhs != rhs:
+                # A [e_i, e_j] against [A e_i, A e_j]
+                lhs: dict = {}
+                for k, c in m.c(i, j).items():
+                    axpy(lhs, -c, cols[k])
+                if lhs != m.bracket_coords(cols[i], cols[j]):
                     return False
     return True
 
@@ -800,15 +801,6 @@ def verify_potential_link(spec: Optional[ClassSpec] = None) -> CaseReport:
 # ---------------------------------------------------------------------------
 # subalgebra lists of the classification of appropriate subalgebras
 
-def _span_subspace(coordz: _Coordinatizer, fields: Sequence[VectorField],
-                   size: int) -> Subspace:
-    vecs = []
-    for F in fields:
-        d = coordz.decompose(F)
-        vecs.append([d.get(ax, Fraction(0)) for ax in range(size)])
-    return Subspace(vecs, size)
-
-
 def _subalgebra_list_items(ea: EquivalenceAlgebra) -> list:
     """(name, span + prolonged kernel) for each item of the one-, two- and
     three-dimensional extension lists, and for the kernel alone."""
@@ -869,7 +861,7 @@ def _subalgebra_list_items(ea: EquivalenceAlgebra) -> list:
     return [(name, hat_kernel + span) for name, span in items]
 
 
-def verify_subalgebra_lists(seed: int = 0) -> list:
+def verify_subalgebra_lists() -> list:
     """Closure (with the prolonged kernel) and the membership exclusions for
     the one-, two- and three-dimensional extension lists."""
     ea = EquivalenceAlgebra()
@@ -896,21 +888,19 @@ def verify_subalgebra_lists(seed: int = 0) -> list:
         except NonClosure as e:
             rep.add("span + prolonged kernel closes under bracket", False, str(e))
 
+        # every span in the axes of all of them
         coordz = _Coordinatizer()
-        for F in fields + exclusion_DuGF2 + exclusion_DtF2 + cap_DGF2:
-            coordz.decompose(F)
-        size = len(coordz.index)
-        S = _span_subspace(coordz, fields, size)
-        G1_span = _span_subspace(coordz, Gs[:1], size)
+        vecs = [list(map(coordz.decompose, span)) for span in
+                (fields, exclusion_DuGF2, exclusion_DtF2, cap_DGF2, Gs[:1])]
+        S, DuGF2, DtF2, DGF2, G1_span = (Subspace(v, len(coordz.index))
+                                         for v in vecs)
 
-        inter1 = subspace_intersection(
-            S, _span_subspace(coordz, exclusion_DuGF2, size))
+        inter1 = subspace_intersection(S, DuGF2)
         rep.add("s meets <Du, G(psi), F2> only in <G(1)>",
                 G1_span.contains_subspace(inter1) if inter1.dim else True)
-        inter2 = subspace_intersection(
-            S, _span_subspace(coordz, exclusion_DtF2, size))
+        inter2 = subspace_intersection(S, DtF2)
         rep.add("s meets <Dt, F2> trivially", inter2.dim == 0)
-        inter3 = subspace_intersection(S, _span_subspace(coordz, cap_DGF2, size))
+        inter3 = subspace_intersection(S, DGF2)
         rep.add("dim(s ^ <D(phi), G(psi), F2>) <= 2", inter3.dim <= 2)
         rep.wall_time = time.monotonic() - start
         reports.append(rep)
@@ -929,7 +919,7 @@ _SECTION_RUNNERS = {
     "adjoint": lambda spec, seed: [verify_adjoint_actions()],
     "reductions": lambda spec, seed: verify_reductions(spec),
     "potential": lambda spec, seed: [verify_potential_link(spec)],
-    "subalgebras": lambda spec, seed: verify_subalgebra_lists(seed),
+    "subalgebras": lambda spec, seed: verify_subalgebra_lists(),
 }
 SECTIONS = tuple(_SECTION_RUNNERS)
 
@@ -941,16 +931,17 @@ def run_section(name: str, seed: int = 0) -> list:
 def run_campaign(sections: Sequence[str], seed: int = 0, jobs: int = 1) -> CampaignReport:
     report = CampaignReport(seed=seed)
     wanted = list(sections)
-    if jobs > 1:
+    # the pool forks all of its workers up front: no more than one a section
+    workers = min(jobs, len(wanted))
+    if workers > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_section_worker,
                                     [(name, seed) for name in wanted]))
-        for name, cases in zip(wanted, results):
-            report.section(name).extend(cases)
     else:
-        for name in wanted:
-            report.section(name).extend(run_section(name, seed))
+        results = [run_section(name, seed) for name in wanted]
+    for name, cases in zip(wanted, results):
+        report.section(name).extend(cases)
     return report
 
 

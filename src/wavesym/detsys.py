@@ -284,12 +284,12 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
     ks, slots = ansatz.ks, ansatz.slots
     R = _prolonged_residual(spec, ansatz.prolonged, f, g)
 
-    kset = set(ks)
+    column = {k: j for j, k in enumerate(ks)}
     rows_map: dict = {}
     terms = () if structurally_zero(R) else iter_terms(R)
     for coef, factors in terms:
         k_hits = [fct for fct in factors
-                  if isinstance(fct, Sym) and fct.s in kset]
+                  if isinstance(fct, Sym) and fct.s in column]
         if len(k_hits) != 1:
             raise CollectionFailure(
                 "residual term not linear-homogeneous in the ansatz: "
@@ -297,17 +297,15 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
         # factors of a canonical product are key-sorted, so the remaining
         # tuple is the monomial signature as it stands
         sig = tuple(fct for fct in factors if fct is not k_hits[0])
-        row = rows_map.setdefault(sig, [Fraction(0)] * len(ks))
-        row[ks.index(k_hits[0].s)] += coef
+        rows_map.setdefault(sig, {})[column[k_hits[0].s]] = coef
 
-    matrix = list(rows_map.values())
-    null = nullspace(matrix, len(ks))
+    null = nullspace(rows_map.values(), len(ks))
     fields = []
     for vec in null:
         fcoeffs = {"t": ZERO, "x": ZERO, "u": ZERO}
-        for c, (coord, b) in zip(vec, slots):
-            if c != 0:
-                fcoeffs[coord] = add(fcoeffs[coord], mul(rat(c), b))
+        for j, c in vec.items():
+            coord, b = slots[j]
+            fcoeffs[coord] = add(fcoeffs[coord], mul(rat(c), b))
         fields.append(VectorField(ch, BASE_COORDS, fcoeffs, check=False))
     return AnsatzSolution(dimension=len(null), fields=fields,
-                          basis=ansatz.basis, n_equations=len(matrix))
+                          basis=ansatz.basis, n_equations=len(rows_map))

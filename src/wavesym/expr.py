@@ -774,27 +774,36 @@ def iter_terms(e: Expr):
             yield 1, (t,)
 
 
+def _nodes(e: Expr) -> list:
+    """Every node of ``e``, parents before their children."""
+    nodes = [e]
+    for n in nodes:     # the list grows under the loop
+        if isinstance(n, (Sym, Rat)):
+            continue
+        if isinstance(n, Mul):
+            nodes.extend(n.factors)
+        elif isinstance(n, Add):
+            nodes.extend(n.terms)
+        elif isinstance(n, App):
+            nodes.extend(n.args)
+        elif isinstance(n, Pow):
+            nodes.append(n.base)
+        elif isinstance(n, AbsPow):
+            nodes.append(n.base)
+            nodes.append(n.exp)
+        elif isinstance(n, (ExpF, LnAbs)):
+            nodes.append(n.arg)
+    return nodes
+
+
 def free_symbols(e: Expr) -> set:
+    """The symbols of ``e``, function symbols included."""
     out = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
+    for n in _nodes(e):
         if isinstance(n, Sym):
             out.add(n.s)
         elif isinstance(n, App):
             out.add(n.fn)
-            stack.extend(n.args)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, (AbsPow,)):
-            stack.append(n.base)
-            stack.append(n.exp)
-        elif isinstance(n, (ExpF, LnAbs)):
-            stack.append(n.arg)
-        elif isinstance(n, Mul):
-            stack.extend(n.factors)
-        elif isinstance(n, Add):
-            stack.extend(n.terms)
     return out
 
 
@@ -804,25 +813,7 @@ def contains_symbol(e: Expr, s: Symbol) -> bool:
 
 def atoms(e: Expr) -> set:
     """All App atoms occurring in ``e`` (function applications, any didx)."""
-    out = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, App):
-            out.add(n)
-            stack.extend(n.args)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, AbsPow):
-            stack.append(n.base)
-            stack.append(n.exp)
-        elif isinstance(n, (ExpF, LnAbs)):
-            stack.append(n.arg)
-        elif isinstance(n, Mul):
-            stack.extend(n.factors)
-        elif isinstance(n, Add):
-            stack.extend(n.terms)
-    return out
+    return {n for n in _nodes(e) if isinstance(n, App)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ._linalg import EchelonBasis, axpy, nullspace, sparse
+from ._linalg import EchelonBasis, axpy, nullspace
 from .expr import (Chart, Expr, ZERO, add, diff, iter_terms, mul, pow_,
                    provably_nonzero, rat, structurally_zero, substitute, sym)
 from .vecfield import VectorField, bracket
@@ -30,25 +30,31 @@ class NotRational(Exception):
 # subspaces
 
 class Subspace:
-    """Subspace of Q^n stored in reduced row-echelon form.
+    """Subspace of Q^n held as its reduced echelon basis.
 
-    ``rows`` and ``pivots`` are the dense RREF; membership reduces sparsely
-    against the echelon basis they were read from.
+    ``rows`` are the sparse RREF rows in pivot order and ``pivots`` their
+    pivot columns.  The RREF of a span is unique, so equal rows mean equal
+    subspaces.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]], ambient: int):
-        self._basis = EchelonBasis(rows)
-        red, piv = self._basis.dense(ambient)
-        self.rows = tuple(map(tuple, red))
-        self.pivots = tuple(piv)
+    def __init__(self, vecs: Iterable[dict], ambient: int):
+        self._basis = EchelonBasis(vecs)
         self.ambient = ambient
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def pivots(self) -> list:
+        return sorted(self._basis.rows)
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not self._basis.reduce(sparse(vec))[0]
+    @property
+    def rows(self) -> list:
+        return [self._basis.rows[p] for p in self.pivots]
+
+    @property
+    def dim(self) -> int:
+        return len(self._basis.rows)
+
+    def contains(self, vec: dict) -> bool:
+        return not self._basis.reduce(vec)[0]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(map(self.contains, other.rows))
@@ -61,9 +67,8 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def coordinate_subspace(indices: Sequence[int], ambient: int) -> Subspace:
-    return Subspace([[int(i == j) for j in range(ambient)] for i in indices],
-                    ambient)
+def coordinate_subspace(indices: Iterable[int], ambient: int) -> Subspace:
+    return Subspace([{i: 1} for i in indices], ambient)
 
 
 def subspace_intersection(S: Subspace, T: Subspace) -> Subspace:
@@ -71,21 +76,19 @@ def subspace_intersection(S: Subspace, T: Subspace) -> Subspace:
     already span contributes the S-part of its expansion."""
     if S.ambient != T.ambient:
         raise ValueError("ambient dimensions differ")
-    basis = EchelonBasis(combinations=True)
-    s_rows = list(S._basis.rows.values())
-    for row in s_rows:
-        basis.insert(row)
+    s_basis = S.rows
+    basis = EchelonBasis(s_basis, combinations=True)
     meet = []
-    for row in T._basis.rows.values():
+    for row in T.rows:
         rem, expansion = basis.reduce(row)
         if rem:
             basis.insert(row)
             continue
         part: dict = {}
         for m, c in expansion.items():
-            if m < len(s_rows):
-                axpy(part, -c, s_rows[m])
-        meet.append([part.get(j, Fraction(0)) for j in range(S.ambient)])
+            if m < len(s_basis):
+                axpy(part, -c, s_basis[m])
+        meet.append(part)
     return Subspace(meet, S.ambient)
 
 
@@ -121,73 +124,47 @@ class _Coordinatizer:
 class LieAlgebraPresentation:
     """Basis with a closed bracket table [e_i,e_j] = sum_k c^k_ij e_k.
 
-    ``table`` is the dense public form (i < j, nonzero rows only).  Besides it
-    the presentation keeps each nonzero row for both orders, dense for ``c``
-    and as ``(k, c)`` pairs for ``bracket_coords`` and the Jacobi check, and
-    one zero row that ``c`` returns for every vanishing bracket.
+    ``table`` maps both orders (i, j) and (j, i) of every pair with a
+    nonzero bracket to its sparse row ``{k: c^k_ij}``; a pair it lacks has
+    a vanishing bracket.  The input table may give each pair in either
+    order.
     """
 
-    def __init__(self, labels: Sequence[str], table: dict,
-                 fields: Optional[Sequence[VectorField]] = None):
+    def __init__(self, labels: Sequence[str], table: dict):
         self.labels = tuple(labels)
         self.n = len(self.labels)
         self.table = {}
         for (i, j), coords in table.items():
-            if i == j:
-                continue
-            if i > j:
-                i, j, coords = j, i, [-c for c in coords]
-            row = tuple(Fraction(c) for c in coords)
-            if any(v != 0 for v in row):
+            row = {k: c for k, c in coords.items() if c}
+            if i != j and row:
                 self.table[(i, j)] = row
-        self._zero = (Fraction(0),) * self.n
-        self._rows: dict = {}
-        self._sparse: dict = {}
-        for (i, j), row in self.table.items():
-            neg = tuple(-v for v in row)
-            self._rows[(i, j)], self._rows[(j, i)] = row, neg
-            self._sparse[(i, j)] = tuple((k, v) for k, v in enumerate(row) if v)
-            self._sparse[(j, i)] = tuple((k, v) for k, v in enumerate(neg) if v)
-        self.fields = tuple(fields) if fields is not None else None
+                self.table[(j, i)] = {k: -c for k, c in row.items()}
         self._check_jacobi()
 
-    def c(self, i: int, j: int) -> tuple:
-        return self._rows.get((i, j), self._zero)
+    def c(self, i: int, j: int) -> dict:
+        """[e_i, e_j] as a sparse row; ``{}`` when the bracket vanishes."""
+        return self.table.get((i, j), {})
 
-    def bracket_coords(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> list:
-        out = [Fraction(0)] * self.n
-        w_nz = [(j, b) for j, b in enumerate(w) if b]
-        sparse = self._sparse
-        for i, a in enumerate(v):
-            if not a:
-                continue
-            for j, b in w_nz:
-                row = sparse.get((i, j))
-                if row is None:
-                    continue
-                f = a * b
-                for k, c in row:
-                    out[k] += f * c
+    def bracket_coords(self, v: dict, w: dict) -> dict:
+        out: dict = {}
+        for i, a in v.items():
+            for j, b in w.items():
+                row = self.table.get((i, j))
+                if row is not None:
+                    axpy(out, -a * b, row)
         return out
 
-    def basis_vector(self, i: int) -> list:
-        v = [Fraction(0)] * self.n
-        v[i] = Fraction(1)
-        return v
-
     def _check_jacobi(self):
-        sparse = self._sparse
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 for k in range(j + 1, self.n):
-                    s = [Fraction(0)] * self.n
+                    s: dict = {}
                     # [e_a, [e_b, e_c]] over the cyclic shifts, the inner
                     # bracket of basis vectors read off the table
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, x in sparse.get((b, c), ()):
-                            for l, y in sparse.get((a, m), ()):
-                                s[l] += x * y
-                    if any(s):
+                        for m, x in self.c(b, c).items():
+                            axpy(s, -x, self.c(a, m))
+                    if s:
                         raise NonClosure(
                             f"Jacobi identity fails on ({self.labels[i]}, "
                             f"{self.labels[j]}, {self.labels[k]})", s)
@@ -226,9 +203,8 @@ def close_or_fail(fields: Sequence[VectorField],
             if rem:
                 raise NonClosure(
                     f"[{kept[i][0]}, {kept[j][0]}] escapes the span", br)
-            table[(i, j)] = [coords.get(m, Fraction(0)) for m in range(n)]
-    pres = LieAlgebraPresentation([lbl for lbl, _ in kept], table,
-                                  fields=[F for _, F in kept])
+            table[(i, j)] = coords
+    pres = LieAlgebraPresentation([lbl for lbl, _ in kept], table)
     pres.pruned = tuple(pruned)
     return pres
 
@@ -257,8 +233,11 @@ def centralizer(A: LieAlgebraPresentation, S: Subspace) -> Subspace:
     rows = []
     for w in S.rows:
         # row k of ad(w)^T: the k-th coordinate of [e_i, w] over i
-        rows.extend(zip(*(A.bracket_coords(A.basis_vector(i), w)
-                          for i in range(A.n))))
+        ad: dict = {}
+        for i in range(A.n):
+            for k, c in A.bracket_coords({i: 1}, w).items():
+                ad.setdefault(k, {})[i] = c
+        rows.extend(ad.values())
     return Subspace(nullspace(rows, A.n), A.n)
 
 
@@ -284,10 +263,14 @@ def is_solvable(A: LieAlgebraPresentation, S: Subspace) -> bool:
 
 
 def killing_form(A: LieAlgebraPresentation) -> list:
-    """K[i][j] = tr(ad e_i ad e_j) = sum_{k,l} c^l_ik c^k_jl."""
+    """Sparse rows K[i] = {j: tr(ad e_i ad e_j)}, K_ij = sum_{k,l} c^l_ik c^k_jl."""
     r = range(A.n)
-    return [[sum((A.c(i, k)[l] * A.c(j, l)[k] for k in r for l in r),
-                 Fraction(0)) for j in r] for i in r]
+    K = []
+    for i in r:
+        row = {j: sum(x * A.c(j, l).get(k, 0)
+                      for k in r for l, x in A.c(i, k).items()) for j in r}
+        K.append({j: v for j, v in row.items() if v})
+    return K
 
 
 def radical(A: LieAlgebraPresentation) -> Subspace:
@@ -295,8 +278,8 @@ def radical(A: LieAlgebraPresentation) -> Subspace:
     rad = {x : K(x, y) = 0 for all y in [A,A]}; verified post hoc."""
     K = killing_form(A)
     derived = product_space(A, A.whole(), A.whole())
-    rows = [[sum(K[i][j] * y[j] for j in range(A.n)) for i in range(A.n)]
-            for y in derived.rows]
+    rows = [{i: sum(Ki.get(j, 0) * c for j, c in y.items())
+             for i, Ki in enumerate(K)} for y in derived.rows]
     R = Subspace(nullspace(rows, A.n), A.n)
     if not is_ideal(A, R) or not is_solvable(A, R):
         raise NotRational(
@@ -351,30 +334,26 @@ def flag_automorphism_solve(A: LieAlgebraPresentation,
     # flag invariance: for v in V, A v reduced modulo V must vanish
     for V in flag:
         for v in V.rows:
-            img = [add(*[mul(entries[(i, j)], rat(v[j])) for j in range(n)])
+            img = [add(*[mul(entries[(i, j)], rat(c)) for j, c in v.items()])
                    for i in range(n)]
-            img_red = list(img)
             for row, p in zip(V.rows, V.pivots):
-                fpiv = img_red[p]
-                img_red = [add(c, mul(rat(-1), fpiv, rat(row[k])))
-                           for k, c in enumerate(img_red)]
-            eqs.extend(img_red)
+                fpiv = img[p]
+                for k, c in row.items():
+                    img[k] = add(img[k], mul(rat(-1), fpiv, rat(c)))
+            eqs.extend(img)
     # bracket preservation
     for i in range(n):
         for j in range(i + 1, n):
-            cij = A.c(i, j)
-            lhs = [add(*[mul(entries[(r, k)], rat(cij[k])) for k in range(n)])
-                   for r in range(n)]
+            lhs = [add(*[mul(entries[(r, k)], rat(c))
+                         for k, c in A.c(i, j).items()]) for r in range(n)]
             rhs = [ZERO] * n
             for p in range(n):
                 for q in range(n):
                     if p == q:
                         continue
-                    cpq = A.c(p, q)
                     coefpq = mul(entries[(p, i)], entries[(q, j)])
-                    for r in range(n):
-                        if cpq[r] != 0:
-                            rhs[r] = add(rhs[r], mul(coefpq, rat(cpq[r])))
+                    for r, c in A.c(p, q).items():
+                        rhs[r] = add(rhs[r], mul(coefpq, rat(c)))
             for r in range(n):
                 eqs.append(add(lhs[r], mul(rat(-1), rhs[r])))
 

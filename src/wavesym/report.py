@@ -16,6 +16,12 @@ FAIL = "fail"
 WARN = "warn"  # undecided zero test: surfaced, never treated as a pass
 
 
+def _worst(statuses) -> str:
+    """FAIL over WARN over PASS."""
+    seen = set(statuses)
+    return FAIL if FAIL in seen else WARN if WARN in seen else PASS
+
+
 @dataclass
 class Check:
     name: str
@@ -37,11 +43,7 @@ class CaseReport:
 
     @property
     def status(self) -> str:
-        if any(c.status == FAIL for c in self.checks):
-            return FAIL
-        if any(c.status == WARN for c in self.checks):
-            return WARN
-        return PASS
+        return _worst(c.status for c in self.checks)
 
 
 @dataclass
@@ -59,12 +61,7 @@ class CampaignReport:
 
     @property
     def status(self) -> str:
-        statuses = [c.status for _, c in self.all_cases()]
-        if FAIL in statuses:
-            return FAIL
-        if WARN in statuses:
-            return WARN
-        return PASS
+        return _worst(c.status for _, c in self.all_cases())
 
     def counts(self) -> dict:
         out = {PASS: 0, FAIL: 0, WARN: 0}

@@ -124,3 +124,33 @@ def test_campaign_parallel_matches_sequential():
     seq = run_campaign(["potential", "adjoint", "reductions"], seed=9, jobs=1)
     par = run_campaign(["potential", "adjoint", "reductions"], seed=9, jobs=2)
     assert seq.to_json() == par.to_json()
+
+
+
+def test_jobs_capped_at_section_count(monkeypatch):
+    """The pool forks all of its workers up front, so it is never larger
+    than the number of sections, and one section runs in this process."""
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps serially."""
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = run_campaign(["potential", "adjoint"], seed=3)
+    assert run_campaign(["potential", "adjoint"], seed=3, jobs=64).to_json() \
+        == serial.to_json()
+    assert run_campaign(["potential"], seed=3, jobs=2).status == PASS
+    assert run_campaign(["adjoint", "potential"], seed=3, jobs=2).status == PASS
+    assert sizes == [2, 2]

@@ -1,5 +1,9 @@
-"""Lie algebra structure analysis on exact rational presentations."""
+"""Lie algebra structure analysis on exact rational presentations.
+
+Vectors and table rows are sparse ``{index: Fraction}`` maps; the sympy
+oracles work on dense matrices, densified here."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,14 +35,14 @@ def test_close_nilpotent_piece():
                           ea.field(Gen("G", rat(1)))],
                          labels=["Pt", "F1", "G1"])
     # [Pt, F1] = G(1), everything else zero
-    assert pres.table == {(0, 1): (Fraction(0), Fraction(0), Fraction(1))}
+    assert pres.table == {(0, 1): {2: 1}, (1, 0): {2: -1}}
 
 
 def test_close_kernel_heisenberg(ch):
     k = [vf(ch, BASE_COORDS, t=rat(1)), vf(ch, BASE_COORDS, u=rat(1)),
          vf(ch, BASE_COORDS, u=sym(ch.get("t")))]
     H = close_or_fail(k, labels=["Pt", "Pu", "tPu"])
-    assert H.table == {(0, 2): (Fraction(0), Fraction(1), Fraction(0))}
+    assert H.table == {(0, 2): {1: 1}, (2, 0): {1: -1}}
     assert radical(H) == H.whole()
 
 
@@ -74,7 +78,7 @@ def test_megaideal_chain(m):
 def test_radical_cases(m):
     assert radical(m) == m.whole()
     sl2 = LieAlgebraPresentation(
-        ["h", "e", "f"], {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]})
+        ["h", "e", "f"], {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
     assert radical(sl2).dim == 0
 
 
@@ -94,7 +98,7 @@ def test_centralizer_correctness(m):
     C = centralizer(m, S)
     for v in C.rows:
         for w in S.rows:
-            assert all(c == 0 for c in m.bracket_coords(list(v), list(w)))
+            assert m.bracket_coords(v, w) == {}
 
 
 def test_flag_automorphism_solve(m):
@@ -114,6 +118,20 @@ def test_flag_automorphism_solve(m):
         assert tuple(range(1, k + 1)) in fam.invariant_coordinate_subspaces
 
 
+def test_automorphism_numeric_check_bites(m):
+    """The numeric check passes the solved family and fails it once a single
+    entry is perturbed: a forced zero, or the last diagonal entry."""
+    from wavesym.classif import _automorphism_numeric_check
+    flag = [coordinate_subspace(list(range(k)), 5) for k in (1, 2, 3, 4, 5)]
+    fam = flag_automorphism_solve(m, flag)
+    assert _automorphism_numeric_check(m, fam, seed=7, trials=20)
+    for i, j in ((2, 3), (4, 4)):
+        entries = dict(fam.entries)
+        entries[(i, j)] = add(entries[(i, j)], rat(1))
+        bad = replace(fam, entries=entries)
+        assert not _automorphism_numeric_check(m, bad, seed=7, trials=20)
+
+
 def test_flag_identity_on_abelian(ch):
     A = close_or_fail([vf(ch, BASE_COORDS, t=sym(ch.get("t"))),
                        vf(ch, BASE_COORDS, x=rat(1))])
@@ -121,11 +139,27 @@ def test_flag_identity_on_abelian(ch):
     assert not fam.solved and not fam.unresolved
 
 
+def test_subspace_from_int_and_zero_entries():
+    """Int entries and explicit zeros go in; the rows hold only nonzero
+    Fractions, in pivot order, and equal spans give equal subspaces."""
+    S = Subspace([{0: 0, 1: 2, 2: 4}, {0: 3, 1: 0, 2: 0}, {0: 0, 2: 0}], 3)
+    assert S.pivots == [0, 1]
+    assert S.rows == [{0: 1}, {1: 1, 2: 2}]
+    assert all(type(v) is Fraction and v != 0 for row in S.rows
+               for v in row.values())
+    T = Subspace([{0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(2, 3)},
+                  {1: Fraction(-1), 2: Fraction(-2)}], 3)
+    assert S == T and T == S
+    assert S != Subspace([{0: 1}, {1: 1}], 3)
+    assert S != Subspace([{0: 1}, {1: 1, 2: 2}], 4)
+    assert S.contains({0: 5, 1: 1, 2: 2, 3: 0}) and not S.contains({2: 1})
+
+
 def test_subspace_intersection():
-    S = Subspace([[1, 0, 0], [0, 1, 0]], 3)
-    T = Subspace([[0, 1, 0], [0, 0, 1]], 3)
+    S = Subspace([{0: 1}, {1: 1}], 3)
+    T = Subspace([{1: 1}, {2: 1}], 3)
     I = subspace_intersection(S, T)
-    assert I == Subspace([[0, 1, 0]], 3)
+    assert I == Subspace([{1: 1}], 3)
 
 
 def test_jacobi_validated():
@@ -133,7 +167,7 @@ def test_jacobi_validated():
     with pytest.raises(NonClosure):
         LieAlgebraPresentation(
             ["a", "b", "c"],
-            {(0, 1): [0, 0, 1], (1, 2): [0, 1, 0]})
+            {(0, 1): {2: 1}, (1, 2): {1: 1}})
 
 
 def test_jacobi_validated_through_reversed_pair():
@@ -142,7 +176,7 @@ def test_jacobi_validated_through_reversed_pair():
     with pytest.raises(NonClosure, match=r"\(a, b, c\)"):
         LieAlgebraPresentation(
             ["a", "b", "c"],
-            {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
+            {(0, 1): {2: 1}, (0, 2): {0: 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +228,8 @@ def _assert_closure_matches_oracle(fields, labels):
     assert list(pres.pruned) == pruned
     for (i, j), (bv, size) in brackets.items():
         c = pres.c(i, j)
-        assert all(type(v) is Fraction for v in c)
-        assert _columns(cols, size) * sympy.Matrix([_sympy(v) for v in c]) == bv
+        assert all(type(v) is Fraction and v != 0 for v in c.values())
+        assert _columns(cols, size) * _columns([c], pres.n) == bv
     return True
 
 
@@ -260,13 +294,26 @@ def g11():
     return close_or_fail(_g11_fields(EquivalenceAlgebra()), labels=G11_LABELS)
 
 
+def _dense(vec, n):
+    return [vec.get(k, Fraction(0)) for k in range(n)]
+
+
+def _dense_rows(S):
+    return tuple(tuple(_dense(row, S.ambient)) for row in S.rows)
+
+
+def _unit(i, n):
+    return [Fraction(int(i == j)) for j in range(n)]
+
+
 def _dense_bracket(A, v, w):
-    """sum_ijk v_i w_j c^k_ij e_k with c read off the public dense table."""
+    """sum_ijk v_i w_j c^k_ij e_k on dense vectors, c read off the public
+    table for i < j only and extended by antisymmetry."""
     def c(i, j):
         if i < j:
-            return A.table.get((i, j), [0] * A.n)
+            return _dense(A.table.get((i, j), {}), A.n)
         if i > j:
-            return [-a for a in A.table.get((j, i), [0] * A.n)]
+            return [-a for a in c(j, i)]
         return [0] * A.n
     out = [Fraction(0)] * A.n
     for i in range(A.n):
@@ -286,22 +333,30 @@ def test_bracket_coords_matches_dense(name, request):
     def vec():
         return [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                 if rng.random() < 0.5 else Fraction(0) for _ in range(A.n)]
+    def sparse(v):
+        return {k: x for k, x in enumerate(v) if x}
     for _ in range(60):
         v, w = vec(), vec()
-        assert A.bracket_coords(v, w) == _dense_bracket(A, v, w)
+        out = A.bracket_coords(sparse(v), sparse(w))
+        assert all(x != 0 for x in out.values())
+        assert _dense(out, A.n) == _dense_bracket(A, v, w)
     for i in range(A.n):
         for j in range(A.n):
-            ei, ej = A.basis_vector(i), A.basis_vector(j)
-            assert list(A.c(i, j)) == _dense_bracket(A, ei, ej)
+            assert _dense(A.c(i, j), A.n) == \
+                _dense_bracket(A, _unit(i, A.n), _unit(j, A.n))
 
 
-def test_absent_bracket_is_the_shared_zero_row(m):
-    absent = [(i, j) for i in range(m.n) for j in range(m.n)
-              if i != j and (min(i, j), max(i, j)) not in m.table]
-    assert absent
-    zero = m.c(0, 0)
-    assert zero == (0,) * m.n
-    assert all(m.c(i, j) is zero for i, j in absent)
+def test_absent_bracket_is_empty(m):
+    """c is {} for every vanishing pair, the diagonal included; the table
+    holds both orders of every other pair, with no zero entry."""
+    pairs = [(i, j) for i in range(m.n) for j in range(m.n)]
+    absent = [(i, j) for i, j in pairs if (i, j) not in m.table]
+    assert len(absent) > m.n
+    assert all(m.c(i, j) == {} for i, j in absent)
+    for i, j in pairs:
+        assert ((i, j) in m.table) == ((j, i) in m.table)
+        assert all(x != 0 for x in m.c(i, j).values())
+        assert m.c(j, i) == {k: -x for k, x in m.c(i, j).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +376,8 @@ def _oracle_intersection(S, T):
     """span(S) ^ span(T) from the sympy null space of [S^T | -T^T]."""
     if not S.rows or not T.rows:
         return ()
-    A = sympy.Matrix([[_sympy(v) for v in row] for row in S.rows]).T
-    B = sympy.Matrix([[_sympy(v) for v in row] for row in T.rows]).T
+    A = sympy.Matrix([[_sympy(v) for v in row] for row in _dense_rows(S)]).T
+    B = sympy.Matrix([[_sympy(v) for v in row] for row in _dense_rows(T)]).T
     vecs = [list(A * z[:S.dim, :]) for z in A.row_join(-B).nullspace()]
     return _oracle_rows(vecs, S.ambient)
 
@@ -332,13 +387,14 @@ def _oracle_centralizer(A, S):
     n = A.n
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for (i, j), row in A.table.items():
-        c[i][j] = list(row)
-        c[j][i] = [-v for v in row]
+        if i < j:
+            c[i][j] = _dense(row, n)
+            c[j][i] = [-v for v in c[i][j]]
     # row k of the block for w: v -> [v, w]_k = sum_i v_i sum_j w_j c_ij^k
     rows = [[_sympy(sum(w[j] * c[i][j][k] for j in range(n))) for i in range(n)]
-            for w in S.rows for k in range(n)]
+            for w in _dense_rows(S) for k in range(n)]
     if not rows:
-        return _oracle_rows([A.basis_vector(i) for i in range(n)], n)
+        return _oracle_rows([_unit(i, n) for i in range(n)], n)
     return _oracle_rows([list(z) for z in sympy.Matrix(rows).nullspace()], n)
 
 
@@ -355,7 +411,7 @@ def _random_span(rng, n, shared=()):
         a, b = rng.sample(out, 2)
         out.append([x + rng.randint(-2, 2) * y for x, y in zip(a, b)])
     rng.shuffle(out)
-    return Subspace(out, n)
+    return Subspace([dict(enumerate(v)) for v in out], n)
 
 
 def test_subspace_intersection_matches_oracle():
@@ -367,7 +423,7 @@ def test_subspace_intersection_matches_oracle():
                   for _ in range(rng.randint(0, 2))]
         S, T = _random_span(rng, n, shared), _random_span(rng, n, shared)
         got = subspace_intersection(S, T)
-        assert got.rows == _oracle_intersection(S, T)
+        assert _dense_rows(got) == _oracle_intersection(S, T)
         assert subspace_intersection(T, S) == got
         stacked = Subspace(list(S.rows) + list(T.rows), n)
         assert got.dim == S.dim + T.dim - stacked.dim
@@ -382,16 +438,17 @@ def test_subspace_intersection_matches_oracle():
 def test_centralizer_and_center_match_oracle(name, request):
     A = request.getfixturevalue(name)
     rng = random.Random(89)
-    assert center(A).rows == _oracle_centralizer(A, A.whole())
+    assert _dense_rows(center(A)) == _oracle_centralizer(A, A.whole())
     spans = [_random_span(rng, A.n) for _ in range(25)]
     spans += [coordinate_subspace(rng.sample(range(A.n), k), A.n)
               for k in range(A.n + 1)]
     for S in spans:
         C = centralizer(A, S)
-        assert C.rows == _oracle_centralizer(A, S)
+        assert _dense_rows(C) == _oracle_centralizer(A, S)
         # inside a subalgebra h: C_h(S) = C(S) ^ h, checked against the oracle
         H = Subspace(list(S.rows) + list(C.rows), A.n)
-        assert subspace_intersection(C, H).rows == _oracle_intersection(C, H)
+        assert _dense_rows(subspace_intersection(C, H)) == \
+            _oracle_intersection(C, H)
 
 
 def test_megaideal_spans_against_oracle(g11):
@@ -411,5 +468,6 @@ def test_megaideal_spans_against_oracle(g11):
                        (g1, g1, span("G1"))):
         got = subspace_intersection(centralizer(g11, S), h)
         assert got == want
-        assert got.rows == _oracle_intersection(
-            Subspace(_oracle_centralizer(g11, S), g11.n), h)
+        oracle_c = [dict(enumerate(r)) for r in _oracle_centralizer(g11, S)]
+        assert _dense_rows(got) == _oracle_intersection(
+            Subspace(oracle_c, g11.n), h)

@@ -1,12 +1,14 @@
 """Exact linear algebra (`_linalg`) against an independent oracle: sympy's
-exact rational row reduction.  sympy is used by the tests only."""
+exact rational row reduction.  sympy is used by the tests only.  The test
+matrices are dense lists; they go in as sparse maps with their zero entries
+kept, and results are densified here for the comparison."""
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from wavesym._linalg import EchelonBasis, nullspace, rref, sparse
+from wavesym._linalg import EchelonBasis, nullspace
 
 SHAPES = [(12, 5), (5, 12), (8, 8), (40, 20), (3, 20), (20, 3)]
 
@@ -20,6 +22,26 @@ def _oracle(rows, ncols):
 def _frac(v) -> Fraction:
     v = sympy.Rational(v)
     return Fraction(int(v.p), int(v.q))
+
+
+def _sparse(rows):
+    return [dict(enumerate(r)) for r in rows]
+
+
+def _dense(vec, ncols):
+    return [vec.get(j, Fraction(0)) for j in range(ncols)]
+
+
+def _rref(rows, ncols):
+    """The rows of an EchelonBasis sorted by pivot, dense, and the pivots."""
+    red = EchelonBasis(_sparse(rows)).rows
+    pivots = sorted(red)
+    return [_dense(red[p], ncols) for p in pivots], pivots
+
+
+def _stored_exactly(vecs):
+    """Every stored entry is a nonzero Fraction."""
+    return all(type(v) is Fraction and v != 0 for vec in vecs for v in vec.values())
 
 
 def _oracle_rref(rows, ncols):
@@ -70,43 +92,61 @@ EDGE = {
 @pytest.mark.parametrize("name", sorted(EDGE))
 def test_rref_edge_cases_match_oracle(name):
     rows, ncols = EDGE[name]
-    assert rref(rows) == _oracle_rref(rows, ncols)
+    assert _rref(rows, ncols) == _oracle_rref(rows, ncols)
 
 
 def test_empty_matrix():
-    assert rref([]) == ([], [])
-    assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert nullspace([[0, 0, 0]], 3) == nullspace([], 3)
+    assert EchelonBasis().rows == {}
+    assert nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert nullspace([{0: 0, 1: 0, 2: 0}], 3) == nullspace([], 3)
 
 
 def test_rref_random_matches_oracle():
     n = 0
     for rows, ncols in _cases():
-        red, pivots = rref(rows)
-        assert (red, pivots) == _oracle_rref(rows, ncols)
-        assert all(isinstance(v, Fraction) for r in red for v in r)
+        assert _rref(rows, ncols) == _oracle_rref(rows, ncols)
+        assert _stored_exactly(EchelonBasis(_sparse(rows)).rows.values())
         n += 1
     assert n == len(SHAPES) * 3 * 4
 
 
 def test_nullspace_random_matches_oracle():
     for rows, ncols in _cases():
-        basis = nullspace(rows, ncols)
+        basis = nullspace(_sparse(rows), ncols)
         expected = [[_frac(v) for v in vec]
                     for vec in _oracle(rows, ncols).nullspace()]
-        assert basis == expected
+        assert [_dense(vec, ncols) for vec in basis] == expected
+        assert _stored_exactly(basis)
         for vec in basis:
-            assert all(sum(a * b for a, b in zip(r, vec)) == 0 for r in rows)
+            assert all(sum(r[j] * c for j, c in vec.items()) == 0 for r in rows)
 
 
 def test_int_rows_give_fraction_entries():
     """Rows of ints, as the ansatz solver's coefficients often are, come back
     as exact Fraction entries, also where a pivot division is not integral."""
     for rows, ncols in ([[2, 4, 6], [1, 3, 2]], 3), ([[3, 1], [6, 2]], 2):
-        red, _ = rref(rows)
-        basis = nullspace(rows, ncols)
+        red = EchelonBasis(_sparse(rows)).rows
+        basis = nullspace(_sparse(rows), ncols)
         assert red and basis
-        assert all(type(v) is Fraction for r in red + basis for v in r)
+        assert _stored_exactly(list(red.values()) + basis)
+
+
+def test_echelon_basis_normalizes_input():
+    """Int entries and explicit zeros go in; only nonzero Fractions are
+    stored, each pivot is 1, and the remainder of a vector in the span is
+    empty whatever zeros it carries."""
+    basis = EchelonBasis([{0: 0, 1: 2, 2: 3}, {0: 0, 1: 0, 2: 0},
+                          {0: 3, 1: 0, 2: 1}])
+    assert basis.rows == {0: {0: 1, 2: Fraction(1, 3)},
+                          1: {1: 1, 2: Fraction(3, 2)}}
+    assert _stored_exactly(basis.rows.values())
+    assert basis.kept == 2
+    assert basis.reduce({0: 3, 1: 2, 2: 4, 3: 0}) == ({}, None)
+    rem, _ = basis.reduce({0: 0, 2: 5})
+    assert rem == {2: 5}
+    assert not basis.insert({0: 6, 1: 0, 2: 2})
+    assert basis.insert({2: 7, 4: 0}) and basis.rows[2] == {2: 1}
+    assert _stored_exactly(basis.rows.values())
 
 
 def _combination(coeffs, vecs, ncols):
@@ -123,18 +163,19 @@ def test_echelon_basis_rows_and_combinations():
     for rows, ncols in _cases():
         basis = EchelonBasis(combinations=True)
         kept, pruned = [], []
-        for row in rows:
-            vec = sparse(row)
+        for vec in _sparse(rows):
             (kept if basis.insert(vec) else pruned).append(vec)
-        assert basis.dense(ncols) == _oracle_rref(rows, ncols)
+        pivots = sorted(basis.rows)
+        assert ([_dense(basis.rows[p], ncols) for p in pivots], pivots) == \
+            _oracle_rref(rows, ncols)
         assert basis.kept == len(kept) == len(basis.rows)
         for p, row in basis.rows.items():
             assert _combination(basis.combs[p], kept, ncols) == \
-                [row.get(j, 0) for j in range(ncols)]
+                _dense(row, ncols)
         for vec in pruned:
             rem, expansion = basis.reduce(vec)
             assert rem == {}
             assert _combination(expansion, kept, ncols) == \
-                [vec.get(j, 0) for j in range(ncols)]
+                _dense(vec, ncols)
         n_pruned += len(pruned)
     assert n_pruned > 100
