@@ -12,7 +12,6 @@ ansatz at generic parameter samples.  Dimension claims are statements
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -234,7 +233,6 @@ def _kernel_extension(ch: Chart, case: ClassificationCase,
 def verify_case(spec: ClassSpec, case: ClassificationCase) -> CaseReport:
     ch = spec.chart
     rep = CaseReport(case.id)
-    start = time.monotonic()
     f, g, gens = case.parsed(spec)
 
     for i, Q in enumerate(gens):
@@ -269,7 +267,6 @@ def verify_case(spec: ClassSpec, case: ClassificationCase) -> CaseReport:
     recheck = all(check_symmetry(spec, fi, gi, F)[0].verdict == "zero"
                   for F in sol.fields)
     rep.add("ansatz solutions individually pass the symmetry check", recheck)
-    rep.wall_time = time.monotonic() - start
     return rep
 
 
@@ -304,7 +301,6 @@ def _sample_polys(ea: EquivalenceAlgebra, rng: random.Random) -> list:
 
 def verify_equivalence_algebra(seed: int = 0) -> CaseReport:
     rep = CaseReport("commutator table")
-    start = time.monotonic()
     ea = EquivalenceAlgebra()
     rng = random.Random(seed ^ 0xA11CE)
     x = sym(ea.chart.get("x"))
@@ -338,7 +334,6 @@ def verify_equivalence_algebra(seed: int = 0) -> CaseReport:
                 rep.add(f"instantiated [{a.label()}, {b.label()}]", False)
     rep.add(f"all {len(gens) * (len(gens) - 1) // 2} instantiated pairs match "
             "the table (unlisted pairs vanish)", bad == 0)
-    rep.wall_time = time.monotonic() - start
     return rep
 
 
@@ -360,7 +355,6 @@ def verify_megaideals() -> CaseReport:
     """The chain m' , m'', Z_m, C_m(m'') of the five-dimensional subalgebra
     m = <G(1), F1, F2, Pt, Dt>, and the flag-constrained automorphism solve."""
     rep = CaseReport("megaideal chain")
-    start = time.monotonic()
     ea = EquivalenceAlgebra()
     fields = [ea.field(Gen("G", rat(1))), ea.field(Gen("F1")),
               ea.field(Gen("F2")), ea.field(Gen("Pt")), ea.field(Gen("Dt"))]
@@ -421,7 +415,6 @@ def verify_megaideals() -> CaseReport:
     rep.add("Z_g' = <G(1)> (instantiated)",
             subspace_intersection(centralizer(g11, g1_span), g1_span)
             == span_of("G1"))
-    rep.wall_time = time.monotonic() - start
     return rep
 
 
@@ -462,7 +455,6 @@ def _automorphism_numeric_check(m: LieAlgebraPresentation, fam, seed: int,
 
 def verify_adjoint_actions() -> CaseReport:
     rep = CaseReport("adjoint actions")
-    start = time.monotonic()
     ea = EquivalenceAlgebra()
     ch = ea.chart
     x = sym(ch.get("x"))
@@ -508,7 +500,6 @@ def verify_adjoint_actions() -> CaseReport:
         want = D_of(mul(comp, pow_(diff(theta_hat, ch.get("x")), -1)))
         rep.add(f"D*(theta) D(phi) = D(phi o theta^-1 / theta^-1_x), theta = {label}",
                 got == want)
-    rep.wall_time = time.monotonic() - start
     return rep
 
 
@@ -554,7 +545,6 @@ def verify_equivalence_group(spec: Optional[ClassSpec] = None,
     spec = spec or ClassSpec.default()
     ch = spec.chart
     rep = CaseReport("equivalence group")
-    start = time.monotonic()
     f, g = spec.f_symbolic(), spec.g_symbolic()
     x, t = sym(ch.get("x")), sym(ch.get("t"))
 
@@ -630,7 +620,6 @@ def verify_equivalence_group(spec: Optional[ClassSpec] = None,
         rep.add(f"composition decomposition (random draw {trial + 1}): "
                 "composed transform equals the whole transformation",
                 equal(comp_result[0], whole[0]) and equal(comp_result[1], whole[1]))
-    rep.wall_time = time.monotonic() - start
     return rep
 
 
@@ -647,7 +636,6 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
     one, zero = rat(1), ZERO
 
     rep = CaseReport("case 7 -> 19")
-    start = time.monotonic()
     for p in (1, 2):
         fzn = parse(f"delta*exp(2*x)*u_x^({2 * p})", ch)
         gzn = parse(f"nu*exp(2*x)*u_x^({2 * p})*u_x", ch)
@@ -668,11 +656,9 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
                     equal(substitute(gi, {ch.get("delta"): rat(1)}),
                           mul(rat(1 - nuv * (p + 1)), pow_(x, -1),
                               pow_(ux, Fraction(2 * p + 1)))))
-    rep.wall_time = time.monotonic() - start
     reports.append(rep)
 
     rep = CaseReport("case 8 -> 21-form")
-    start = time.monotonic()
     psi = add(mul(x, lnabs(x)), mul(rat(-1), x))
     P = PointTransform(ch, t, x, one, psi)
     f8 = parse("delta*x^2*exp(2*u_x)", ch)
@@ -684,11 +670,9 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
                           parse("exp(2*u_x)", ch))))
     gn21 = substitute(gn, {ch.get("nu"): delta})
     rep.add("coincides with case 21 at nu = delta", structurally_zero(gn21))
-    rep.wall_time = time.monotonic() - start
     reports.append(rep)
 
     rep = CaseReport("x-free subclass case X -> 20|p=-1")
-    start = time.monotonic()
     PX = PointTransform(ch, t, parse("exp(x)", ch), one, zero,
                         x_inv=lnabs(x))
     fX = parse("delta*u_x^(-2)", ch)
@@ -703,11 +687,9 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
     solX = solve_within_ansatz(spec, parse("u_x^(-2)", ch), parse("-u_x^(-1)", ch))
     rep.add("case X has symmetry dimension 6 within the ansatz "
             "(kernel + d_x, e^x d_x, t d_t + u d_u)", solX.dimension == 6)
-    rep.wall_time = time.monotonic() - start
     reports.append(rep)
 
     rep = CaseReport("list (8.2) <-> (8.3) mapping")
-    start = time.monotonic()
     # mu = 1, top sign: phi_xx + phi_x = 0, phi = -e^-x; image theta = |x|^-2
     P1 = PointTransform(ch, t, mul(rat(-1), parse("exp(-x)", ch)), one, zero,
                         x_inv=mul(rat(-1), lnabs(x)))
@@ -733,11 +715,9 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
             ea.field(Gen("Du")).scale(rat(p_val + 1))).scale(-1)
     rep.add("push-forward of 2 D(x) + D^u lands on -(2 D(x) + (p+1) D^u), p=-2",
             image == want)
-    rep.wall_time = time.monotonic() - start
     reports.append(rep)
 
     rep = CaseReport("q = 0 gauges")
-    start = time.monotonic()
     # u~ = u - t^2/2 removes a constant inhomogeneity: case 14 at q = 0 lands
     # on the case-20 form, case 13 at q = 0 on the case-21 form
     Pg = PointTransform(ch, t, x, one, mul(rat(Fraction(-1, 2)), t, t))
@@ -747,7 +727,6 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
     fn, gn = transform_equation(Pg, parse("delta*exp(2*u_x)", ch), rat(1))
     rep.add("case 13 at q=0: gauged to (delta e^2ux, 0)",
             equal(fn, parse("delta*exp(2*u_x)", ch)) and structurally_zero(gn))
-    rep.wall_time = time.monotonic() - start
     reports.append(rep)
     return reports
 
@@ -759,7 +738,6 @@ def verify_potential_link(spec: Optional[ClassSpec] = None) -> CaseReport:
     spec = spec or ClassSpec.default()
     ch = spec.chart
     rep = CaseReport("potential link")
-    start = time.monotonic()
     x = sym(ch.get("x"))
     v = sym(ch.get("v"))
     f_v = app(ch.get("f"), (0, 0), (x, v))
@@ -794,7 +772,6 @@ def verify_potential_link(spec: Optional[ClassSpec] = None) -> CaseReport:
     e2 = substitute(e2, {ch.get("v"): sym(ch.get("u_x"))}, chart=ch)
     rep.add("constant specialization gives the linear wave identity",
             equal(e2, mul(rat(4), sym(ch.get("u_xx")))))
-    rep.wall_time = time.monotonic() - start
     return rep
 
 
@@ -881,7 +858,6 @@ def verify_subalgebra_lists() -> list:
     reports = []
     for name, fields in _subalgebra_list_items(ea):
         rep = CaseReport(name)
-        start = time.monotonic()
         try:
             close_or_fail(fields)
             rep.add("span + prolonged kernel closes under bracket", True)
@@ -902,7 +878,6 @@ def verify_subalgebra_lists() -> list:
         rep.add("s meets <Dt, F2> trivially", inter2.dim == 0)
         inter3 = subspace_intersection(S, DGF2)
         rep.add("dim(s ^ <D(phi), G(psi), F2>) <= 2", inter3.dim <= 2)
-        rep.wall_time = time.monotonic() - start
         reports.append(rep)
     return reports
 

@@ -25,7 +25,8 @@ from .report import FAIL, PASS, WARN
 from .vecfield import EquivParams, apply_equivalence, bracket, prolong2
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, keys) -> dict:
+    """``key = value`` lines; a key outside ``keys`` or given twice is an error."""
     out: dict = {}
     with open(path) as fh:
         for line in fh:
@@ -34,15 +35,19 @@ def _read_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r}, expected one of {', '.join(keys)}")
+            if key in out:
+                raise ValueError(f"key {key!r} given twice")
+            out[key] = value
     return out
 
 
 def _basis_from_config(cfg: dict, ch: Chart) -> AnsatzBasis:
     overrides = {name: tuple(parse(s.strip(), ch)
-                             for s in cfg[name].split(";") if s.strip())
-                 for name in ("tau", "xi", "eta") if name in cfg}
+                             for s in text.split(";") if s.strip())
+                 for name, text in cfg.items()}
     return dataclasses.replace(AnsatzBasis.default(ch), **overrides)
 
 
@@ -80,14 +85,11 @@ def _jobs(text: str) -> int:
     return n
 
 
-def _field_chart(args):
-    if getattr(args, "chart", "base") == "aug":
-        return augmented_chart(), AUG_COORDS
-    return ClassSpec.default().chart, BASE_COORDS
-
-
 def cmd_bracket(args) -> int:
-    ch, coords = _field_chart(args)
+    if args.chart == "aug":
+        ch, coords = augmented_chart(), AUG_COORDS
+    else:
+        ch, coords = ClassSpec.default().chart, BASE_COORDS
     V = parse_vector_field(args.V, ch, coords)
     W = parse_vector_field(args.W, ch, coords)
     print(repr(bracket(V, W)))
@@ -127,7 +129,7 @@ def cmd_dim(args) -> int:
     ch = spec.chart
     basis = None
     if args.basis:
-        basis = _basis_from_config(_read_config(args.basis), ch)
+        basis = _basis_from_config(_read_config(args.basis, ("tau", "xi", "eta")), ch)
     sol = solve_within_ansatz(spec, *_parse_fg(args, ch), basis)
     print(f"dimension within ansatz: {sol.dimension}")
     for F in sol.fields:
@@ -135,19 +137,17 @@ def cmd_dim(args) -> int:
     return 0
 
 
+# the keys of a --params file and their defaults (phi_inv has none)
+_TRANSFORM_DEFAULTS = {"c0": "0", "c1": "1", "c2": "1", "c3": "0", "c4": "0",
+                       "phi": "x", "psi": "0", "phi_inv": None}
+
+
 def cmd_transform(args) -> int:
     spec = ClassSpec.default()
     ch = spec.chart
-    cfg = _read_config(args.params)
-
-    def val(key, default):
-        return parse(cfg[key], ch) if key in cfg else parse(default, ch)
-
-    par = EquivParams(
-        ch, c0=val("c0", "0"), c1=val("c1", "1"), c2=val("c2", "1"),
-        c3=val("c3", "0"), c4=val("c4", "0"), phi=val("phi", "x"),
-        psi=val("psi", "0"),
-        phi_inv=parse(cfg["phi_inv"], ch) if "phi_inv" in cfg else None)
+    cfg = {**_TRANSFORM_DEFAULTS, **_read_config(args.params, _TRANSFORM_DEFAULTS)}
+    par = EquivParams(ch, **{key: None if text is None else parse(text, ch)
+                             for key, text in cfg.items()})
     f_new, g_new = apply_equivalence(par, *_parse_fg(args, ch))
     print(f"f~ = {to_str(f_new)}")
     print(f"g~ = {to_str(g_new)}")

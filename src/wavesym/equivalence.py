@@ -115,68 +115,67 @@ class EquivalenceAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# lifted elementary transformations
+# lifted elementary transformations: each writes its map once, and its
+# inverse is the same map at the inverse parameter
 
 def lift_Pt(ch: Chart, c0: Expr) -> LiftedTransform:
     t = sym(ch.get("t"))
-    return LiftedTransform(ch, {"t": add(t, c0)}, {"t": add(t, mul(rat(-1), c0))})
+
+    def maps(c):
+        return {"t": add(t, c)}
+    return LiftedTransform(ch, maps(c0), maps(mul(rat(-1), c0)))
 
 
 def lift_Dt(ch: Chart, c1: Expr) -> LiftedTransform:
     t, f, g = sym(ch.get("t")), sym(ch.get("f")), sym(ch.get("g"))
-    inv = pow_(c1, -1)
-    return LiftedTransform(
-        ch,
-        {"t": mul(c1, t), "f": mul(pow_(c1, -2), f), "g": mul(pow_(c1, -2), g)},
-        {"t": mul(inv, t), "f": mul(pow_(c1, 2), f), "g": mul(pow_(c1, 2), g)})
+
+    def maps(c):
+        return {"t": mul(c, t), "f": mul(pow_(c, -2), f), "g": mul(pow_(c, -2), g)}
+    return LiftedTransform(ch, maps(c1), maps(pow_(c1, -1)))
 
 
 def lift_Du(ch: Chart, c2: Expr) -> LiftedTransform:
     u, ux, g = sym(ch.get("u")), sym(ch.get("u_x")), sym(ch.get("g"))
-    inv = pow_(c2, -1)
-    return LiftedTransform(
-        ch,
-        {"u": mul(c2, u), "u_x": mul(c2, ux), "g": mul(c2, g)},
-        {"u": mul(inv, u), "u_x": mul(inv, ux), "g": mul(inv, g)})
+
+    def maps(c):
+        return {"u": mul(c, u), "u_x": mul(c, ux), "g": mul(c, g)}
+    return LiftedTransform(ch, maps(c2), maps(pow_(c2, -1)))
 
 
 def lift_F1(ch: Chart, c3: Expr) -> LiftedTransform:
     t, u = sym(ch.get("t")), sym(ch.get("u"))
-    return LiftedTransform(ch, {"u": add(u, mul(c3, t))},
-                           {"u": add(u, mul(rat(-1), c3, t))})
+
+    def maps(c):
+        return {"u": add(u, mul(c, t))}
+    return LiftedTransform(ch, maps(c3), maps(mul(rat(-1), c3)))
 
 
 def lift_F2(ch: Chart, c4: Expr) -> LiftedTransform:
     t, u, g = sym(ch.get("t")), sym(ch.get("u")), sym(ch.get("g"))
-    tt = mul(t, t)
-    return LiftedTransform(
-        ch,
-        {"u": add(u, mul(c4, tt)), "g": add(g, mul(rat(2), c4))},
-        {"u": add(u, mul(rat(-1), c4, tt)), "g": add(g, mul(rat(-2), c4))})
+
+    def maps(c):
+        return {"u": add(u, mul(c, t, t)), "g": add(g, mul(rat(2), c))}
+    return LiftedTransform(ch, maps(c4), maps(mul(rat(-1), c4)))
 
 
 def lift_G(ch: Chart, psi: Expr) -> LiftedTransform:
     x = ch.get("x")
     u, ux, f, g = (sym(ch.get(n)) for n in ("u", "u_x", "f", "g"))
-    px = diff(psi, x)
-    pxx = diff(px, x)
-    return LiftedTransform(
-        ch,
-        {"u": add(u, psi), "u_x": add(ux, px), "g": add(g, mul(rat(-1), pxx, f))},
-        {"u": add(u, mul(rat(-1), psi)), "u_x": add(ux, mul(rat(-1), px)),
-         "g": add(g, mul(pxx, f))})
+
+    def maps(p):
+        px = diff(p, x)
+        return {"u": add(u, p), "u_x": add(ux, px),
+                "g": add(g, mul(rat(-1), diff(px, x), f))}
+    return LiftedTransform(ch, maps(psi), maps(mul(rat(-1), psi)))
 
 
 def lift_D(ch: Chart, phi: Expr, phi_inv: Expr) -> LiftedTransform:
     """x-reparametrization; ``phi_inv`` is the inverse function, written in x."""
     x = ch.get("x")
     ux, f, g = (sym(ch.get(n)) for n in ("u_x", "f", "g"))
-    px = diff(phi, x)
-    pxx = diff(px, x)
-    fwd = {"x": phi, "u_x": mul(ux, pow_(px, -1)), "f": mul(pow_(px, 2), f),
-           "g": add(g, mul(pxx, ux, f, pow_(px, -1)))}
-    qx = diff(phi_inv, x)
-    qxx = diff(qx, x)
-    bwd = {"x": phi_inv, "u_x": mul(ux, pow_(qx, -1)), "f": mul(pow_(qx, 2), f),
-           "g": add(g, mul(qxx, ux, f, pow_(qx, -1)))}
-    return LiftedTransform(ch, fwd, bwd)
+
+    def maps(p):
+        px = diff(p, x)
+        return {"x": p, "u_x": mul(ux, pow_(px, -1)), "f": mul(pow_(px, 2), f),
+                "g": add(g, mul(diff(px, x), ux, f, pow_(px, -1)))}
+    return LiftedTransform(ch, maps(phi), maps(phi_inv))

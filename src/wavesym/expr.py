@@ -807,10 +807,6 @@ def free_symbols(e: Expr) -> set:
     return out
 
 
-def contains_symbol(e: Expr, s: Symbol) -> bool:
-    return s in free_symbols(e)
-
-
 def atoms(e: Expr) -> set:
     """All App atoms occurring in ``e`` (function applications, any didx)."""
     return {n for n in _nodes(e) if isinstance(n, App)}
@@ -956,7 +952,7 @@ def substitute(e: Expr, bindings: Mapping, chart: Optional[Chart] = None) -> Exp
         # the derived bindings) means the binding set was inconsistent
         for k in table:
             if isinstance(k, Sym) and k.s.kind in (JET, DEPENDENT) \
-                    and contains_symbol(out, k.s):
+                    and k.s in free_symbols(out):
                 raise InconsistentBindings(
                     f"bound jet {k.s.name} reappears after substitution")
     return out

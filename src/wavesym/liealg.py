@@ -133,6 +133,7 @@ class LieAlgebraPresentation:
     def __init__(self, labels: Sequence[str], table: dict):
         self.labels = tuple(labels)
         self.n = len(self.labels)
+        self.pruned = ()
         self.table = {}
         for (i, j), coords in table.items():
             row = {k: c for k, c in coords.items() if c}

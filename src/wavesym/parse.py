@@ -7,16 +7,19 @@ Grammar (byte-exact contract):
   operators    + - * / ^ with standard precedence, ^ right-associative,
                unary minus;
   functions    abs(e), exp(e), lnabs(e)  (ln(abs(e)) is accepted as lnabs);
-  literals     decimal integers; rationals are written 3/4.
+  literals     decimal integers; rationals are written 3/4;
+  fields       term@coordinate terms joined by + and - (ux is u_x), where
+               a term is a product like 2*t, so a sum is parenthesized.
 """
 from __future__ import annotations
 
 import re
 from typing import Optional, Sequence
 
-from .expr import (Chart, DEPENDENT, Expr, FUNCTION, Symbol, UNKNOWN,
+from .expr import (Chart, DEPENDENT, Expr, FUNCTION, Rat, Symbol, UNKNOWN,
                    UnknownIdentifier, abspow, add, app, exp_, lnabs, mul,
                    pow_, rat, sym)
+from .vecfield import VectorField
 
 
 class ParseError(Exception):
@@ -29,7 +32,7 @@ _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<name>[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)?)
   | (?P<num>\d+)
-  | (?P<op>[-+*/^(),])
+  | (?P<op>[-+*/^(),@])
 """, re.VERBOSE)
 
 _RESERVED = ("abs", "exp", "lnabs", "ln")
@@ -134,6 +137,24 @@ class _Parser:
             else:
                 return e
 
+    def field(self, coords: Sequence[str]) -> dict:
+        """term@coordinate terms joined by + and -, as ``{coordinate: Expr}``."""
+        coeffs: dict = {}
+        sign = 1
+        while True:
+            e = mul(rat(sign), self.term())
+            self.expect("@")
+            kind, val, pos = self.next()
+            coord = "u_x" if val == "ux" else val
+            if coord not in coords:
+                raise ParseError(f"unknown coordinate {val!r}", pos)
+            coeffs[coord] = add(coeffs[coord], e) if coord in coeffs else e
+            val = self.peek()[1]
+            if val not in ("+", "-"):
+                return coeffs
+            self.next()
+            sign = 1 if val == "+" else -1
+
     def term(self) -> Expr:
         e = self.unary()
         while True:
@@ -160,7 +181,6 @@ class _Parser:
         if val == "^":
             self.next()
             e = self.unary()
-            from .expr import Rat
             if isinstance(e, Rat):
                 return pow_(base, e.q)
             return pow_(base, e)
@@ -217,58 +237,25 @@ class _Parser:
         return lnabs(inner)
 
 
-def parse(text: str, chart: Chart) -> Expr:
-    """Parse ``text`` against ``chart``; returns the canonical Expr."""
+def _run(text: str, chart: Chart, rule):
+    """Apply ``rule`` to a fresh parser over ``text``; the whole input must
+    be consumed."""
     p = _Parser(_tokenize(text), chart)
     try:
-        e = p.expr()
+        out = rule(p)
     except RecursionError:
         raise ParseError("expression nested too deeply", p.peek()[2]) from None
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)
-    return e
+    return out
+
+
+def parse(text: str, chart: Chart) -> Expr:
+    """Parse ``text`` against ``chart``; returns the canonical Expr."""
+    return _run(text, chart, _Parser.expr)
 
 
 def parse_vector_field(text: str, chart: Chart, coords: Sequence[str]):
-    """Parse the coefficient@coordinate syntax, e.g. "2*t@t + u@u".
-
-    Terms are separated by top-level + or -; a coefficient containing a
-    top-level sum must be parenthesized.
-    """
-    from .vecfield import VectorField
-    from .expr import add, mul, rat
-
-    chunks = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for i, c in enumerate(text):
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        if depth == 0 and c in "+-" and cur.strip():
-            chunks.append((sign, cur))
-            cur = ""
-            sign = 1 if c == "+" else -1
-            continue
-        if depth == 0 and c == "-" and not cur.strip():
-            sign = -sign
-            continue
-        cur += c
-    if cur.strip():
-        chunks.append((sign, cur))
-    coeffs: dict = {}
-    for sign, chunk in chunks:
-        if "@" not in chunk:
-            raise ParseError(f"missing @coordinate in term {chunk.strip()!r}", 0)
-        expr_text, coord = chunk.rsplit("@", 1)
-        coord = coord.strip()
-        if coord == "ux":
-            coord = "u_x"
-        if coord not in coords:
-            raise ParseError(f"unknown coordinate {coord!r}", 0)
-        e = mul(rat(sign), parse(expr_text.strip(), chart))
-        coeffs[coord] = add(coeffs[coord], e) if coord in coeffs else e
-    return VectorField(chart, coords, coeffs)
+    """Parse the coefficient@coordinate syntax, e.g. "2*t@t + u@u"."""
+    return VectorField(chart, coords, _run(text, chart, lambda p: p.field(coords)))

@@ -7,6 +7,7 @@ reports.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 SCHEMA = "wavesym-report/1"
@@ -31,15 +32,22 @@ class Check:
 
 @dataclass
 class CaseReport:
+    """The checks of one case; ``wall_time`` runs from creation to the
+    latest check."""
     case_id: str
     checks: list = field(default_factory=list)
     wall_time: float = 0.0
+    started: float = field(default_factory=time.monotonic, repr=False, compare=False)
 
     def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append(Check(name, PASS if ok else FAIL, detail))
+        self._record(Check(name, PASS if ok else FAIL, detail))
 
     def warn(self, name: str, detail: str = ""):
-        self.checks.append(Check(name, WARN, detail))
+        self._record(Check(name, WARN, detail))
+
+    def _record(self, check: Check):
+        self.checks.append(check)
+        self.wall_time = time.monotonic() - self.started
 
     @property
     def status(self) -> str:

@@ -1,4 +1,5 @@
 """Catalog completeness, campaign drivers, cross-consistency, negative controls."""
+import time
 from fractions import Fraction
 
 from wavesym.charts import BASE_COORDS
@@ -111,6 +112,16 @@ def test_section_drivers_pass():
         assert rep.status == PASS, rep.case_id
     for rep in verify_subalgebra_lists():
         assert rep.status == PASS, rep.case_id
+
+
+def test_case_reports_time_themselves():
+    """Each case's wall time is positive and within the call that made it."""
+    for run in (lambda: [verify_adjoint_actions()], verify_reductions):
+        start = time.monotonic()
+        reps = run()
+        elapsed = time.monotonic() - start
+        for rep in reps:
+            assert 0 < rep.wall_time <= elapsed, rep.case_id
 
 
 def test_campaign_sections_and_determinism():

@@ -215,11 +215,27 @@ def _assert_usage_error(code, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command, text", [
+    (["transform", "--params"], "c1 = 2\nphii = exp(x)\n"),   # misspelled key
+    (["transform", "--params"], "c1 = 2\nc1 = 3\n"),          # repeated key
+    (["dim", "--basis"], "tau = 1; t\netaa = u\n"),
+    (["dim", "--basis"], "xi = 1\nxi = 1; x\n"),
+], ids=["transform-unknown", "transform-repeated", "dim-unknown",
+        "dim-repeated"])
+def test_unknown_or_repeated_config_key_exits_2(command, text, tmp_path,
+                                                capsys):
+    cfg = tmp_path / "my.cfg"
+    cfg.write_text(text)
+    _assert_usage_error(main(command + [str(cfg), "-f", "u_x^(-4)",
+                                        "-g", "0"]), capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["prolong", "u_x@t"],                              # ChartMismatch
     ["bracket", "1@t", "u_x@x"],                       # ChartMismatch
     ["check", "-f", "u_x^(-4)", "-g", "0", "-Q", "u_x@u"],  # ChartMismatch
     ["check", "-f", "u_xxxxx", "-g", "0", "-Q", "1@x"],  # JetOrderError
+    ["bracket", "", "t@t"],                            # empty field
 ])
 def test_bad_field_or_jet_exits_2(argv, capsys):
     _assert_usage_error(main(argv), capsys)

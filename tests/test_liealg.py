@@ -64,6 +64,8 @@ def test_dependent_input_pruned(ch):
     A = close_or_fail([vf(ch, BASE_COORDS, t=rat(1)),
                        vf(ch, BASE_COORDS, t=rat(2))])
     assert A.n == 1 and A.pruned
+    # a presentation from structure constants has pruned nothing
+    assert LieAlgebraPresentation(["a", "b"], {}).pruned == ()
 
 
 def test_megaideal_chain(m):

@@ -1,9 +1,11 @@
 """Grammar surface: precedence, errors with byte offsets, field syntax."""
 import pytest
 
-from wavesym.charts import BASE_COORDS
-from wavesym.expr import UnknownIdentifier, equal, mul, rat, sym
+from wavesym.charts import AUG_COORDS, BASE_COORDS, augmented_chart
+from wavesym.classif import builtin_catalog
+from wavesym.expr import UnknownIdentifier, add, equal, mul, rat, sym
 from wavesym.parse import ParseError, parse, parse_vector_field
+from wavesym.vecfield import VectorField
 
 
 def test_precedence(ch):
@@ -54,6 +56,24 @@ def test_explicit_args(ch):
     assert parse("f", ch) == parse("f(x,u_x)", ch)
 
 
+def _coefficient_texts(text):
+    """(sign, coefficient, coordinate) of each top-level term of a field:
+    a reference split of the field syntax by characters."""
+    terms, depth, cur, sign = [], 0, "", 1
+    for c in text:
+        depth += (c == "(") - (c == ")")
+        if depth == 0 and c in "+-":
+            if cur.strip():
+                terms.append((sign, cur))
+                cur, sign = "", 1
+            sign *= -1 if c == "-" else 1
+            continue
+        cur += c
+    terms.append((sign, cur))
+    return [(sign, *(part.strip() for part in term.rsplit("@", 1)))
+            for sign, term in terms]
+
+
 def test_vector_field_syntax(ch):
     V = parse_vector_field("2*t@t + u@u", ch, BASE_COORDS)
     assert equal(V.coeff("t"), mul(rat(2), sym(ch.get("t"))))
@@ -62,7 +82,26 @@ def test_vector_field_syntax(ch):
     assert equal(W.coeff("t"), mul(rat(-1), sym(ch.get("p")), sym(ch.get("t"))))
     X = parse_vector_field("t^(-2)@t - (x+1)@x", ch, BASE_COORDS)
     assert equal(X.coeff("x"), mul(rat(-1), parse("x+1", ch)))
-    with pytest.raises(ParseError):
-        parse_vector_field("2*t", ch, BASE_COORDS)
-    with pytest.raises(ParseError):
-        parse_vector_field("1@nope", ch, BASE_COORDS)
+    # errors carry the offset of the offending token
+    for text, pos in (("2*t", 3), ("1@nope", 2), ("t@q", 2),
+                      ("2*t@t + @u", 8), ("t@t + 2*x", 9), ("", 0),
+                      ("t@t@t", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_vector_field(text, ch, BASE_COORDS)
+        assert err.value.pos == pos, text
+    aug = augmented_chart()
+    assert (parse_vector_field("u@u + u_x@ux + g@g", aug, AUG_COORDS)
+            == parse_vector_field("u@u + u_x@u_x + g@g", aug, AUG_COORDS))
+    # every catalog generator is the field of its coefficient texts, each
+    # parsed on its own
+    n = 0
+    for case in builtin_catalog():
+        for text in case.generators:
+            coeffs = {}
+            for sign, coeff, coord in _coefficient_texts(text):
+                e = mul(rat(sign), parse(coeff, ch))
+                coeffs[coord] = add(coeffs[coord], e) if coord in coeffs else e
+            assert (parse_vector_field(text, ch, BASE_COORDS)
+                    == VectorField(ch, BASE_COORDS, coeffs)), (case.id, text)
+            n += 1
+    assert n >= 32

@@ -1,11 +1,14 @@
 """Vector fields: brackets, prolongation, transforms, push-forwards."""
+import random
+from fractions import Fraction
+
 import pytest
 
 from wavesym.charts import AUG_COORDS, BASE_COORDS
-from wavesym.equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_G,
-                                 lift_Pt)
-from wavesym.expr import (add, app, diff, equal, mul, pow_, rat,
-                          structurally_zero, sym)
+from wavesym.equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt,
+                                 lift_Du, lift_F1, lift_F2, lift_G, lift_Pt)
+from wavesym.expr import (add, app, diff, equal, exp_, lnabs, mul, pow_, rat,
+                          structurally_zero, substitute, sym)
 from wavesym.parse import parse
 from wavesym.vecfield import (ChartMismatch, EquivParams, PointTransform,
                               TransformLeavesClass, VectorField,
@@ -163,6 +166,32 @@ def test_pushforward_examples(ea):
     ident = lift_Pt(ch, rat(0))
     V = ea.field(Gen("Dt"))
     assert pushforward(ident, V) == V
+
+
+def test_lift_inverse_inverts_maps(ea):
+    """For every elementary lift, substituting ``inv`` into ``maps``, and
+    ``maps`` into ``inv``, gives back each coordinate of the chart."""
+    ch = ea.chart
+    x = sym(ch.get("x"))
+    for seed in range(4):
+        rng = random.Random(seed)
+
+        def c():
+            return rat(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                rng.randint(1, 3)))
+        psi = add(c(), mul(c(), x), mul(c(), x, x), mul(c(), x, x, x))
+        a, b = c(), c()
+        lifts = [lift_Pt(ch, c()), lift_Dt(ch, c()), lift_Du(ch, c()),
+                 lift_F1(ch, c()), lift_F2(ch, c()), lift_G(ch, psi),
+                 lift_D(ch, add(mul(a, x), b),
+                        mul(add(x, mul(rat(-1), b)), pow_(a, -1))),
+                 lift_D(ch, exp_(x), lnabs(x))]
+        for L in lifts:
+            fwd = {ch.get(n): L.maps[n] for n in AUG_COORDS}
+            bwd = {ch.get(n): L.inv[n] for n in AUG_COORDS}
+            for n in AUG_COORDS:
+                assert equal(substitute(L.maps[n], bwd), sym(ch.get(n))), n
+                assert equal(substitute(L.inv[n], fwd), sym(ch.get(n))), n
 
 
 def test_pushforward_translation_fixes_own_generator(ea):
