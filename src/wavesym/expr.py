@@ -16,6 +16,15 @@ only inside this module, every tree that leaves it is canonical, and there is
 no re-normalization pass.  ``iter_terms`` is the one way to read a canonical
 expression back as (coefficient, factors) terms.
 
+Products of sums expand in one pass: ``mul`` multiplies its partial products,
+a ``{key-sorted factors: coef}`` map, by each sum's terms.  Two terms with no
+common base concatenate their factors; a shared base adds exponents and is
+rebuilt by ``mul``'s own merge rule (``_power``).  A pair whose merged factor
+is not plain, or with exps or abs-powers of one base on both sides, goes
+through ``mul`` once.  ``_sum`` builds the terms of ``add`` and of the
+expansion alike.  A power of a sum that would take more than
+``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``.
+
 Stored rationals (``Rat.q``, ``Mul.coef``, ``Pow.exp``) are ``int`` when
 integral and ``Fraction`` (denominator > 1) otherwise; the node constructors
 apply this through ``_q``.  Nearly every rational in a tree is a small
@@ -31,9 +40,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
+
+# pow_ refuses to expand a sum to a power that takes more term products
+MAX_EXPANSION_PRODUCTS = 100_000
 
 
 def _q(v) -> Rational:
@@ -182,6 +195,10 @@ class SingularValue(Exception):
 
 
 class InconsistentBindings(Exception):
+    pass
+
+
+class ExpansionTooLarge(ValueError):
     pass
 
 
@@ -429,46 +446,25 @@ def provably_nonzero(e: Expr) -> bool:
     return isinstance(e, (ExpF, AbsPow))
 
 
-def add(*parts: Expr) -> Expr:
-    const = 0
-    acc: dict = {}   # factor-tuple -> coefficient
-
-    def put(coef: Rational, factors: tuple):
-        nonlocal const
-        if not factors:
-            const += coef
-            return
-        cur = acc.get(factors)
-        acc[factors] = coef if cur is None else cur + coef
-
-    stack = list(parts)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Add):
-            stack.extend(e.terms)
-        elif isinstance(e, Rat):
-            const += e.q
-        elif isinstance(e, Mul):
-            put(e.coef, e.factors)
-        else:
-            put(1, (e,))
-
-    terms = []
-    for factors, coef in acc.items():
-        if coef == 0:
-            continue
-        if coef == 1 and len(factors) == 1:
-            terms.append(factors[0])
-        else:
-            terms.append(Mul(coef, factors))
-    if const != 0:
-        terms.append(Rat(const))
+def _sum(acc: dict) -> Expr:
+    """The canonical sum of a ``{key-sorted factors: coef}`` map, in which
+    ``()`` keys the constant: the one place terms are built."""
+    terms = [f[0] if c == 1 and len(f) == 1 else Mul(c, f) if f else Rat(c)
+             for f, c in acc.items() if c != 0]
     if not terms:
         return Rat(0)
     if len(terms) == 1:
         return terms[0]
-    terms.sort(key=lambda t: t.key())
+    terms.sort(key=Expr.key)
     return Add(tuple(terms))
+
+
+def add(*parts: Expr) -> Expr:
+    acc: dict = {}
+    for e in parts:
+        for c, f in iter_terms(e):
+            acc[f] = acc.get(f, 0) + c
+    return _sum(acc)
 
 
 def _constraint_fold(base: Expr, k: Rational):
@@ -518,19 +514,9 @@ def mul(*parts: Expr, _depth: int = 0) -> Expr:
     factors = []
     redo = []
     for base, k in pow_acc.items():
-        # base^1 is base itself unless it must be flattened or distributed
-        if k == 1 and not isinstance(base, (Rat, Mul, Add)):
-            factors.append(base)
-            continue
-        base, k = _constraint_fold(base, k)
-        if k == 0:
-            continue
-        p = pow_(base, k)
-        if (isinstance(p, Pow) and p.base == base) or \
-                (k == 1 and p == base and not isinstance(p, (Rat, Mul, Add))):
-            factors.append(p)
-        else:
-            redo.append(p)
+        p, plain = _power(base, k)
+        if p is not None:
+            (factors if plain else redo).append(p)
     for base, exps in abs_acc.items():
         q = add(*exps)
         a = abspow(base, q)
@@ -548,24 +534,75 @@ def mul(*parts: Expr, _depth: int = 0) -> Expr:
     if redo:
         return mul(Rat(coef), *factors, *redo, *adds, _depth=_depth + 1)
 
-    if not adds:
-        if not factors:
-            return Rat(coef)
-        if coef == 1 and len(factors) == 1:
-            return factors[0]
-        factors.sort(key=lambda f: f.key())
-        return Mul(coef, tuple(factors))
-
-    # distribute products over sums (full expansion)
-    head = Mul(1, tuple(sorted(factors, key=lambda f: f.key()))) \
-        if factors else Rat(1)
-    result_terms = [mul(Rat(coef), head)] if factors else [Rat(coef)]
+    # expand products of sums in one pass: partial products are
+    # {key-sorted factors: coef} entries, multiplied by each sum's terms
+    acc = {tuple(sorted(factors, key=Expr.key)): coef}
     for a in adds:
-        if isinstance(a, Add):
-            result_terms = [mul(t, s) for t in result_terms for s in a.terms]
-        else:
-            result_terms = [mul(t, a) for t in result_terms]
-    return add(*result_terms)
+        terms = [(c, f, [_base(x) for x in f]) for c, f in iter_terms(a)]
+        prods: dict = {}
+        for f1, c1 in acc.items():
+            by_base = {_base(x): x for x in f1}
+            for c2, f2, b2 in terms:
+                f = _times(f1, by_base, f2, b2)
+                if f is None:
+                    for c, g in iter_terms(mul(Rat(c1 * c2), *f1, *f2)):
+                        prods[g] = prods.get(g, 0) + c
+                else:
+                    prods[f] = prods.get(f, 0) + c1 * c2
+        acc = prods
+    return _sum(acc)
+
+
+def _power(base: Expr, k: Rational):
+    """``mul``'s rebuild of the merged factor ``base^k`` as ``(p, plain)``:
+    ``p`` is None when it cancels, and one that is not plain must pass
+    through ``mul`` again."""
+    if k != 1:
+        base, k = _constraint_fold(base, k)
+        if k == 0:
+            return None, True
+    if k == 1:
+        return base, not isinstance(base, (Rat, Mul, Add))
+    p = pow_(base, k)
+    return p, isinstance(p, Pow) and p.base == base
+
+
+def _base(f: Expr):
+    """The key under which ``mul`` merges factor ``f`` with another: all
+    exps share one, abs-powers merge by base apart from plain powers."""
+    if isinstance(f, Pow):
+        return f.base
+    if isinstance(f, AbsPow):
+        return AbsPow, f.base
+    return ExpF if isinstance(f, ExpF) else f
+
+
+def _times(f1: tuple, by_base: dict, f2: tuple, b2: list):
+    """The key-sorted factors of the product of two terms' factors, or None
+    when ``mul`` must form it: exps, or abs-powers of one base, on both
+    sides, or a shared base whose merged power is not plain.  ``by_base`` maps each
+    base of ``f1`` to its factor, ``b2`` lists the bases of ``f2``."""
+    if not f1 or not f2:
+        return f1 or f2
+    if by_base.keys().isdisjoint(b2):
+        return tuple(sorted(f1 + f2, key=Expr.key))
+    rest = dict(by_base)
+    out = []
+    for x, b in zip(f2, b2):
+        y = rest.pop(b, None)
+        if y is None:
+            out.append(x)
+            continue
+        if isinstance(x, (ExpF, AbsPow)):
+            return None
+        p, plain = _power(b, (x.exp if isinstance(x, Pow) else 1) +
+                          (y.exp if isinstance(y, Pow) else 1))
+        if not plain:
+            return None
+        if p is not None:
+            out.append(p)
+    out.extend(rest.values())
+    return tuple(sorted(out, key=Expr.key))
 
 
 def pow_(base: Expr, exp) -> Expr:
@@ -612,6 +649,13 @@ def pow_(base: Expr, exp) -> Expr:
         return Pow(base, k)
     if isinstance(base, Add):
         if k.denominator == 1 and k > 0:
+            n = len(base.terms)
+            # expanding takes sum_{j<k} n*C(n+j-1, j) < n*C(n+k-1, n) term
+            # products; checking n*k first keeps comb() small
+            if n * k > MAX_EXPANSION_PRODUCTS or \
+                    n * comb(n + k - 1, n) > MAX_EXPANSION_PRODUCTS:
+                raise ExpansionTooLarge(f"a sum of {n} terms to the power "
+                                        f"{k} is too large to expand")
             out = base
             for _ in range(int(k) - 1):
                 out = mul(out, base)

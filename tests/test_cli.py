@@ -179,6 +179,16 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert "dimension within ansatz: 7" in capsys.readouterr().out
 
 
+def test_huge_power_of_a_sum_exits_2_quickly(capsys):
+    """A power of a sum too large to expand is a usage error, raised before
+    any expansion starts."""
+    import time
+    t0 = time.monotonic()
+    code = main(["dim", "-f", "(1+u_x)^(10^6)", "-g", "0"])
+    assert time.monotonic() - t0 < 5
+    _assert_usage_error(code, capsys)
+
+
 def test_verify_nonpositive_jobs_rejected(capsys):
     for jobs in ("0", "-1"):
         assert main(["verify", "all", "--jobs", jobs]) == 2

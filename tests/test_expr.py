@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import wavesym.expr as expr_module
 from wavesym.expr import (AbsPow, Add, App, ExpF, LnAbs, Mul, Pow, Rat, Sym,
-                          SingularValue, abspow, add, app, collect, diff,
-                          equal, evaluate, exp_, free_symbols, is_zero, lnabs,
-                          mul, pow_, rat, substitute, sym, total_derivative,
-                          NotPolynomial)
+                          ExpansionTooLarge, SingularValue, _Transcendental,
+                          abspow, add, app, collect, diff, equal, evaluate,
+                          exp_, free_symbols, is_zero, lnabs, mul, pow_, rat,
+                          substitute, sym, total_derivative, NotPolynomial)
 from wavesym.parse import parse
 from wavesym.printer import to_str
 
@@ -232,8 +233,8 @@ def _assert_constructor_fixpoint(e):
 
 
 def _sample_trees(spec, ch):
-    """200 random transcendental trees, the parsed catalog and the prolonged
-    default ansatz."""
+    """200 random transcendental trees, the parsed catalog, the prolonged
+    default ansatz and 60 products of random sums."""
     from wavesym.classif import builtin_catalog
     from wavesym.detsys import _default_ansatz
     rng = random.Random(101)
@@ -245,11 +246,122 @@ def _sample_trees(spec, ch):
     pr = _default_ansatz(ch).prolonged
     yield from pr.base.coeffs.values()
     yield from (pr.eta_t, pr.eta_x, pr.eta_tt, pr.eta_tx, pr.eta_xx)
+    rng = random.Random(107)
+    atoms = [P(a, ch) for a in _PRODUCT_ATOMS]
+    for _ in range(60):
+        yield mul(*_random_sums(ch, rng, atoms))
+
+
+# factors that mul merges by different rules: plain and fractional powers
+# (some merge to an integer), rational roots, square-one and idempotent
+# parameters, exp and abs-powers, and powers of sums
+_PRODUCT_ATOMS = ("x", "u_x", "t", "x^(1/2)", "x^(-1/2)", "2^(1/2)",
+                  "3^(1/2)", "delta", "eps", "exp(x)", "exp(-u)",
+                  "abs(u_x)^p", "abs(u_x)^(1/3)", "(x+1)^(-1)",
+                  "(u+t)^(1/2)")
+
+
+def _random_sums(ch, rng, atoms):
+    """2-4 random sums over ``atoms``; some are ``x + 1`` or ``u + t``, the
+    bases of the atoms' powers of sums."""
+    sums = []
+    for _ in range(rng.randint(2, 4)):
+        if rng.random() < 0.2:
+            sums.append(P(rng.choice(("x + 1", "u + t")), ch))
+            continue
+        sums.append(add(*[
+            mul(rat(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2))),
+                *rng.sample(atoms, rng.randint(0, 2)))
+            for _ in range(rng.randint(2, 3))]))
+    return sums
+
+
+def _terms(e):
+    return e.terms if isinstance(e, Add) else (e,)
+
+
+def _mul_reference(*sums):
+    """A product of sums distributed term by term: one ``mul`` per pair of
+    terms, each product read back term by term, summed at the end."""
+    terms = [rat(1)]
+    for s in sums:
+        terms = [r for t in terms for u in _terms(s) for r in _terms(mul(t, u))]
+    return add(*terms)
+
+
+def test_mul_matches_term_by_term_reference(ch):
+    """Products of random sums equal the term-by-term distribution.  At a
+    random point each keeps its exact value where that value is rational
+    (perfect squares make the square roots of symbols rational); elsewhere
+    its interval enclosure meets the product of its factors' enclosures."""
+    import mpmath
+    rng = random.Random(109)
+    atoms = [P(a, ch) for a in _PRODUCT_ATOMS]
+    names = ("t", "x", "u", "u_x")
+    evaluated = 0
+    for _ in range(300):
+        sums = _random_sums(ch, rng, atoms)
+        got = mul(*sums)
+        assert got == _mul_reference(*sums), [to_str(s) for s in sums]
+        env = {ch.get(n): rat(Fraction(rng.randint(1, 9), rng.randint(1, 9)) ** 2)
+               for n in names}
+        env[ch.get("delta")] = rat(rng.choice((1, -1)))
+        env[ch.get("eps")] = rat(rng.choice((0, 1)))
+        env[ch.get("p")] = rat(rng.randint(-2, 2))
+        try:
+            want = Fraction(1)
+            for s in sums:
+                want *= evaluate(s, env)
+        except _Transcendental:
+            enclose = [expr_module._eval_interval(substitute(e, env), mpmath.iv)
+                       for e in (got, *sums)]
+            prod = mpmath.iv.mpf(1)
+            for w in enclose[1:]:
+                prod = prod * w
+            assert enclose[0].a <= prod.b and prod.a <= enclose[0].b
+            continue
+        assert evaluate(got, env) == want
+        evaluated += 1
+    assert evaluated > 30
+
+
+def test_mul_expands_sums_in_one_call(ch, monkeypatch):
+    """A product of sums makes one mul call, plus one per pair of terms
+    whose merged factors mul must rebuild (here exp(x)*exp(u))."""
+    a, b, c, d, e, f = (sym(ch.get(n)) for n in ("t", "x", "u", "u_t", "u_x", "u_tt"))
+    plain = (add(a, b, c), add(d, e, f))
+    one_fallback = (add(a, exp_(b)), add(exp_(c), rat(1)))
+    real = expr_module.mul
+    calls = []
+
+    def counting(*parts, **kw):
+        calls.append(parts)
+        return real(*parts, **kw)
+
+    monkeypatch.setattr(expr_module, "mul", counting)
+    assert len(expr_module.mul(*plain).terms) == 9
+    assert len(calls) == 1
+    calls.clear()
+    assert expr_module.mul(*one_fallback) == \
+        P("t*exp(u) + t + exp(x + u) + exp(x)", ch)
+    assert len(calls) == 2
+
+
+def test_large_power_of_sum_refused(ch):
+    """A power of a sum whose expansion would take more than
+    MAX_EXPANSION_PRODUCTS term products raises; (1+x+u_x)^40 expands."""
+    s = P("1 + x + u_x", ch)
+    assert len(pow_(s, 40).terms) == 861
+    with pytest.raises(ExpansionTooLarge):
+        pow_(P("1 + u_x", ch), 10 ** 6)
+    with pytest.raises(ExpansionTooLarge):
+        pow_(s, 10 ** 100)
 
 
 def test_constructor_fixpoint(spec, ch):
-    """Random transcendental trees, the parsed catalog and the prolonged
-    default ansatz are canonical at every node."""
+    """Random transcendental trees, the parsed catalog, the prolonged
+    default ansatz and products of random sums are canonical at every
+    node."""
     for e in _sample_trees(spec, ch):
         _assert_constructor_fixpoint(e)
 
