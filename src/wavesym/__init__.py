@@ -15,8 +15,7 @@ from .classif import (builtin_catalog, run_campaign, verify_adjoint_actions,
                       verify_subalgebra_lists, verify_table)
 from .equivalence import EquivalenceAlgebra, Gen
 from .liealg import (LieAlgebraPresentation, Subspace, center, centralizer,
-                     close_or_fail, derived_series, flag_automorphism_solve,
-                     radical)
+                     close_or_fail, derived_series, flag_automorphism_solve)
 from .parse import parse, parse_vector_field
 from .printer import to_str
 from .vecfield import (EquivParams, PointTransform, VectorField,

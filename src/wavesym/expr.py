@@ -23,7 +23,9 @@ rebuilt by ``mul``'s own merge rule (``_power``).  A pair whose merged factor
 is not plain, or with exps or abs-powers of one base on both sides, goes
 through ``mul`` once.  ``_sum`` builds the terms of ``add`` and of the
 expansion alike.  A power of a sum that would take more than
-``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``.
+``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``, as
+does a rational power whose value would take more bits; ``is_zero``
+encloses such a sample value as an interval instead.
 
 Stored rationals (``Rat.q``, ``Mul.coef``, ``Pow.exp``) are ``int`` when
 integral and ``Fraction`` (denominator > 1) otherwise; the node constructors
@@ -45,7 +47,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-# pow_ refuses to expand a sum to a power that takes more term products
+# pow_ refuses to expand a sum to a power that takes more term products,
+# and to raise a rational to a power that takes more bits
 MAX_EXPANSION_PRODUCTS = 100_000
 
 
@@ -622,14 +625,12 @@ def pow_(base: Expr, exp) -> Expr:
         return base
     if isinstance(base, Rat):
         q = base.q
-        if k.denominator == 1:
-            if k > 0:
-                return Rat(q ** k)
-            if q == 0:
-                raise SingularValue("0 raised to a negative power")
-            return Rat(Fraction(q) ** k)
         if q == 0:
-            return Rat(0) if k > 0 else _raise_singular()
+            if k < 0:
+                raise SingularValue("0 raised to a negative power")
+            return base
+        if k.denominator == 1:
+            return Rat(_rat_power(q, k))
         if q > 0:
             root = _exact_root(q, k)
             if root is not None:
@@ -671,8 +672,15 @@ def pow_(base: Expr, exp) -> Expr:
     return Pow(base, k)
 
 
-def _raise_singular():
-    raise SingularValue("0 raised to a negative power")
+def _rat_power(q: Rational, k: int) -> Rational:
+    """q**k for an integer k, refused when it would take more than
+    ``MAX_EXPANSION_PRODUCTS`` bits.  It takes at least |k| floor(log2 m),
+    m the larger of q's |numerator| and denominator."""
+    if abs(k) * (max(abs(q.numerator), q.denominator).bit_length() - 1) \
+            > MAX_EXPANSION_PRODUCTS:
+        raise ExpansionTooLarge(f"{q} to the power {k} is too large to "
+                                "compute exactly")
+    return q ** k if k > 0 else Fraction(q) ** k
 
 
 def _exact_root(q: Rational, k: Fraction) -> Optional[Fraction]:
@@ -680,9 +688,10 @@ def _exact_root(q: Rational, k: Fraction) -> Optional[Fraction]:
     n, d = k.numerator, k.denominator
 
     def iroot(m: int, r: int) -> Optional[int]:
-        if m == 1:
-            return 1
-        lo, hi = 1, m
+        # a root of at least 2 has 2**r <= m, and at most 2**(bits/r + 1)
+        if r >= m.bit_length():
+            return 1 if m == 1 else None
+        lo, hi = 1, 1 << (m.bit_length() // r + 1)
         while lo <= hi:
             mid = (lo + hi) // 2
             v = mid ** r
@@ -698,7 +707,7 @@ def _exact_root(q: Rational, k: Fraction) -> Optional[Fraction]:
     rd = iroot(q.denominator, d)
     if rn is None or rd is None:
         return None
-    return Fraction(rn, rd) ** n
+    return _rat_power(Fraction(rn, rd), n)
 
 
 def abspow(base: Expr, exp) -> Expr:
@@ -1162,11 +1171,14 @@ def _iv_has_zero(v) -> bool:
     return v.a <= 0 <= v.b
 
 
-def _eval_interval(e: Expr, iv):
+def _eval_interval(e: Expr, iv, env: Optional[Mapping] = None):
+    """An interval enclosing ``e``, its symbols read from ``env``."""
+    if env and isinstance(e, Sym):
+        e = env.get(e.s, e)
     if isinstance(e, Rat):
         return iv.mpf(e.q.numerator) / iv.mpf(e.q.denominator)
     if isinstance(e, Pow):
-        b = _eval_interval(e.base, iv)
+        b = _eval_interval(e.base, iv, env)
         if _iv_has_zero(b) and e.exp < 0:
             raise SingularValue("pole interval")
         if e.exp.denominator == 1:
@@ -1175,29 +1187,41 @@ def _eval_interval(e: Expr, iv):
             return iv.exp(iv.log(b) * iv.mpf(e.exp.numerator) / iv.mpf(e.exp.denominator))
         raise SingularValue("fractional power of non-positive interval")
     if isinstance(e, AbsPow):
-        b = abs(_eval_interval(e.base, iv))
+        b = abs(_eval_interval(e.base, iv, env))
         if _iv_has_zero(b):
             raise SingularValue("abs-power at zero")
-        q = _eval_interval(e.exp, iv)
+        q = _eval_interval(e.exp, iv, env)
         return iv.exp(iv.log(b) * q)
     if isinstance(e, ExpF):
-        return iv.exp(_eval_interval(e.arg, iv))
+        return iv.exp(_eval_interval(e.arg, iv, env))
     if isinstance(e, LnAbs):
-        a = abs(_eval_interval(e.arg, iv))
+        a = abs(_eval_interval(e.arg, iv, env))
         if _iv_has_zero(a):
             raise SingularValue("ln|0|")
         return iv.log(a)
     if isinstance(e, Mul):
         v = iv.mpf(e.coef.numerator) / iv.mpf(e.coef.denominator)
         for f in e.factors:
-            v = v * _eval_interval(f, iv)
+            v = v * _eval_interval(f, iv, env)
         return v
     if isinstance(e, Add):
         v = iv.mpf(0)
         for t in e.terms:
-            v = v + _eval_interval(t, iv)
+            v = v + _eval_interval(t, iv, env)
         return v
     raise SingularValue(f"cannot evaluate node {type(e).__name__}")
+
+
+def _interval_nonzero(e: Expr, env: Mapping) -> bool:
+    """A 60-digit interval enclosure of ``e`` at ``env`` excludes zero."""
+    import mpmath
+    iv = mpmath.iv
+    old = iv.dps
+    try:
+        iv.dps = 60
+        return not _iv_has_zero(_eval_interval(e, iv, env))
+    finally:
+        iv.dps = old
 
 
 def evaluate(e: Expr, env: Mapping) -> Fraction:
@@ -1233,26 +1257,21 @@ def is_zero(e: Expr) -> ZeroResult:
         tried += 1
         env = {s: rat(_sample_value(s, rng)) for s in base_syms}
         try:
-            bound = substitute(e, env)
-            atom_env = {}
-            for a in sorted(atoms(bound), key=lambda a: a.key()):
-                atom_env[a] = rat(_sample_value(a.fn, rng))
-            bound = _subst(bound, atom_env)
             try:
-                v = _eval_fraction(bound)
-                if v != 0:
-                    return ZeroResult(NONZERO_V, samples=done + 1)
+                bound = substitute(e, env)
+                atom_env = {}
+                for a in sorted(atoms(bound), key=lambda a: a.key()):
+                    atom_env[a] = rat(_sample_value(a.fn, rng))
+                bound = _subst(bound, atom_env)
+                nonzero = _eval_fraction(bound) != 0
             except _Transcendental:
-                import mpmath
-                iv = mpmath.iv
-                old = iv.dps
-                try:
-                    iv.dps = 60
-                    w = _eval_interval(bound, iv)
-                finally:
-                    iv.dps = old
-                if not _iv_has_zero(w):
-                    return ZeroResult(NONZERO_V, samples=done + 1)
+                nonzero = _interval_nonzero(bound, {})
+            except ExpansionTooLarge:
+                # a power too large to take exactly: enclose e at the
+                # point (a function atom has no value there: point skipped)
+                nonzero = _interval_nonzero(e, env)
+            if nonzero:
+                return ZeroResult(NONZERO_V, samples=done + 1)
             done += 1
         except SingularValue:
             continue

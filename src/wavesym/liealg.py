@@ -22,10 +22,6 @@ class NonClosure(Exception):
         self.witness = witness
 
 
-class NotRational(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -218,15 +214,19 @@ def product_space(A: LieAlgebraPresentation, S: Subspace, T: Subspace) -> Subspa
                     A.n)
 
 
-def derived_series(A: LieAlgebraPresentation) -> list:
-    out = [A.whole()]
-    while True:
+def derived_series(A: LieAlgebraPresentation,
+                   S: Optional[Subspace] = None) -> list:
+    """S, [S,S], [[S,S],[S,S]], ..., starting at all of A when S is None.
+
+    The series ends at zero, or before the first term that is no smaller
+    than the one it is taken from.
+    """
+    out = [A.whole() if S is None else S]
+    while out[-1].dim:
         nxt = product_space(A, out[-1], out[-1])
-        if nxt.dim == out[-1].dim:
+        if nxt.dim >= out[-1].dim:
             break
         out.append(nxt)
-        if nxt.dim == 0:
-            break
     return out
 
 
@@ -251,41 +251,11 @@ def is_ideal(A: LieAlgebraPresentation, S: Subspace) -> bool:
 
 
 def is_solvable(A: LieAlgebraPresentation, S: Subspace) -> bool:
-    cur = S
-    while True:
-        nxt = product_space(A, cur, cur)
-        if not cur.contains_subspace(nxt):
-            return False
-        if nxt.dim == 0:
-            return True
-        if nxt.dim == cur.dim:
-            return False
-        cur = nxt
-
-
-def killing_form(A: LieAlgebraPresentation) -> list:
-    """Sparse rows K[i] = {j: tr(ad e_i ad e_j)}, K_ij = sum_{k,l} c^l_ik c^k_jl."""
-    r = range(A.n)
-    K = []
-    for i in r:
-        row = {j: sum(x * A.c(j, l).get(k, 0)
-                      for k in r for l, x in A.c(i, k).items()) for j in r}
-        K.append({j: v for j, v in row.items() if v})
-    return K
-
-
-def radical(A: LieAlgebraPresentation) -> Subspace:
-    """Maximal solvable ideal via Cartan's criterion:
-    rad = {x : K(x, y) = 0 for all y in [A,A]}; verified post hoc."""
-    K = killing_form(A)
-    derived = product_space(A, A.whole(), A.whole())
-    rows = [{i: sum(Ki.get(j, 0) * c for j, c in y.items())
-             for i, Ki in enumerate(K)} for y in derived.rows]
-    R = Subspace(nullspace(rows, A.n), A.n)
-    if not is_ideal(A, R) or not is_solvable(A, R):
-        raise NotRational(
-            "radical post-check failed (parameterized table?); refuse")
-    return R
+    """The derived series of S reaches zero, and S is a subalgebra: a
+    subspace whose series reaches zero may still have [S,S] outside S."""
+    ds = derived_series(A, S)
+    return ds[-1].dim == 0 and all(
+        a.contains_subspace(b) for a, b in zip(ds, ds[1:]))
 
 
 # ---------------------------------------------------------------------------

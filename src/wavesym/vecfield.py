@@ -360,6 +360,12 @@ class EquivParams:
     psi: Expr
     phi_inv: Optional[Expr] = None
 
+    def __post_init__(self):
+        x = self.chart.get("x")
+        if self.phi_inv is not None and not equal(
+                substitute(self.phi_inv, {x: self.phi}), sym(x)):
+            raise ValueError("phi_inv(phi(x)) is not x")
+
     def to_point_transform(self) -> PointTransform:
         ch = self.chart
         t = sym(ch.get("t"))

@@ -180,13 +180,25 @@ def test_deep_nesting_is_a_parse_error(capsys):
 
 
 def test_huge_power_of_a_sum_exits_2_quickly(capsys):
-    """A power of a sum too large to expand is a usage error, raised before
-    any expansion starts."""
+    """A power of a sum too large to expand, or a rational power too large
+    to take exactly, is a usage error, raised before the work starts."""
+    import time
+    for f in ("(1+u_x)^(10^6)", "2^(10^12)*u_x^(-4)"):
+        t0 = time.monotonic()
+        code = main(["dim", "-f", f, "-g", "0"])
+        assert time.monotonic() - t0 < 5
+        _assert_usage_error(code, capsys)
+
+
+def test_huge_power_of_a_sample_quick_verdict(capsys):
+    """A sample value raised to a power too large to take exactly is
+    enclosed as an interval instead, so the check still proves its residual
+    nonzero."""
     import time
     t0 = time.monotonic()
-    code = main(["dim", "-f", "(1+u_x)^(10^6)", "-g", "0"])
+    assert main(["check", "-f", "u_x^(10000000)", "-g", "0", "-Q", "t@t"]) == 1
     assert time.monotonic() - t0 < 5
-    _assert_usage_error(code, capsys)
+    assert "verdict: nonzero" in capsys.readouterr().out
 
 
 def test_verify_nonpositive_jobs_rejected(capsys):
@@ -255,6 +267,10 @@ def test_bad_field_or_jet_exits_2(argv, capsys):
     "phi = exp(x)\n",   # ProlongationError: no closed-form inverse of phi
     "psi = u\n",        # ChartMismatch: U0 may not depend on u
     "c2 = t\n",         # TransformLeavesClass: the image depends on t
+    "phi = 2*x\nphi_inv = x\n",  # phi_inv(phi(x)) = 2*x, not x
+    "c1 = 0\n",         # SingularValue: 0 raised to a negative power
+    "c2 = 0\n",
+    "phi = 0\n",
 ])
 def test_bad_transform_params_exit_2(params, tmp_path, capsys):
     cfg = tmp_path / "par.cfg"

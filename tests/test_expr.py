@@ -358,6 +358,25 @@ def test_large_power_of_sum_refused(ch):
         pow_(s, 10 ** 100)
 
 
+def test_large_rational_power_refused():
+    """A rational power whose value would take more than
+    MAX_EXPANSION_PRODUCTS bits raises, on the positive and negative integer
+    paths and the exact-root path; small ones and powers of 0 and 1 fold."""
+    import time
+    t0 = time.monotonic()
+    for q, k in ((2, 10 ** 12), (Fraction(1, 2), -10 ** 12), (3, -10 ** 6),
+                 (4, Fraction(10 ** 12 + 1, 2))):
+        with pytest.raises(ExpansionTooLarge):
+            pow_(rat(q), k)
+    assert time.monotonic() - t0 < 5
+    assert pow_(rat(2), 1000) == rat(2 ** 1000)
+    assert pow_(rat(-1), 10 ** 12) == pow_(rat(1), -10 ** 12) == rat(1)
+    assert pow_(rat(0), 10 ** 12) == rat(0)
+    assert pow_(rat(4), Fraction(3, 2)) == rat(8)
+    # a root of a huge degree exists only for 1; 2^(1/10^12) stays a power
+    assert pow_(rat(2), Fraction(1, 10 ** 12)) == Pow(rat(2), Fraction(1, 10 ** 12))
+
+
 def test_constructor_fixpoint(spec, ch):
     """Random transcendental trees, the parsed catalog, the prolonged
     default ansatz and products of random sums are canonical at every

@@ -15,8 +15,8 @@ from wavesym.expr import add, equal, mul, rat, structurally_zero, sym
 from wavesym.liealg import (LieAlgebraPresentation, NonClosure, Subspace,
                             _Coordinatizer, center, centralizer, close_or_fail,
                             coordinate_subspace, derived_series,
-                            flag_automorphism_solve, is_ideal,
-                            radical, subspace_intersection)
+                            flag_automorphism_solve, is_ideal, is_solvable,
+                            subspace_intersection)
 from wavesym.parse import parse
 from wavesym.vecfield import bracket, vf
 
@@ -43,7 +43,7 @@ def test_close_kernel_heisenberg(ch):
          vf(ch, BASE_COORDS, u=sym(ch.get("t")))]
     H = close_or_fail(k, labels=["Pt", "Pu", "tPu"])
     assert H.table == {(0, 2): {1: 1}, (2, 0): {1: -1}}
-    assert radical(H) == H.whole()
+    assert is_solvable(H, H.whole())
 
 
 def test_close_abelian_projections(ch):
@@ -77,11 +77,17 @@ def test_megaideal_chain(m):
     assert centralizer(m, ds[2]) == coordinate_subspace([0, 1, 2], 5)
 
 
-def test_radical_cases(m):
-    assert radical(m) == m.whole()
+def test_solvable_cases(m):
+    assert is_solvable(m, m.whole())
     sl2 = LieAlgebraPresentation(
         ["h", "e", "f"], {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
-    assert radical(sl2).dim == 0
+    assert not is_solvable(sl2, sl2.whole())
+    # span(e, f): its derived series <e,f> > <h> > 0 reaches zero, but
+    # [S, S] = <h> leaves S, so S is no subalgebra
+    S = coordinate_subspace([1, 2], 3)
+    assert [T.dim for T in derived_series(sl2, S)] == [2, 1, 0]
+    assert not is_solvable(sl2, S)
+    assert is_solvable(sl2, coordinate_subspace([0, 1], 3))
 
 
 def test_derived_series_strictly_decreases(m):
