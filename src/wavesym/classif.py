@@ -3,11 +3,11 @@
 The catalog carries one entry per classification case: the arbitrary
 elements (f,g) with their parameter constraints, the extension generators on
 top of the kernel <d_t, d_u, t d_u>, and the expected total dimension.
-Verification runs three independent checks per case: exact vanishing of the
-invariance residual for every generator (parameters symbolic), bracket
-closure of kernel+extension, and the symmetry dimension within the default
-ansatz at generic parameter samples.  Dimension claims are statements
-*within the ansatz*.
+Verification checks per case: exact vanishing of the invariance residual
+for every generator (parameters symbolic), bracket closure of
+kernel+extension, and at generic parameter samples the symmetry dimension
+within the default ansatz and that kernel+extension span those symmetries.
+Dimension claims are statements *within the ansatz*.
 """
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._linalg import axpy
+from ._linalg import EchelonBasis, axpy
 from .charts import BASE_COORDS
 from .detsys import (ClassSpec, check_symmetry, kernel_fields,
-                     solve_within_ansatz)
+                     kernel_is_symmetry, solve_within_ansatz)
 from .equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt, lift_Du,
                           lift_F2, lift_G)
 from .expr import (Chart, Expr, Rat, ZERO, add, app, diff, equal, lnabs, mul,
@@ -219,21 +219,21 @@ def _instantiate(e: Expr, ch: Chart, sample: dict) -> Expr:
     return substitute(e, table) if table else e
 
 
-def _kernel_extension(ch: Chart, case: ClassificationCase,
-                      gens: Sequence[VectorField]) -> list:
-    """The kernel and the case's generators at its first sample: the span
-    whose closure under the bracket ``verify_case`` checks."""
-    sample0 = case.samples[0] if case.samples else {}
+def _kernel_extension(ch: Chart, gens: Sequence[VectorField],
+                      sample: dict) -> list:
+    """The kernel and the case's generators at ``sample``."""
     return kernel_fields(ch) + [
-        VectorField(ch, BASE_COORDS, {c: _instantiate(v, ch, sample0)
+        VectorField(ch, BASE_COORDS, {c: _instantiate(v, ch, sample)
                                       for c, v in Q.coeffs.items()}, check=False)
         for Q in gens]
 
 
-def verify_case(spec: ClassSpec, case: ClassificationCase) -> CaseReport:
+def verify_case(spec: ClassSpec, case: ClassificationCase,
+                parsed: Optional[tuple] = None) -> CaseReport:
+    """The case's checks; ``parsed`` stands for ``case.parsed(spec)``."""
     ch = spec.chart
     rep = CaseReport(case.id)
-    f, g, gens = case.parsed(spec)
+    f, g, gens = parsed or case.parsed(spec)
 
     for i, Q in enumerate(gens):
         res, residual = check_symmetry(spec, f, g, Q)
@@ -244,29 +244,33 @@ def verify_case(spec: ClassSpec, case: ClassificationCase) -> CaseReport:
         else:
             rep.add(f"generator {i + 1} residual", False, f"residual {residual!r}")
 
+    samples = case.samples or ({},)
     try:
-        close_or_fail(_kernel_extension(ch, case, gens))
+        close_or_fail(_kernel_extension(ch, gens, samples[0]))
         rep.add("kernel+extension closes under bracket", True)
     except NonClosure as e:
         rep.add("kernel+extension closes under bracket", False, str(e))
 
-    first_solution = None
-    for sample in (case.samples or ({},)):
-        fi = _instantiate(f, ch, sample)
-        gi = _instantiate(g, ch, sample)
-        sol = solve_within_ansatz(spec, fi, gi)
-        if first_solution is None:
-            first_solution = (fi, gi, sol)
+    kernel_ok = kernel_is_symmetry(spec)
+    for sample in samples:
+        sol = solve_within_ansatz(spec, _instantiate(f, ch, sample),
+                                  _instantiate(g, ch, sample))
         label = ",".join(f"{k}={v}" for k, v in sample.items()) or "generic"
         rep.add(f"dimension within ansatz at {label}",
                 sol.dimension == case.dim,
                 f"got {sol.dimension}, expected {case.dim}")
-
-    # every field the ansatz solver returns must itself be a symmetry
-    fi, gi, sol = first_solution
-    recheck = all(check_symmetry(spec, fi, gi, F)[0].verdict == "zero"
-                  for F in sol.fields)
-    rep.add("ansatz solutions individually pass the symmetry check", recheck)
+        # kernel + generators independent, of rank dim, holding every
+        # solver field: they span the symmetries within the ansatz
+        coord, basis = _Coordinatizer(), EchelonBasis()
+        fields = _kernel_extension(ch, gens, sample)
+        kept = sum(basis.insert(coord.decompose(F)) for F in fields)
+        reduced = sum(not basis.reduce(coord.decompose(F))[0]
+                      for F in sol.fields)
+        rep.add(f"kernel+generators span the ansatz solutions at {label}",
+                kernel_ok and kept == len(fields) == case.dim
+                and reduced == len(sol.fields),
+                f"rank {kept} of {len(fields)} fields, expected {case.dim}; "
+                f"{reduced} of {len(sol.fields)} solver fields reduce to zero")
     return rep
 
 

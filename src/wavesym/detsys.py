@@ -9,7 +9,7 @@ the ansatz.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -54,12 +54,14 @@ def invariance_residual(spec: ClassSpec, Q: VectorField, f: Expr, g: Expr) -> Ex
 
 def _prolonged_residual(spec: ClassSpec, pr: ProlongedField, f: Expr,
                         g: Expr) -> Expr:
-    """``invariance_residual`` for a field already prolonged."""
+    """``invariance_residual`` for a field already prolonged.  As f and g
+    depend on (x, u_x) only, u_tt enters ``pr.apply(L)`` through eta_tt
+    alone: restricting that one coefficient restricts the product."""
     ch = spec.chart
     u_tt, u_xx = ch.get("u_tt"), ch.get("u_xx")
     L = add(sym(u_tt), mul(rat(-1), f, sym(u_xx)), mul(rat(-1), g))
-    R = pr.apply(L)
-    return substitute(R, {u_tt: add(mul(f, sym(u_xx)), g)}, chart=ch)
+    eta_tt = substitute(pr.eta_tt, {u_tt: add(mul(f, sym(u_xx)), g)}, chart=ch)
+    return replace(pr, eta_tt=eta_tt).apply(L)
 
 
 def check_symmetry(spec: ClassSpec, f: Expr, g: Expr, Q: VectorField):
@@ -67,6 +69,19 @@ def check_symmetry(spec: ClassSpec, f: Expr, g: Expr, Q: VectorField):
     undecided zero test."""
     res = invariance_residual(spec, Q, f, g)
     return is_zero(res), res
+
+
+def kernel_is_symmetry(spec: ClassSpec) -> bool:
+    """Whether every kernel field is a symmetry for symbolic f(x,u_x),
+    g(x,u_x), hence of every equation of the class; checked once per chart."""
+    ch = spec.chart
+    ok = getattr(ch, "_kernel_is_symmetry", None)
+    if ok is None:
+        f, g = spec.f_symbolic(), spec.g_symbolic()
+        ok = ch._kernel_is_symmetry = all(
+            check_symmetry(spec, f, g, K)[0].verdict == "zero"
+            for K in kernel_fields(ch))
+    return ok
 
 
 @dataclass

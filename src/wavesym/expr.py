@@ -1172,9 +1172,9 @@ def _iv_has_zero(v) -> bool:
 
 
 def _eval_interval(e: Expr, iv, env: Optional[Mapping] = None):
-    """An interval enclosing ``e``, its symbols read from ``env``."""
-    if env and isinstance(e, Sym):
-        e = env.get(e.s, e)
+    """An interval enclosing ``e``, its symbols and atoms read from ``env``."""
+    if env and isinstance(e, (Sym, App)):
+        e = env.get(e.s if isinstance(e, Sym) else e, e)
     if isinstance(e, Rat):
         return iv.mpf(e.q.numerator) / iv.mpf(e.q.denominator)
     if isinstance(e, Pow):
@@ -1267,13 +1267,18 @@ def is_zero(e: Expr) -> ZeroResult:
             except _Transcendental:
                 nonzero = _interval_nonzero(bound, {})
             except ExpansionTooLarge:
-                # a power too large to take exactly: enclose e at the
-                # point (a function atom has no value there: point skipped)
+                # a power too large to take exactly: enclose e at the point,
+                # each atom valued by its exactly bound arguments, as above
+                # (arguments too large to bind skip the point)
+                values: dict = {}
+                for a in sorted(atoms(e), key=lambda a: a.key()):
+                    env[a] = values.setdefault(
+                        substitute(a, env), rat(_sample_value(a.fn, rng)))
                 nonzero = _interval_nonzero(e, env)
             if nonzero:
                 return ZeroResult(NONZERO_V, samples=done + 1)
             done += 1
-        except SingularValue:
+        except (SingularValue, ExpansionTooLarge):
             continue
     if done == 0:
         return ZeroResult(UNDECIDED_V, samples=0,

@@ -101,7 +101,9 @@ def test_criterion_05_table():
     ok = len(reports) == 22 and all(_clean(r) for r in reports)
     _crit(5, "Table rows 1-22: exact residuals (symbolic parameters), bracket "
              "closure, ansatz dimension = 3 + |extension| at generic samples "
-             "(case 22: dimension 7)", ok, time.monotonic() - t0, 600)
+             "(case 22: dimension 7), and kernel + extension independent and "
+             "spanning the ansatz solutions at every sample",
+          ok, time.monotonic() - t0, 30)
 
 
 def test_criterion_06_special_lists_and_reductions():
@@ -110,7 +112,7 @@ def test_criterion_06_special_lists_and_reductions():
     ok = all(_clean(r) for r in reports)
     _crit(6, "lists (8.2), (8.3), the corollary cases, the (8.2)<->(8.3) "
              "mapping and the three singular-parameter reductions",
-          ok, time.monotonic() - t0, 60)
+          ok, time.monotonic() - t0, 10)
 
 
 def test_criterion_07_equivalence_group():

@@ -1,18 +1,21 @@
 """Catalog completeness, campaign drivers, cross-consistency, negative controls."""
+import dataclasses
 import time
 from fractions import Fraction
 
 from wavesym.charts import BASE_COORDS
-from wavesym.classif import (CATALOG, SPECIAL_CATALOG, builtin_catalog,
-                             run_campaign, verify_adjoint_actions,
-                             verify_case, verify_equivalence_algebra,
+from wavesym.classif import (CATALOG, SPECIAL_CATALOG, ClassificationCase,
+                             builtin_catalog, run_campaign,
+                             verify_adjoint_actions, verify_case,
+                             verify_equivalence_algebra,
                              verify_equivalence_group, verify_megaideals,
                              verify_potential_link, verify_reductions,
                              verify_subalgebra_lists)
-from wavesym.detsys import check_symmetry, solve_within_ansatz
-from wavesym.expr import diff, rat, structurally_zero
+from wavesym.detsys import ClassSpec, check_symmetry, solve_within_ansatz
+from wavesym.expr import add, diff, iter_terms, mul, rat, structurally_zero
 from wavesym.parse import parse, parse_vector_field
-from wavesym.report import PASS
+from wavesym.report import FAIL, PASS
+from wavesym.vecfield import VectorField
 
 
 def test_catalog_complete():
@@ -165,3 +168,88 @@ def test_jobs_capped_at_section_count(monkeypatch):
     assert run_campaign(["potential"], seed=3, jobs=2).status == PASS
     assert run_campaign(["adjoint", "potential"], seed=3, jobs=2).status == PASS
     assert sizes == [2, 2]
+
+
+def _doubled_terms(Q):
+    """Q with one term of one coefficient doubled, for each such term."""
+    for c, e in Q.coeffs.items():
+        for coef, factors in iter_terms(e):
+            yield VectorField(Q.chart, BASE_COORDS,
+                              {**Q.coeffs, c: add(e, mul(rat(coef), *factors))},
+                              check=False)
+
+
+def test_catalog_mutants_fail(spec, ch):
+    """Every entry passes, and each of its mutants fails: one generator
+    dropped, a redundant 1@t appended, dim +- 1, and one term of a
+    multi-term generator doubled.  Each entry is parsed once."""
+    redundant = parse_vector_field("1@t", ch, BASE_COORDS)
+    kinds = {}
+    for case in builtin_catalog():
+        f, g, gens = case.parsed(spec)
+        assert verify_case(spec, case, (f, g, gens)).status == PASS, case.id
+        mutants = [("drop", case, gens[:i] + gens[i + 1:])
+                   for i in range(len(gens))]
+        mutants.append(("redundant", case, gens + [redundant]))
+        mutants += [("dim", dataclasses.replace(case, dim=case.dim + d), gens)
+                    for d in (1, -1)]
+        for i, Q in enumerate(gens):
+            if sum(1 for e in Q.coeffs.values() for _ in iter_terms(e)) > 1:
+                mutants += [("double", case, gens[:i] + [D] + gens[i + 1:])
+                            for D in _doubled_terms(Q)]
+        for kind, mutant, mgens in mutants:
+            kinds[kind] = kinds.get(kind, 0) + 1
+            rep = verify_case(spec, mutant, (f, g, mgens))
+            assert rep.status == FAIL, (case.id, kind)
+    assert kinds == {"drop": 74, "redundant": 32, "dim": 64, "double": 150}
+
+
+def test_span_check_bites_beyond_the_ansatz(spec):
+    """The image of row 22 under x -> x^3 has a symmetry, x^(-2) d_x, that
+    the default ansatz lacks, so the ansatz finds 6 of its 7 dimensions.
+    Claiming all 7 fields with dimension 6 fails only on the rank; dropping
+    a field the ansatz holds fails only on a solver field left outside."""
+    gens = ("t^2@t + t*u@u", "2*t@t + u@u", "x^(-2)@x", "2*x@x + 3*u@u")
+    image = ClassificationCase("22 at x^3", "9*x^4*u_x^(-4)",
+                               "-18*x^3*u_x^(-3)", gens, 6, samples=({},))
+    for mutant, detail in (
+            (image, "rank 7 of 7 fields, expected 6; "
+                    "6 of 6 solver fields reduce to zero"),
+            (dataclasses.replace(image, generators=gens[1:]),
+             "rank 6 of 6 fields, expected 6; "
+             "5 of 6 solver fields reduce to zero")):
+        failed = [c for c in verify_case(spec, mutant).checks
+                  if c.status != PASS]
+        assert [(c.name, c.detail) for c in failed] == [
+            ("kernel+generators span the ansatz solutions at generic", detail)]
+
+
+def test_campaign_symmetry_checks_counted(monkeypatch):
+    """The table and the special lists on one chart check each generator
+    once and the kernel once: 74 + 3 residuals, where rechecking each
+    ansatz solution took 170 more."""
+    from wavesym import classif, detsys
+    calls = []
+
+    def counting(spec, f, g, Q):
+        calls.append(Q)
+        return real(spec, f, g, Q)
+
+    real = detsys.check_symmetry
+    monkeypatch.setattr(detsys, "check_symmetry", counting)
+    monkeypatch.setattr(classif, "check_symmetry", counting)
+    spec = ClassSpec.default()
+    reports = classif.verify_table(spec) + classif.verify_special_lists(spec)
+    assert all(r.status == PASS for r in reports)
+    assert len(calls) == 74 + 3
+
+
+def test_span_check_needs_the_kernel_check():
+    """The span argument rests on the kernel fields being symmetries: on a
+    chart where that check did not give zero, every span line fails."""
+    spec = ClassSpec.default()
+    spec.chart._kernel_is_symmetry = False
+    row9 = next(c for c in CATALOG if c.id == "9")
+    checks = verify_case(spec, row9).checks
+    assert [c.name for c in checks if c.status != PASS] == \
+        ["kernel+generators span the ansatz solutions at generic"]

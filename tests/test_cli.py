@@ -201,6 +201,22 @@ def test_huge_power_of_a_sample_quick_verdict(capsys):
     assert "verdict: nonzero" in capsys.readouterr().out
 
 
+def test_huge_power_of_a_sample_with_function_atom_quick_verdict(capsys):
+    """The interval enclosure of such a sample values each function atom at
+    its bound arguments, so an arbitrary F(x) does not leave it undecided."""
+    import time
+    t0 = time.monotonic()
+    assert main(["check", "-f", "F(x)*u_x^(10000000)", "-g", "0",
+                 "-Q", "t@t"]) == 1
+    assert time.monotonic() - t0 < 5
+    assert "verdict: nonzero" in capsys.readouterr().out
+    # an atom whose arguments are too large to bind skips the point, and
+    # with every point skipped the verdict stays undecided, not an error
+    assert main(["check", "-f", "F(x^(10000000))*u_x^(10000000)", "-g", "0",
+                 "-Q", "t@t"]) == 3
+    assert "verdict: undecided-after-sampling" in capsys.readouterr().out
+
+
 def test_verify_nonpositive_jobs_rejected(capsys):
     for jobs in ("0", "-1"):
         assert main(["verify", "all", "--jobs", jobs]) == 2

@@ -242,3 +242,36 @@ def test_default_ansatz_built_once_per_chart(monkeypatch):
     assert calls["parse"] == AnsatzBasis.default(spec.chart).size() == 20
     # the generator checks still prolong each generator field
     assert calls["prolong_other"] > 0
+
+
+def test_prolonged_residual_restricts_before_multiplying(spec, ch):
+    """Restricting eta_tt to the equation and then applying the prolonged
+    field gives the canonical form of restricting the applied product, for
+    every catalog generator at its first sample and for the default ansatz."""
+    from wavesym.classif import _instantiate, _kernel_extension, builtin_catalog
+    from wavesym.detsys import _default_ansatz, _prolonged_residual
+    from wavesym.expr import substitute
+    from wavesym.vecfield import prolong2
+
+    u_tt, u_xx = ch.get("u_tt"), ch.get("u_xx")
+
+    def restricted_after(pr, f, g):
+        L = add(sym(u_tt), mul(rat(-1), f, sym(u_xx)), mul(rat(-1), g))
+        return substitute(pr.apply(L), {u_tt: add(mul(f, sym(u_xx)), g)},
+                          chart=ch)
+
+    pairs = []
+    for case in builtin_catalog():
+        f, g, gens = case.parsed(spec)
+        sample = case.samples[0]
+        fi, gi = _instantiate(f, ch, sample), _instantiate(g, ch, sample)
+        pairs += [(prolong2(Q), fi, gi)
+                  for Q in _kernel_extension(ch, gens, sample)[3:]]
+    assert len(pairs) == 74
+    ansatz = _default_ansatz(ch).prolonged
+    pairs += [(ansatz, P(f, ch), P(g, ch))
+              for f, g in (("u_x^(-4)", "0"), ("exp(2*u_x)", "exp(3*u_x)"),
+                           ("x^2*abs(u_x)^4", "x*u_x + lnabs(u_x)"))]
+    for pr, f, g in pairs:
+        assert _prolonged_residual(spec, pr, f, g) == \
+            restricted_after(pr, f, g)

@@ -245,7 +245,8 @@ def test_close_matches_oracle_on_catalog(spec, ch):
     from wavesym.classif import _kernel_extension, builtin_catalog
     closed = 0
     for case in builtin_catalog():
-        fields = _kernel_extension(ch, case, case.parsed(spec)[2])
+        fields = _kernel_extension(ch, case.parsed(spec)[2],
+                                   (case.samples or ({},))[0])
         closed += _assert_closure_matches_oracle(
             fields, [f"e{i + 1}" for i in range(len(fields))])
     assert closed == 32
