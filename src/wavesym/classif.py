@@ -245,14 +245,15 @@ def verify_case(spec: ClassSpec, case: ClassificationCase,
             rep.add(f"generator {i + 1} residual", False, f"residual {residual!r}")
 
     samples = case.samples or ({},)
+    instantiated = [_kernel_extension(ch, gens, sample) for sample in samples]
     try:
-        close_or_fail(_kernel_extension(ch, gens, samples[0]))
+        close_or_fail(instantiated[0])
         rep.add("kernel+extension closes under bracket", True)
     except NonClosure as e:
         rep.add("kernel+extension closes under bracket", False, str(e))
 
     kernel_ok = kernel_is_symmetry(spec)
-    for sample in samples:
+    for sample, fields in zip(samples, instantiated):
         sol = solve_within_ansatz(spec, _instantiate(f, ch, sample),
                                   _instantiate(g, ch, sample))
         label = ",".join(f"{k}={v}" for k, v in sample.items()) or "generic"
@@ -262,7 +263,6 @@ def verify_case(spec: ClassSpec, case: ClassificationCase,
         # kernel + generators independent, of rank dim, holding every
         # solver field: they span the symmetries within the ansatz
         coord, basis = _Coordinatizer(), EchelonBasis()
-        fields = _kernel_extension(ch, gens, sample)
         kept = sum(basis.insert(coord.decompose(F)) for F in fields)
         reduced = sum(not basis.reduce(coord.decompose(F))[0]
                       for F in sol.fields)

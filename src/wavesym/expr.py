@@ -8,8 +8,9 @@ partial-derivative multi-index.
 
 Every constructor returns the canonical normal form: sums of products with
 merged powers, sorted deterministically, with the constraint rewrites for
-marked parameters (square-one, idempotent) applied.  All arithmetic is exact;
-no floating point ever enters a stored tree.
+marked parameters (square-one, idempotent) applied, and fractional powers of
+rationals over integer bases with exponents in (0, 1).  All arithmetic is
+exact; no floating point ever enters a stored tree.
 
 The invariant is enforced once, at construction: raw node classes are built
 only inside this module, every tree that leaves it is canonical, and there is
@@ -24,18 +25,19 @@ is not plain, or with exps or abs-powers of one base on both sides, goes
 through ``mul`` once.  ``_sum`` builds the terms of ``add`` and of the
 expansion alike.  A power of a sum that would take more than
 ``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``, as
-does a rational power whose value would take more bits; ``is_zero``
-encloses such a sample value as an interval instead.
+does a rational power whose value would take more bits.
+
+``is_zero`` samples with the constructors as its one exact evaluator: at a
+point a value is exact where the bound tree folds to a ``Rat``, else a
+60-digit interval enclosure (of the unbound tree if it is too large to bind).
+Function atoms, innermost first, share a value only where their arguments
+are proved equal and take a fresh one only where they are proved different.
 
 Stored rationals (``Rat.q``, ``Mul.coef``, ``Pow.exp``) are ``int`` when
-integral and ``Fraction`` (denominator > 1) otherwise; the node constructors
-apply this through ``_q``.  Nearly every rational in a tree is a small
-integer, so the constructors' coefficient and exponent arithmetic runs as
-native ``int`` operations instead of ``fractions.py`` calls.  An ``int`` and
-the equal ``Fraction`` compare and hash alike and print the same, so keys,
-term order and report text do not depend on the representation.  Where a
-power could leave the rationals (``int ** -n`` is a float), the value is
-lifted to ``Fraction`` first, and ``evaluate`` always returns a ``Fraction``.
+integral and ``Fraction`` otherwise (``_q``), so the constructors' arithmetic
+runs mostly as native ``int`` operations; the two compare, hash and print
+alike.  A power that could leave the rationals (``int ** -n`` is a float) is
+lifted to ``Fraction`` first.
 """
 from __future__ import annotations
 
@@ -635,6 +637,12 @@ def pow_(base: Expr, exp) -> Expr:
             root = _exact_root(q, k)
             if root is not None:
                 return Rat(root)
+            # (n/d)^k = (n/d)^m n^r d^(1-r) / d, m = floor(k), r = k - m
+            m = k.numerator // k.denominator
+            if q.denominator > 1 or m != 0:
+                return mul(Rat(Fraction(_rat_power(q, m), q.denominator)),
+                           pow_(Rat(q.numerator), k - m),
+                           pow_(Rat(q.denominator), 1 - k + m))
         return Pow(base, k)
     if isinstance(base, Pow):
         if k.denominator == 1 or is_positive(base.base):
@@ -657,10 +665,7 @@ def pow_(base: Expr, exp) -> Expr:
                     n * comb(n + k - 1, n) > MAX_EXPANSION_PRODUCTS:
                 raise ExpansionTooLarge(f"a sum of {n} terms to the power "
                                         f"{k} is too large to expand")
-            out = base
-            for _ in range(int(k) - 1):
-                out = mul(out, base)
-            return out
+            return mul(*[base] * int(k))
         return Pow(base, k)
     if isinstance(base, Sym):
         base2, k2 = _constraint_fold(base, k)
@@ -1110,8 +1115,7 @@ def _clear_denominators(e: Expr) -> Expr:
         for _, factors in terms:
             for f in factors:
                 if isinstance(f, Pow) and f.exp < 0 and isinstance(f.base, Add):
-                    cur = need.get(f.base, 0)
-                    need[f.base] = max(cur, -f.exp)
+                    need[f.base] = max(need.get(f.base, 0), -f.exp)
         if not need:
             return e
         # multiply term by term with raw Pow nodes so each denominator merges
@@ -1122,8 +1126,6 @@ def _clear_denominators(e: Expr) -> Expr:
 
 
 def structurally_zero(e: Expr) -> bool:
-    if isinstance(e, Rat) and e.q == 0:
-        return True
     cleared = _clear_denominators(e)
     return isinstance(cleared, Rat) and cleared.q == 0
 
@@ -1133,42 +1135,19 @@ def _sample_value(s: Symbol, rng: random.Random) -> Fraction:
         return Fraction(rng.choice((1, -1)))
     if s.idempotent:
         return Fraction(rng.choice((0, 1)))
-    num = rng.randint(1, 1000)
-    den = rng.randint(1, 1000)
-    v = Fraction(num, den)
-    if s.positive:
-        return v
-    return v if rng.random() < 0.5 else -v
+    v = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
+    return v if s.positive or rng.random() < 0.5 else -v
 
 
 class _Transcendental(Exception):
     pass
 
 
-def _eval_fraction(e: Expr) -> Fraction:
-    if isinstance(e, Rat):
-        return Fraction(e.q)
-    if isinstance(e, Pow):
-        b = _eval_fraction(e.base)
-        if e.exp.denominator != 1:
-            raise _Transcendental()
-        if b == 0 and e.exp < 0:
-            raise SingularValue("pole")
-        return b ** e.exp.numerator
-    if isinstance(e, Mul):
-        v = Fraction(e.coef)
-        for f in e.factors:
-            v *= _eval_fraction(f)
-        return v
-    if isinstance(e, Add):
-        return sum((_eval_fraction(t) for t in e.terms), Fraction(0))
-    if isinstance(e, (ExpF, LnAbs, AbsPow)):
-        raise _Transcendental()
-    raise _Transcendental()
-
-
-def _iv_has_zero(v) -> bool:
-    return v.a <= 0 <= v.b
+def _iv_exp(iv, v):
+    # refused past 2^10000: mpmath's exp runs over a minute at 2^100000
+    if iv.mag(v) > 10_000:
+        raise ExpansionTooLarge("exp of a value too large to enclose")
+    return iv.exp(v)
 
 
 def _eval_interval(e: Expr, iv, env: Optional[Mapping] = None):
@@ -1179,24 +1158,24 @@ def _eval_interval(e: Expr, iv, env: Optional[Mapping] = None):
         return iv.mpf(e.q.numerator) / iv.mpf(e.q.denominator)
     if isinstance(e, Pow):
         b = _eval_interval(e.base, iv, env)
-        if _iv_has_zero(b) and e.exp < 0:
+        if 0 in b and e.exp < 0:
             raise SingularValue("pole interval")
         if e.exp.denominator == 1:
             return b ** e.exp.numerator
         if b.a > 0:
-            return iv.exp(iv.log(b) * iv.mpf(e.exp.numerator) / iv.mpf(e.exp.denominator))
+            return _iv_exp(iv, iv.log(b) * iv.mpf(e.exp.numerator) / iv.mpf(e.exp.denominator))
         raise SingularValue("fractional power of non-positive interval")
     if isinstance(e, AbsPow):
         b = abs(_eval_interval(e.base, iv, env))
-        if _iv_has_zero(b):
+        if 0 in b:
             raise SingularValue("abs-power at zero")
         q = _eval_interval(e.exp, iv, env)
-        return iv.exp(iv.log(b) * q)
+        return _iv_exp(iv, iv.log(b) * q)
     if isinstance(e, ExpF):
-        return iv.exp(_eval_interval(e.arg, iv, env))
+        return _iv_exp(iv, _eval_interval(e.arg, iv, env))
     if isinstance(e, LnAbs):
         a = abs(_eval_interval(e.arg, iv, env))
-        if _iv_has_zero(a):
+        if 0 in a:
             raise SingularValue("ln|0|")
         return iv.log(a)
     if isinstance(e, Mul):
@@ -1212,32 +1191,62 @@ def _eval_interval(e: Expr, iv, env: Optional[Mapping] = None):
     raise SingularValue(f"cannot evaluate node {type(e).__name__}")
 
 
-def _interval_nonzero(e: Expr, env: Mapping) -> bool:
-    """A 60-digit interval enclosure of ``e`` at ``env`` excludes zero."""
+def evaluate(e: Expr, env: Mapping) -> Fraction:
+    """Exact rational value of ``e`` at ``env``; a bound tree that does not
+    fold to a ``Rat`` raises ``_Transcendental``."""
+    v = substitute(e, env)
+    if not isinstance(v, Rat):
+        raise _Transcendental(f"{v!r} is not rational")
+    return Fraction(v.q)
+
+
+def _nonzero_at(e: Expr, env: Mapping) -> Optional[bool]:
+    """Whether ``e`` is nonzero at the point ``env`` (symbols and atoms to
+    ``Rat``): exact where the bound tree folds to a ``Rat``, else True where
+    a 60-digit enclosure (unbound if too large to bind) excludes zero, and
+    None (unknown) where it does not."""
+    try:
+        e, env = substitute(e, env), {}
+    except ExpansionTooLarge:
+        pass
+    if isinstance(e, Rat):
+        return e.q != 0
     import mpmath
     iv = mpmath.iv
-    old = iv.dps
+    old, iv.dps = iv.dps, 60
     try:
-        iv.dps = 60
-        return not _iv_has_zero(_eval_interval(e, iv, env))
+        return 0 not in _eval_interval(e, iv, env) or None
     finally:
         iv.dps = old
 
 
-def evaluate(e: Expr, env: Mapping) -> Fraction:
-    """Exact rational evaluation (raises on transcendental nodes)."""
-    bound = substitute(e, env)
-    for a in atoms(bound):
-        raise _Transcendental(f"unbound function atom {a!r}")
-    return _eval_fraction(bound)
+def _value_atoms(apps: Sequence[App], env: dict, rng: random.Random) -> bool:
+    """Value ``apps``, innermost first, into ``env``.  An atom whose arguments
+    are proved equal to an earlier atom's of the same function and partial
+    shares its value; one proved to differ from each such atom in some
+    argument takes a fresh value.  False when neither is proved."""
+    for i, a in enumerate(apps):
+        fresh = True
+        for b in apps[:i]:
+            if (b.fn, b.didx) != (a.fn, a.didx):
+                continue
+            sep = {_nonzero_at(add(x, mul(MINUS_ONE, y)), env)
+                   for x, y in zip(a.args, b.args)}
+            if sep <= {False}:
+                env[a] = env[b]
+                break
+            fresh = fresh and True in sep
+        else:
+            if not fresh:
+                return False
+            env[a] = rat(_sample_value(a.fn, rng))
+    return True
 
 
 def is_zero(e: Expr) -> ZeroResult:
     """Decide zero-ness: canonical zero is authoritative; random rational
     sampling is a falsifier only ("undecided" is surfaced, never treated as
     zero)."""
-    if isinstance(e, Rat):
-        return ZeroResult(ZERO_V if e.q == 0 else NONZERO_V)
     cleared = _clear_denominators(e)
     if isinstance(cleared, Rat):
         return ZeroResult(ZERO_V if cleared.q == 0 else NONZERO_V)
@@ -1247,42 +1256,32 @@ def is_zero(e: Expr) -> ZeroResult:
     import zlib
     from .printer import to_str
     rng = random.Random(0x5EED ^ zlib.crc32(to_str(e).encode()))
-    syms = sorted(free_symbols(e), key=lambda s: s.name)
-    base_syms = [s for s in syms if s.arg_names is None]
+    syms = [s for s in sorted(free_symbols(e), key=lambda s: s.name)
+            if s.arg_names is None]
+    # a node's children follow it in _nodes, so reversed, inner atoms lead
+    apps = list(dict.fromkeys(n for n in reversed(_nodes(e))
+                              if isinstance(n, App)))
 
-    tried = 0
+    skipped: dict = {}
     done = 0
-    # 32 evaluated points, out of at most 128 tried (singular ones skipped)
-    while done < 32 and tried < 128:
-        tried += 1
-        env = {s: rat(_sample_value(s, rng)) for s in base_syms}
+    # 32 evaluated points, out of at most 128 tried
+    while done < 32 and done + sum(skipped.values()) < 128:
+        env = {s: rat(_sample_value(s, rng)) for s in syms}
+        why = "with atom arguments neither equal nor separated"
         try:
-            try:
-                bound = substitute(e, env)
-                atom_env = {}
-                for a in sorted(atoms(bound), key=lambda a: a.key()):
-                    atom_env[a] = rat(_sample_value(a.fn, rng))
-                bound = _subst(bound, atom_env)
-                nonzero = _eval_fraction(bound) != 0
-            except _Transcendental:
-                nonzero = _interval_nonzero(bound, {})
-            except ExpansionTooLarge:
-                # a power too large to take exactly: enclose e at the point,
-                # each atom valued by its exactly bound arguments, as above
-                # (arguments too large to bind skip the point)
-                values: dict = {}
-                for a in sorted(atoms(e), key=lambda a: a.key()):
-                    env[a] = values.setdefault(
-                        substitute(a, env), rat(_sample_value(a.fn, rng)))
-                nonzero = _interval_nonzero(e, env)
-            if nonzero:
-                return ZeroResult(NONZERO_V, samples=done + 1)
-            done += 1
-        except (SingularValue, ExpansionTooLarge):
-            continue
+            if _value_atoms(apps, env, rng):
+                if _nonzero_at(e, env):
+                    return ZeroResult(NONZERO_V, samples=done + 1)
+                done += 1
+                continue
+        except SingularValue:
+            why = "singular"
+        except ExpansionTooLarge:
+            why = "with a value too large to enclose"
+        skipped[why] = skipped.get(why, 0) + 1
     if done == 0:
-        return ZeroResult(UNDECIDED_V, samples=0,
-                          detail="all sample points hit singularities")
+        return ZeroResult(UNDECIDED_V, detail="no sample point evaluated: " +
+                          ", ".join(f"{n} {why}" for why, n in skipped.items()))
     return ZeroResult(UNDECIDED_V, samples=done,
                       detail=f"{done} rational samples all evaluated to zero "
                              "on a non-canonical-zero form")

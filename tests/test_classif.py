@@ -227,21 +227,30 @@ def test_span_check_bites_beyond_the_ansatz(spec):
 def test_campaign_symmetry_checks_counted(monkeypatch):
     """The table and the special lists on one chart check each generator
     once and the kernel once: 74 + 3 residuals, where rechecking each
-    ansatz solution took 170 more."""
+    ansatz solution took 170 more.  They instantiate kernel + generators
+    once at each of the 70 samples, where a second instantiation at each
+    entry's first sample for the closure check took 32 more."""
     from wavesym import classif, detsys
-    calls = []
+    calls, instantiations = [], []
 
     def counting(spec, f, g, Q):
         calls.append(Q)
         return real(spec, f, g, Q)
 
+    def counting_instantiation(ch, gens, sample):
+        instantiations.append(sample)
+        return real_instantiation(ch, gens, sample)
+
     real = detsys.check_symmetry
+    real_instantiation = classif._kernel_extension
     monkeypatch.setattr(detsys, "check_symmetry", counting)
     monkeypatch.setattr(classif, "check_symmetry", counting)
+    monkeypatch.setattr(classif, "_kernel_extension", counting_instantiation)
     spec = ClassSpec.default()
     reports = classif.verify_table(spec) + classif.verify_special_lists(spec)
     assert all(r.status == PASS for r in reports)
     assert len(calls) == 74 + 3
+    assert len(instantiations) == 70
 
 
 def test_span_check_needs_the_kernel_check():

@@ -202,18 +202,26 @@ def test_huge_power_of_a_sample_quick_verdict(capsys):
 
 
 def test_huge_power_of_a_sample_with_function_atom_quick_verdict(capsys):
-    """The interval enclosure of such a sample values each function atom at
-    its bound arguments, so an arbitrary F(x) does not leave it undecided."""
+    """The interval enclosure of such a sample reads each function atom's
+    sampled value, so an arbitrary F(x) does not leave it undecided, nor
+    does an atom whose arguments are themselves too large to bind."""
     import time
-    t0 = time.monotonic()
-    assert main(["check", "-f", "F(x)*u_x^(10000000)", "-g", "0",
-                 "-Q", "t@t"]) == 1
-    assert time.monotonic() - t0 < 5
-    assert "verdict: nonzero" in capsys.readouterr().out
-    # an atom whose arguments are too large to bind skips the point, and
-    # with every point skipped the verdict stays undecided, not an error
-    assert main(["check", "-f", "F(x^(10000000))*u_x^(10000000)", "-g", "0",
-                 "-Q", "t@t"]) == 3
+    for f in ("F(x)*u_x^(10000000)", "F(x^(10000000))*u_x^(10000000)"):
+        t0 = time.monotonic()
+        assert main(["check", "-f", f, "-g", "0", "-Q", "t@t"]) == 1
+        assert time.monotonic() - t0 < 5
+        assert "verdict: nonzero" in capsys.readouterr().out
+
+
+def test_atoms_with_equal_arguments_never_nonzero(capsys):
+    """F(x*lnabs(2)+x*lnabs(3)) and F(x*lnabs(6)) are one value: the residual
+    is that of u_x^(-4) alone, which (t^2, t*u) leaves invariant, so the
+    check may be undecided but never a failure."""
+    assert main(["check", "-f", "u_x^(-4)", "-g", "0",
+                 "-Q", "t^2@t + t*u@u"]) == 0
+    capsys.readouterr()
+    assert main(["check", "-f", "u_x^(-4) + F(x*lnabs(2)+x*lnabs(3)) "
+                 "- F(x*lnabs(6))", "-g", "0", "-Q", "t^2@t + t*u@u"]) == 3
     assert "verdict: undecided-after-sampling" in capsys.readouterr().out
 
 

@@ -117,6 +117,37 @@ def test_is_zero_undecided_surfaced(ch):
     assert res.samples > 0
 
 
+# equal arguments that no canonical form shows equal: one value, so sampling
+# may leave the difference undecided but must never call it nonzero
+_EQUAL_ATOMS = ("F(lnabs(2)+lnabs(3)) - F(lnabs(6))",
+                "F(x*lnabs(2)+x*lnabs(3)) - F(x*lnabs(6))",
+                "F(G(x)) - F(G(x)+lnabs(2)+lnabs(3)-lnabs(6))")
+# atoms whose arguments differ at the point, innermost first where nested
+_SEPARATED_ATOMS = ("F(x) - F(x^2)", "F(G(x)) - F(G(2*x))",
+                    "G(F(x)) - G(F(2*x))", "f_ux",
+                    "F(x^(10000000)) - F(x^(10000001))")
+
+
+def test_is_zero_atoms_share_values_only_by_proof(ch):
+    for text in _EQUAL_ATOMS:
+        assert is_zero(P(text, ch)).verdict == "undecided-after-sampling", text
+    for text in _SEPARATED_ATOMS:
+        assert is_zero(P(text, ch)).verdict == "nonzero", text
+
+
+def test_is_zero_names_why_points_were_skipped(ch):
+    """With every sample point skipped, the detail counts each cause."""
+    for text, why in (
+            ("F(lnabs(2)+lnabs(3)) - F(lnabs(6))",
+             "128 with atom arguments neither equal nor separated"),
+            ("x*(lnabs(2)+lnabs(3)-lnabs(6))^(-1)", "128 singular"),
+            ("exp(x^(10000000) + x^(-10000000))*u_x",
+             "128 with a value too large to enclose")):
+        res = is_zero(P(text, ch))
+        assert (res.verdict, res.samples) == ("undecided-after-sampling", 0)
+        assert res.detail == f"no sample point evaluated: {why}", text
+
+
 def test_collect_examples(ch):
     ut = ch.get("u_t")
     e = P("tau_u*xi_u*u_t^2 + (tau_u*xi_t + tau_t*xi_u)*u_t + 5", ch)
@@ -361,11 +392,12 @@ def test_large_power_of_sum_refused(ch):
 def test_large_rational_power_refused():
     """A rational power whose value would take more than
     MAX_EXPANSION_PRODUCTS bits raises, on the positive and negative integer
-    paths and the exact-root path; small ones and powers of 0 and 1 fold."""
+    paths, the exact-root path and the integer part of a fractional power;
+    small ones and powers of 0 and 1 fold."""
     import time
     t0 = time.monotonic()
     for q, k in ((2, 10 ** 12), (Fraction(1, 2), -10 ** 12), (3, -10 ** 6),
-                 (4, Fraction(10 ** 12 + 1, 2))):
+                 (4, Fraction(10 ** 12 + 1, 2)), (2, Fraction(10 ** 12, 3))):
         with pytest.raises(ExpansionTooLarge):
             pow_(rat(q), k)
     assert time.monotonic() - t0 < 5
@@ -375,6 +407,45 @@ def test_large_rational_power_refused():
     assert pow_(rat(4), Fraction(3, 2)) == rat(8)
     # a root of a huge degree exists only for 1; 2^(1/10^12) stays a power
     assert pow_(rat(2), Fraction(1, 10 ** 12)) == Pow(rat(2), Fraction(1, 10 ** 12))
+
+
+def test_rational_powers_of_rationals_canonical(ch):
+    """A positive rational to a fractional power keeps integer bases with
+    exponents in (0, 1), the rest in the coefficient, so equal products of
+    powers of one base are equal trees; distinct integer bases would need
+    factoring, and those stay undecided, never zero."""
+    for text in ("2^(3/2) - 2*2^(1/2)", "2^(5/2) - 4*2^(1/2)",
+                 "(1/2)^(3/2) - 2^(-3/2)", "(2/3)^(1/2) - 2^(1/2)*3^(-1/2)",
+                 "(2^(1/2))^3 - 2^(1/2)*2^(1/2)*2^(1/2)"):
+        assert P(text, ch) == rat(0), text
+    assert is_zero(P("12^(1/2) - 2*3^(1/2)", ch)).verdict == \
+        "undecided-after-sampling"
+    rng = random.Random(113)
+    atoms = [P(a, ch) for a in ("2^(1/2)", "(1/2)^(2/3)", "(3/4)^(-1/2)",
+                                "x", "exp(x)", "delta", "abs(u_x)^(1/3)")]
+    for _ in range(200):
+        prod = mul(rat(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))),
+                   *rng.sample(atoms, rng.randint(1, 4)))
+        k = rng.randint(2, 5)
+        assert pow_(prod, k) == mul(*[prod] * k), (to_str(prod), k)
+
+
+def test_power_of_sum_equals_sequential_product(ch):
+    """A power of a sum, one ``mul`` over ``k`` copies, equals ``k - 1``
+    sequential products, for 300 random sums."""
+    rng = random.Random(127)
+    atoms = [P(a, ch) for a in _PRODUCT_ATOMS]
+    tried = 0
+    while tried < 300:
+        s = _random_sums(ch, rng, atoms)[0]
+        if not isinstance(s, Add):
+            continue
+        tried += 1
+        k = rng.randint(2, 5)
+        want = s
+        for _ in range(k - 1):
+            want = mul(want, s)
+        assert pow_(s, k) == want, (to_str(s), k)
 
 
 def test_constructor_fixpoint(spec, ch):
