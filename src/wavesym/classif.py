@@ -3,23 +3,26 @@
 The catalog carries one entry per classification case: the arbitrary
 elements (f,g) with their parameter constraints, the extension generators on
 top of the kernel <d_t, d_u, t d_u>, and the expected total dimension.
+Entries of the auxiliary lists that restate a table row are built from it.
 Verification checks per case: exact vanishing of the invariance residual
 for every generator (parameters symbolic), bracket closure of
 kernel+extension, and at generic parameter samples the symmetry dimension
 within the default ansatz and that kernel+extension span those symmetries.
-Dimension claims are statements *within the ansatz*.
+Dimension claims are statements *within the ansatz*.  The drivers that work
+on the class take a ``ClassSpec``, which computes its kernel check and
+default ansatz once; a serial campaign shares one spec among its sections.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._linalg import EchelonBasis, axpy
 from .charts import BASE_COORDS
 from .detsys import (ClassSpec, check_symmetry, kernel_fields,
-                     kernel_is_symmetry, solve_within_ansatz)
+                     solve_within_ansatz)
 from .equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt, lift_Du,
                           lift_F2, lift_G)
 from .expr import (Chart, Expr, Rat, ZERO, add, app, diff, equal, lnabs, mul,
@@ -162,23 +165,19 @@ CATALOG: list = [
         notes="maximal dimension in the class"),
 ]
 
+
+def _restated(row_id: str, entry_id: str, **own) -> ClassificationCase:
+    """An auxiliary-list entry that restates table row ``row_id``: its f, g,
+    generators and dim are the row's; ``own`` keeps the fields that differ."""
+    row = next(c for c in CATALOG if c.id == row_id)
+    return replace(row, id=entry_id, crossref=f"Table case {row_id}", **own)
+
+
 SPECIAL_CATALOG: list = [
-    ClassificationCase(
-        "L8.1:0", "delta*u_x^(-4)", "mu(x)*u_x^(-3)",
-        ("t^2@t + t*u@u", "2*t@t + u@u"), 5,
-        samples=(_S(delta=1), _S(delta=-1)), crossref="Table case 6"),
-    ClassificationCase(
-        "L8.1:1", "delta*u_x^(-4)", "u_x^(-3)",
-        ("t^2@t + t*u@u", "2*t@t + u@u", "1@x"), 6,
-        samples=(_S(delta=1), _S(delta=-1)), crossref="Table case 18"),
-    ClassificationCase(
-        "L8.1:2", "delta*u_x^(-4)", "nu*x^(-1)*u_x^(-3)",
-        ("t^2@t + t*u@u", "2*t@t + u@u", "2*x@x + u@u"), 6,
-        samples=(_S(nu=2, delta=1), _S(nu=-1, delta=-1)), crossref="Table case 19"),
-    ClassificationCase(
-        "L8.1:3", "delta*u_x^(-4)", "0",
-        ("t^2@t + t*u@u", "2*t@t + u@u", "1@x", "2*x@x + u@u"), 7,
-        samples=(_S(delta=1), _S(delta=-1)), crossref="Table case 22"),
+    _restated("6", "L8.1:0"),
+    _restated("18", "L8.1:1"),
+    _restated("19", "L8.1:2", samples=(_S(nu=2, delta=1), _S(nu=-1, delta=-1))),
+    _restated("22", "L8.1:3"),
     ClassificationCase(
         "L8.3:0", "theta(x)*u_x^(-4)", "0",
         ("t^2@t + t*u@u", "2*t@t + u@u"), 5, samples=(_S(),)),
@@ -191,10 +190,7 @@ SPECIAL_CATALOG: list = [
         ("t^2@t + t*u@u", "2*t@t + u@u", "2*x@x + (p + 1)*u@u"), 6,
         samples=(_S(p=2, delta=1), _S(p=-3, delta=-1), _S(p=Fraction(1, 2), delta=1)),
         notes="p != 0"),
-    ClassificationCase(
-        "L8.3:3", "delta*u_x^(-4)", "0",
-        ("t^2@t + t*u@u", "2*t@t + u@u", "1@x", "2*x@x + u@u"), 7,
-        samples=(_S(delta=1),), crossref="Table case 22"),
+    _restated("22", "L8.3:3", samples=(_S(delta=1),)),
     ClassificationCase(
         "C9.1:1", "delta*u_x^(-2)", "2*lnabs(u_x)",
         ("1@x", "x@x - t^2@u"), 5,
@@ -252,7 +248,7 @@ def verify_case(spec: ClassSpec, case: ClassificationCase,
     except NonClosure as e:
         rep.add("kernel+extension closes under bracket", False, str(e))
 
-    kernel_ok = kernel_is_symmetry(spec)
+    kernel_ok = spec.kernel_is_symmetry
     for sample, fields in zip(samples, instantiated):
         sol = solve_within_ansatz(spec, _instantiate(f, ch, sample),
                                   _instantiate(g, ch, sample))
@@ -274,19 +270,11 @@ def verify_case(spec: ClassSpec, case: ClassificationCase,
     return rep
 
 
-def verify_table(spec: Optional[ClassSpec] = None,
-                 ids: Optional[Sequence[str]] = None) -> list:
-    spec = spec or ClassSpec.default()
-    out = []
-    for case in CATALOG:
-        if ids and case.id not in ids:
-            continue
-        out.append(verify_case(spec, case))
-    return out
+def verify_table(spec: ClassSpec) -> list:
+    return [verify_case(spec, case) for case in CATALOG]
 
 
-def verify_special_lists(spec: Optional[ClassSpec] = None) -> list:
-    spec = spec or ClassSpec.default()
+def verify_special_lists(spec: ClassSpec) -> list:
     return [verify_case(spec, case) for case in SPECIAL_CATALOG]
 
 
@@ -541,12 +529,10 @@ def _elementary_rows(spec: ClassSpec):
     ]
 
 
-def verify_equivalence_group(spec: Optional[ClassSpec] = None,
-                             seed: int = 0) -> CaseReport:
+def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
     """Each elementary transformation: change of variables equals the printed
     row and equals the closed-form group action; then the composition
     decomposition as a group law at random parameters."""
-    spec = spec or ClassSpec.default()
     ch = spec.chart
     rep = CaseReport("equivalence group")
     f, g = spec.f_symbolic(), spec.g_symbolic()
@@ -630,8 +616,7 @@ def verify_equivalence_group(spec: Optional[ClassSpec] = None,
 # ---------------------------------------------------------------------------
 # reductions between cases with singular parameter values
 
-def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
-    spec = spec or ClassSpec.default()
+def verify_reductions(spec: ClassSpec) -> list:
     ch = spec.chart
     reports = []
     x, t = sym(ch.get("x")), sym(ch.get("t"))
@@ -738,8 +723,7 @@ def verify_reductions(spec: Optional[ClassSpec] = None) -> list:
 # ---------------------------------------------------------------------------
 # potential-system link with the nonlinear telegraph equation
 
-def verify_potential_link(spec: Optional[ClassSpec] = None) -> CaseReport:
-    spec = spec or ClassSpec.default()
+def verify_potential_link(spec: ClassSpec) -> CaseReport:
     ch = spec.chart
     rep = CaseReport("potential link")
     x = sym(ch.get("x"))
@@ -903,8 +887,8 @@ _SECTION_RUNNERS = {
 SECTIONS = tuple(_SECTION_RUNNERS)
 
 
-def run_section(name: str, seed: int = 0) -> list:
-    return _SECTION_RUNNERS[name](ClassSpec.default(), seed)
+def run_section(name: str, seed: int, spec: ClassSpec) -> list:
+    return _SECTION_RUNNERS[name](spec, seed)
 
 
 def run_campaign(sections: Sequence[str], seed: int = 0, jobs: int = 1) -> CampaignReport:
@@ -918,13 +902,15 @@ def run_campaign(sections: Sequence[str], seed: int = 0, jobs: int = 1) -> Campa
             results = list(pool.map(_run_section_worker,
                                     [(name, seed) for name in wanted]))
     else:
-        results = [run_section(name, seed) for name in wanted]
+        spec = ClassSpec.default()
+        results = [run_section(name, seed, spec) for name in wanted]
     for name, cases in zip(wanted, results):
         report.section(name).extend(cases)
     return report
 
 
 def _run_section_worker(arg):
+    """One section in a worker process, on a spec of its own."""
     name, seed = arg
-    return run_section(name, seed)
+    return run_section(name, seed, ClassSpec.default())
 

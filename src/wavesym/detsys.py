@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from ._linalg import nullspace
@@ -24,7 +25,9 @@ from .vecfield import ProlongedField, VectorField, prolong2, vf
 
 @dataclass
 class ClassSpec:
-    """The class u_tt = f(x,u_x) u_xx + g(x,u_x), f != 0, (f_ux, g_uxux) != 0."""
+    """The class u_tt = f(x,u_x) u_xx + g(x,u_x), f != 0, (f_ux, g_uxux) != 0,
+    on its chart; it owns what is derived from the class alone, each part
+    computed once."""
     chart: Chart
 
     @classmethod
@@ -38,6 +41,19 @@ class ClassSpec:
     def g_symbolic(self) -> Expr:
         ch = self.chart
         return app(ch.get("g"), (0, 0), (sym(ch.get("x")), sym(ch.get("u_x"))))
+
+    @cached_property
+    def kernel_is_symmetry(self) -> bool:
+        """Whether every kernel field is a symmetry for symbolic f(x,u_x),
+        g(x,u_x), hence of every equation of the class."""
+        f, g = self.f_symbolic(), self.g_symbolic()
+        return all(check_symmetry(self, f, g, K)[0].verdict == "zero"
+                   for K in kernel_fields(self.chart))
+
+    @cached_property
+    def default_ansatz(self) -> "_ParametricAnsatz":
+        """The default basis, parsed and prolonged."""
+        return _ParametricAnsatz.build(self.chart, AnsatzBasis.default(self.chart))
 
 
 def kernel_fields(chart: Chart) -> list:
@@ -69,19 +85,6 @@ def check_symmetry(spec: ClassSpec, f: Expr, g: Expr, Q: VectorField):
     undecided zero test."""
     res = invariance_residual(spec, Q, f, g)
     return is_zero(res), res
-
-
-def kernel_is_symmetry(spec: ClassSpec) -> bool:
-    """Whether every kernel field is a symmetry for symbolic f(x,u_x),
-    g(x,u_x), hence of every equation of the class; checked once per chart."""
-    ch = spec.chart
-    ok = getattr(ch, "_kernel_is_symmetry", None)
-    if ok is None:
-        f, g = spec.f_symbolic(), spec.g_symbolic()
-        ok = ch._kernel_is_symmetry = all(
-            check_symmetry(spec, f, g, K)[0].verdict == "zero"
-            for K in kernel_fields(ch))
-    return ok
 
 
 @dataclass
@@ -237,16 +240,6 @@ class CollectionFailure(Exception):
     pass
 
 
-def _ansatz_symbols(ch: Chart, count: int) -> list:
-    pool = getattr(ch, "_ansatz_pool", None)
-    if pool is None:
-        pool = ch._ansatz_pool = []
-    while len(pool) < count:
-        # a leading underscore: no chart declares it and no parse produces it
-        pool.append(ch.parameter(f"_k{len(pool)}"))
-    return pool[:count]
-
-
 @dataclass(frozen=True)
 class _ParametricAnsatz:
     """Q = sum_i k_i b_i over a basis, with its second prolongation."""
@@ -257,7 +250,9 @@ class _ParametricAnsatz:
 
     @classmethod
     def build(cls, ch: Chart, basis: AnsatzBasis) -> "_ParametricAnsatz":
-        ks = tuple(_ansatz_symbols(ch, basis.size()))
+        # a leading underscore: no chart declares it and no parse produces it
+        names = [f"_k{j}" for j in range(basis.size())]
+        ks = tuple(ch.get(n) if n in ch else ch.parameter(n) for n in names)
         slots = tuple([("t", b) for b in basis.tau] + [("x", b) for b in basis.xi]
                       + [("u", b) for b in basis.eta])
         coeffs = {"t": ZERO, "x": ZERO, "u": ZERO}
@@ -265,15 +260,6 @@ class _ParametricAnsatz:
             coeffs[coord] = add(coeffs[coord], mul(sym(k), b))
         Q = VectorField(ch, BASE_COORDS, coeffs, check=False)
         return cls(basis, ks, slots, prolong2(Q))
-
-
-def _default_ansatz(ch: Chart) -> _ParametricAnsatz:
-    """The default basis, parsed and prolonged once per chart."""
-    ansatz = getattr(ch, "_default_ansatz", None)
-    if ansatz is None:
-        ansatz = ch._default_ansatz = _ParametricAnsatz.build(
-            ch, AnsatzBasis.default(ch))
-    return ansatz
 
 
 @dataclass
@@ -291,10 +277,10 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
 
     The reported dimension is a statement *within the declared ansatz*: an
     under-approximation of the maximal algebra's dimension.  Without an
-    explicit basis the default one is used, prolonged once per chart.
+    explicit basis the spec's default one is used.
     """
     ch = spec.chart
-    ansatz = (_default_ansatz(ch) if basis is None
+    ansatz = (spec.default_ansatz if basis is None
               else _ParametricAnsatz.build(ch, basis))
     ks, slots = ansatz.ks, ansatz.slots
     R = _prolonged_residual(spec, ansatz.prolonged, f, g)

@@ -1263,16 +1263,18 @@ def is_zero(e: Expr) -> ZeroResult:
                               if isinstance(n, App)))
 
     skipped: dict = {}
-    done = 0
+    done = exact = 0
     # 32 evaluated points, out of at most 128 tried
     while done < 32 and done + sum(skipped.values()) < 128:
         env = {s: rat(_sample_value(s, rng)) for s in syms}
         why = "with atom arguments neither equal nor separated"
         try:
             if _value_atoms(apps, env, rng):
-                if _nonzero_at(e, env):
+                at = _nonzero_at(e, env)
+                if at:
                     return ZeroResult(NONZERO_V, samples=done + 1)
                 done += 1
+                exact += at is False
                 continue
         except SingularValue:
             why = "singular"
@@ -1283,8 +1285,9 @@ def is_zero(e: Expr) -> ZeroResult:
         return ZeroResult(UNDECIDED_V, detail="no sample point evaluated: " +
                           ", ".join(f"{n} {why}" for why, n in skipped.items()))
     return ZeroResult(UNDECIDED_V, samples=done,
-                      detail=f"{done} rational samples all evaluated to zero "
-                             "on a non-canonical-zero form")
+                      detail=f"{done} rational samples on a non-canonical-zero "
+                             f"form: {exact} exactly zero, {done - exact} with an "
+                             "enclosure containing zero")
 
 
 def equal(a: Expr, b: Expr) -> bool:

@@ -95,9 +95,9 @@ def test_criterion_04_kernel():
           ok, time.monotonic() - t0, 1)
 
 
-def test_criterion_05_table():
+def test_criterion_05_table(spec):
     t0 = time.monotonic()
-    reports = verify_table()
+    reports = verify_table(spec)
     ok = len(reports) == 22 and all(_clean(r) for r in reports)
     _crit(5, "Table rows 1-22: exact residuals (symbolic parameters), bracket "
              "closure, ansatz dimension = 3 + |extension| at generic samples "
@@ -106,18 +106,18 @@ def test_criterion_05_table():
           ok, time.monotonic() - t0, 30)
 
 
-def test_criterion_06_special_lists_and_reductions():
+def test_criterion_06_special_lists_and_reductions(spec):
     t0 = time.monotonic()
-    reports = verify_special_lists() + verify_reductions()
+    reports = verify_special_lists(spec) + verify_reductions(spec)
     ok = all(_clean(r) for r in reports)
     _crit(6, "lists (8.2), (8.3), the corollary cases, the (8.2)<->(8.3) "
              "mapping and the three singular-parameter reductions",
           ok, time.monotonic() - t0, 10)
 
 
-def test_criterion_07_equivalence_group():
+def test_criterion_07_equivalence_group(spec):
     t0 = time.monotonic()
-    rep = verify_equivalence_group(seed=0)
+    rep = verify_equivalence_group(spec, seed=0)
     _crit(7, "equivalence group: all seven elementary rows (change of "
              "variables = printed row = closed-form action) and the "
              "composition decomposition as a group law",
@@ -131,9 +131,9 @@ def test_criterion_08_adjoint_actions():
           _clean(rep), time.monotonic() - t0, 10)
 
 
-def test_criterion_09_potential_link():
+def test_criterion_09_potential_link(spec):
     t0 = time.monotonic()
-    rep = verify_potential_link()
+    rep = verify_potential_link(spec)
     _crit(9, "potential link: both derivation directions close as "
              "canonical-form identities with symbolic f, g",
           _clean(rep), time.monotonic() - t0, 5)

@@ -1,11 +1,12 @@
 """Catalog completeness, campaign drivers, cross-consistency, negative controls."""
 import dataclasses
+import re
 import time
 from fractions import Fraction
 
 from wavesym.charts import BASE_COORDS
-from wavesym.classif import (CATALOG, SPECIAL_CATALOG, ClassificationCase,
-                             builtin_catalog, run_campaign,
+from wavesym.classif import (CATALOG, SECTIONS, SPECIAL_CATALOG,
+                             ClassificationCase, builtin_catalog, run_campaign,
                              verify_adjoint_actions, verify_case,
                              verify_equivalence_algebra,
                              verify_equivalence_group, verify_megaideals,
@@ -105,21 +106,22 @@ def test_cross_consistency_of_reduced_pairs(spec, ch):
     assert d821 == d831 == 6
 
 
-def test_section_drivers_pass():
+def test_section_drivers_pass(spec):
     assert verify_equivalence_algebra().status == PASS
     assert verify_megaideals().status == PASS
     assert verify_adjoint_actions().status == PASS
-    assert verify_potential_link().status == PASS
-    assert verify_equivalence_group().status == PASS
-    for rep in verify_reductions():
+    assert verify_potential_link(spec).status == PASS
+    assert verify_equivalence_group(spec).status == PASS
+    for rep in verify_reductions(spec):
         assert rep.status == PASS, rep.case_id
     for rep in verify_subalgebra_lists():
         assert rep.status == PASS, rep.case_id
 
 
-def test_case_reports_time_themselves():
+def test_case_reports_time_themselves(spec):
     """Each case's wall time is positive and within the call that made it."""
-    for run in (lambda: [verify_adjoint_actions()], verify_reductions):
+    for run in (lambda: [verify_adjoint_actions()],
+                lambda: verify_reductions(spec)):
         start = time.monotonic()
         reps = run()
         elapsed = time.monotonic() - start
@@ -225,13 +227,13 @@ def test_span_check_bites_beyond_the_ansatz(spec):
 
 
 def test_campaign_symmetry_checks_counted(monkeypatch):
-    """The table and the special lists on one chart check each generator
-    once and the kernel once: 74 + 3 residuals, where rechecking each
-    ansatz solution took 170 more.  They instantiate kernel + generators
-    once at each of the 70 samples, where a second instantiation at each
-    entry's first sample for the closure check took 32 more."""
+    """A serial campaign builds one spec for all of its sections, so the
+    default ansatz is built once and the kernel checked once: the table and
+    the special lists check each generator once, 74 + 3 residuals, where a
+    spec per section took 3 more.  They instantiate kernel + generators
+    once at each of the 70 samples."""
     from wavesym import classif, detsys
-    calls, instantiations = [], []
+    calls, instantiations, specs, builds = [], [], [], []
 
     def counting(spec, f, g, Q):
         calls.append(Q)
@@ -241,23 +243,70 @@ def test_campaign_symmetry_checks_counted(monkeypatch):
         instantiations.append(sample)
         return real_instantiation(ch, gens, sample)
 
+    def counting_default(cls):
+        specs.append(cls)
+        return real_default()
+
+    def counting_build(cls, ch, basis):
+        builds.append(basis)
+        return real_build(ch, basis)
+
     real = detsys.check_symmetry
     real_instantiation = classif._kernel_extension
+    real_default = ClassSpec.default
+    real_build = detsys._ParametricAnsatz.build
     monkeypatch.setattr(detsys, "check_symmetry", counting)
     monkeypatch.setattr(classif, "check_symmetry", counting)
     monkeypatch.setattr(classif, "_kernel_extension", counting_instantiation)
-    spec = ClassSpec.default()
-    reports = classif.verify_table(spec) + classif.verify_special_lists(spec)
-    assert all(r.status == PASS for r in reports)
+    monkeypatch.setattr(ClassSpec, "default", classmethod(counting_default))
+    monkeypatch.setattr(detsys._ParametricAnsatz, "build",
+                        classmethod(counting_build))
+    assert run_campaign(SECTIONS).status == PASS
+    assert len(specs) == 1
+    assert len(builds) == 1
     assert len(calls) == 74 + 3
     assert len(instantiations) == 70
 
 
+def test_verify_case_called_once_per_catalog_entry(monkeypatch):
+    """The table and special sections reach ``verify_case`` through the
+    module global, once per catalog entry: the benchmark times one item per
+    such call by rebinding that global."""
+    from wavesym import classif
+    seen = []
+
+    def counting(spec, case, *args, **kwargs):
+        seen.append(case.id)
+        return real(spec, case, *args, **kwargs)
+
+    real = classif.verify_case
+    monkeypatch.setattr(classif, "verify_case", counting)
+    assert run_campaign(["table", "special"]).status == PASS
+    assert seen == [c.id for c in builtin_catalog()]
+    assert len(seen) == 32
+
+
+def test_restated_entries_match_their_rows():
+    """An auxiliary-list entry that restates a table row has the row's f, g,
+    generators and dim, and the row names the entry in its crossref."""
+    rows = {c.id: c for c in CATALOG}
+    restated = {c.id: c.crossref.split()[-1] for c in SPECIAL_CATALOG
+                if re.fullmatch(r"Table case \d+", c.crossref)}
+    assert restated == {"L8.1:0": "6", "L8.1:1": "18", "L8.1:2": "19",
+                        "L8.1:3": "22", "L8.3:3": "22"}
+    for entry in SPECIAL_CATALOG:
+        if entry.id in restated:
+            row = rows[restated[entry.id]]
+            assert (entry.f, entry.g, entry.generators, entry.dim) == \
+                (row.f, row.g, row.generators, row.dim)
+            assert entry.id in row.crossref.split(", ")
+
+
 def test_span_check_needs_the_kernel_check():
-    """The span argument rests on the kernel fields being symmetries: on a
-    chart where that check did not give zero, every span line fails."""
+    """The span argument rests on the kernel fields being symmetries: for a
+    spec whose kernel check did not give zero, every span line fails."""
     spec = ClassSpec.default()
-    spec.chart._kernel_is_symmetry = False
+    spec.kernel_is_symmetry = False
     row9 = next(c for c in CATALOG if c.id == "9")
     checks = verify_case(spec, row9).checks
     assert [c.name for c in checks if c.status != PASS] == \

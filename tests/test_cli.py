@@ -114,6 +114,17 @@ def test_verify_all_covers_catalog_once(tmp_path, capsys):
     assert report.read_bytes() == GOLDEN.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_verify_all_json_matches_golden(seed, capsys):
+    """Serial in-process ``verify all --format json`` at further seeds
+    prints the golden report bytes after the coverage line."""
+    assert main(["verify", "all", "--seed", str(seed), "--format", "json"]) == 0
+    coverage, payload = capsys.readouterr().out.split("\n", 1)
+    assert coverage == "catalog coverage: 32/32 entries verified"
+    golden = Path(__file__).parent / "data" / f"verify_all_seed{seed}.json"
+    assert payload.encode() == golden.read_bytes()
+
+
 def test_verify_all_jobs2_matches_golden(tmp_path, capsys):
     """The whole campaign fanned out over two workers, table and special
     sections included, writes the same bytes as the serial golden report."""

@@ -191,7 +191,7 @@ def test_ansatz_monotone_under_enlargement(spec, ch):
 
 
 def test_ansatz_cache_isolation():
-    """The default ansatz, kept once per chart, and a custom basis solved on
+    """The default ansatz, kept once per spec, and a custom basis solved on
     the same chart do not leak into each other, in either order."""
     def dims(order):
         spec = ClassSpec.default()
@@ -210,9 +210,10 @@ def test_ansatz_cache_isolation():
                                           fresh_default] == [7, 6, 7]
 
 
-def test_default_ansatz_built_once_per_chart(monkeypatch):
-    """Across several catalog cases on one chart, the default basis is
-    parsed once and the parametric ansatz field is prolonged once."""
+def test_default_ansatz_built_once_per_spec(monkeypatch):
+    """Across several catalog cases on one spec, the default basis is
+    parsed once and the parametric ansatz field is prolonged once.  A second
+    spec on the same chart builds its own over the same unknowns."""
     from wavesym import classif, detsys
     from wavesym.expr import free_symbols
 
@@ -235,13 +236,17 @@ def test_default_ansatz_built_once_per_chart(monkeypatch):
     monkeypatch.setattr(detsys, "parse", counting("parse", detsys.parse))
     monkeypatch.setattr(classif, "solve_within_ansatz",
                         counting("solve", classif.solve_within_ansatz))
-    reports = classif.verify_table(spec, ids=["1", "7", "22"])
+    reports = [classif.verify_case(spec, case) for case in classif.CATALOG
+               if case.id in ("1", "7", "22")]
     assert [r.status for r in reports] == ["pass"] * 3
     assert calls["solve"] == 7
     assert calls["prolong_ansatz"] == 1
     assert calls["parse"] == AnsatzBasis.default(spec.chart).size() == 20
     # the generator checks still prolong each generator field
     assert calls["prolong_other"] > 0
+    again = ClassSpec(spec.chart).default_ansatz
+    assert calls["prolong_ansatz"] == 2
+    assert again.ks == spec.default_ansatz.ks
 
 
 def test_prolonged_residual_restricts_before_multiplying(spec, ch):
@@ -249,7 +254,7 @@ def test_prolonged_residual_restricts_before_multiplying(spec, ch):
     field gives the canonical form of restricting the applied product, for
     every catalog generator at its first sample and for the default ansatz."""
     from wavesym.classif import _instantiate, _kernel_extension, builtin_catalog
-    from wavesym.detsys import _default_ansatz, _prolonged_residual
+    from wavesym.detsys import _prolonged_residual
     from wavesym.expr import substitute
     from wavesym.vecfield import prolong2
 
@@ -268,7 +273,7 @@ def test_prolonged_residual_restricts_before_multiplying(spec, ch):
         pairs += [(prolong2(Q), fi, gi)
                   for Q in _kernel_extension(ch, gens, sample)[3:]]
     assert len(pairs) == 74
-    ansatz = _default_ansatz(ch).prolonged
+    ansatz = spec.default_ansatz.prolonged
     pairs += [(ansatz, P(f, ch), P(g, ch))
               for f, g in (("u_x^(-4)", "0"), ("exp(2*u_x)", "exp(3*u_x)"),
                            ("x^2*abs(u_x)^4", "x*u_x + lnabs(u_x)"))]

@@ -109,12 +109,17 @@ def test_is_zero_denominator_clearing(ch):
 
 
 def test_is_zero_undecided_surfaced(ch):
-    # ln|2| + ln|3| - ln|6| is identically zero but not canonically so:
-    # sampling alone must never upgrade it to "zero"
-    e = add(lnabs(rat(2)), lnabs(rat(3)), mul(rat(-1), lnabs(rat(6))))
-    res = is_zero(e)
-    assert res.verdict == "undecided-after-sampling"
-    assert res.samples > 0
+    """Zero but not canonically so: sampling alone never upgrades these to
+    "zero", and the detail counts the points that evaluated to exactly zero
+    apart from those whose enclosure merely contains zero."""
+    for text, exact in (("(x^2)^(1/2) - abs(x)", 32),
+                        ("lnabs(2)+lnabs(3)-lnabs(6)", 0),
+                        ("2^(1/2)*3^(1/2) - 6^(1/2)", 0)):
+        res = is_zero(P(text, ch))
+        assert (res.verdict, res.samples) == ("undecided-after-sampling", 32)
+        assert res.detail == ("32 rational samples on a non-canonical-zero "
+                              f"form: {exact} exactly zero, {32 - exact} with "
+                              "an enclosure containing zero"), text
 
 
 # equal arguments that no canonical form shows equal: one value, so sampling
@@ -267,14 +272,13 @@ def _sample_trees(spec, ch):
     """200 random transcendental trees, the parsed catalog, the prolonged
     default ansatz and 60 products of random sums."""
     from wavesym.classif import builtin_catalog
-    from wavesym.detsys import _default_ansatz
     rng = random.Random(101)
     for _ in range(200):
         yield _random_expr(ch, rng, transcendental=True)
     for case in builtin_catalog():
         f, g, gens = case.parsed(spec)
         yield from [f, g] + [c for Q in gens for c in Q.coeffs.values()]
-    pr = _default_ansatz(ch).prolonged
+    pr = spec.default_ansatz.prolonged
     yield from pr.base.coeffs.values()
     yield from (pr.eta_t, pr.eta_x, pr.eta_tt, pr.eta_tx, pr.eta_xx)
     rng = random.Random(107)
