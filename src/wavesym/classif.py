@@ -17,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Sequence
 
 from ._linalg import EchelonBasis, axpy
 from .charts import BASE_COORDS
@@ -224,12 +225,11 @@ def _kernel_extension(ch: Chart, gens: Sequence[VectorField],
         for Q in gens]
 
 
-def verify_case(spec: ClassSpec, case: ClassificationCase,
-                parsed: Optional[tuple] = None) -> CaseReport:
-    """The case's checks; ``parsed`` stands for ``case.parsed(spec)``."""
+def verify_case(spec: ClassSpec, case: ClassificationCase) -> CaseReport:
+    """The case's checks."""
     ch = spec.chart
     rep = CaseReport(case.id)
-    f, g, gens = parsed or case.parsed(spec)
+    f, g, gens = case.parsed(spec)
 
     for i, Q in enumerate(gens):
         res, residual = check_symmetry(spec, f, g, Q)
@@ -511,12 +511,7 @@ def _elementary_rows(spec: ClassSpec):
     phi_xx = diff(phi_x, ch.get("x"))
     psi_xx = diff(diff(psi, ch.get("x")), ch.get("x"))
     f, g = spec.f_symbolic(), spec.g_symbolic()
-
-    def par(**moved):
-        identity = dict(c0=ZERO, c1=rat(1), c2=rat(1), c3=ZERO, c4=ZERO,
-                        phi=x, psi=ZERO)
-        return EquivParams(ch, **{**identity, **moved})
-
+    par = partial(EquivParams.moved, ch)
     return [
         ("P^t(c0)", par(c0=c0), f, g),
         ("D^t(c1)", par(c1=c1), mul(pow_(c1, -2), f), mul(pow_(c1, -2), g)),

@@ -137,17 +137,15 @@ def cmd_dim(args) -> int:
     return 0
 
 
-# the keys of a --params file and their defaults (phi_inv has none)
-_TRANSFORM_DEFAULTS = {"c0": "0", "c1": "1", "c2": "1", "c3": "0", "c4": "0",
-                       "phi": "x", "psi": "0", "phi_inv": None}
+# the keys of a --params file; a key left out keeps its identity value
+_TRANSFORM_KEYS = ("c0", "c1", "c2", "c3", "c4", "phi", "psi", "phi_inv")
 
 
 def cmd_transform(args) -> int:
     spec = ClassSpec.default()
     ch = spec.chart
-    cfg = {**_TRANSFORM_DEFAULTS, **_read_config(args.params, _TRANSFORM_DEFAULTS)}
-    par = EquivParams(ch, **{key: None if text is None else parse(text, ch)
-                             for key, text in cfg.items()})
+    cfg = _read_config(args.params, _TRANSFORM_KEYS)
+    par = EquivParams.moved(ch, **{key: parse(text, ch) for key, text in cfg.items()})
     f_new, g_new = apply_equivalence(par, *_parse_fg(args, ch))
     print(f"f~ = {to_str(f_new)}")
     print(f"g~ = {to_str(g_new)}")

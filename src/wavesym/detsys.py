@@ -158,15 +158,10 @@ def generate_determining_system(spec: ClassSpec) -> DeterminingSystem:
     # u_xx*u_t split leaves 3 f tau_u = 0, and f != 0.
     comb = add(mul(rat(Fraction(1, 2)), diff(raw[1].expr, u_x)),
                mul(rat(-1), raw[2].expr))
-    tau_u = app(ch.get("tau"), (0, 0, 1), (sym(ch.get("t")), sym(ch.get("x")),
-                                           sym(ch.get("u"))))
-    xi_u = app(ch.get("xi"), (0, 0, 1), (sym(ch.get("t")), sym(ch.get("x")),
-                                         sym(ch.get("u"))))
+    tau_u, xi_u, eta_uu = (parse(name, ch) for name in ("tau_u", "xi_u", "eta_uu"))
 
     R2 = _kill_u_partials(R1)
     col2 = collect(R2, [u_t, u_tx, u_xx])
-    eta_uu = app(ch.get("eta"), (0, 0, 2), (sym(ch.get("t")), sym(ch.get("x")),
-                                            sym(ch.get("u"))))
     rest = substitute(col2.get(rat(1), ZERO), {eta_uu: ZERO})
 
     preliminary = [

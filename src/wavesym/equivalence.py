@@ -10,7 +10,8 @@ The generators live on the augmented chart (t,x,u,u_x,f,g):
 
 Elementary transformations (shift/scaling of t, scaling/gauging of u,
 arbitrary x-reparametrization) are provided as lifted transforms on the same
-chart, composable and push-forwardable.
+chart, composable and push-forwardable; each is ``EquivParams.action`` with
+one parameter moved off the identity.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Optional
 
 from .charts import AUG_COORDS, augmented_chart
 from .expr import Chart, Expr, add, app, diff, mul, pow_, rat, sym
-from .vecfield import LiftedTransform, VectorField
+from .vecfield import EquivParams, LiftedTransform, VectorField
 
 
 @dataclass(frozen=True)
@@ -115,67 +116,39 @@ class EquivalenceAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# lifted elementary transformations: each writes its map once, and its
-# inverse is the same map at the inverse parameter
+# lifted elementary transformations: each moves one parameter of
+# EquivParams off the identity, and its inverse moves it to the inverse value
+
+def _lift(ch: Chart, name: str, value: Expr, inverse: Expr) -> LiftedTransform:
+    f, g = sym(ch.get("f")), sym(ch.get("g"))
+    return LiftedTransform(ch, EquivParams.moved(ch, **{name: value}).action(f, g),
+                           EquivParams.moved(ch, **{name: inverse}).action(f, g))
+
 
 def lift_Pt(ch: Chart, c0: Expr) -> LiftedTransform:
-    t = sym(ch.get("t"))
-
-    def maps(c):
-        return {"t": add(t, c)}
-    return LiftedTransform(ch, maps(c0), maps(mul(rat(-1), c0)))
+    return _lift(ch, "c0", c0, mul(rat(-1), c0))
 
 
 def lift_Dt(ch: Chart, c1: Expr) -> LiftedTransform:
-    t, f, g = sym(ch.get("t")), sym(ch.get("f")), sym(ch.get("g"))
-
-    def maps(c):
-        return {"t": mul(c, t), "f": mul(pow_(c, -2), f), "g": mul(pow_(c, -2), g)}
-    return LiftedTransform(ch, maps(c1), maps(pow_(c1, -1)))
+    return _lift(ch, "c1", c1, pow_(c1, -1))
 
 
 def lift_Du(ch: Chart, c2: Expr) -> LiftedTransform:
-    u, ux, g = sym(ch.get("u")), sym(ch.get("u_x")), sym(ch.get("g"))
-
-    def maps(c):
-        return {"u": mul(c, u), "u_x": mul(c, ux), "g": mul(c, g)}
-    return LiftedTransform(ch, maps(c2), maps(pow_(c2, -1)))
+    return _lift(ch, "c2", c2, pow_(c2, -1))
 
 
 def lift_F1(ch: Chart, c3: Expr) -> LiftedTransform:
-    t, u = sym(ch.get("t")), sym(ch.get("u"))
-
-    def maps(c):
-        return {"u": add(u, mul(c, t))}
-    return LiftedTransform(ch, maps(c3), maps(mul(rat(-1), c3)))
+    return _lift(ch, "c3", c3, mul(rat(-1), c3))
 
 
 def lift_F2(ch: Chart, c4: Expr) -> LiftedTransform:
-    t, u, g = sym(ch.get("t")), sym(ch.get("u")), sym(ch.get("g"))
-
-    def maps(c):
-        return {"u": add(u, mul(c, t, t)), "g": add(g, mul(rat(2), c))}
-    return LiftedTransform(ch, maps(c4), maps(mul(rat(-1), c4)))
+    return _lift(ch, "c4", c4, mul(rat(-1), c4))
 
 
 def lift_G(ch: Chart, psi: Expr) -> LiftedTransform:
-    x = ch.get("x")
-    u, ux, f, g = (sym(ch.get(n)) for n in ("u", "u_x", "f", "g"))
-
-    def maps(p):
-        px = diff(p, x)
-        return {"u": add(u, p), "u_x": add(ux, px),
-                "g": add(g, mul(rat(-1), diff(px, x), f))}
-    return LiftedTransform(ch, maps(psi), maps(mul(rat(-1), psi)))
+    return _lift(ch, "psi", psi, mul(rat(-1), psi))
 
 
 def lift_D(ch: Chart, phi: Expr, phi_inv: Expr) -> LiftedTransform:
     """x-reparametrization; ``phi_inv`` is the inverse function, written in x."""
-    x = ch.get("x")
-    ux, f, g = (sym(ch.get(n)) for n in ("u_x", "f", "g"))
-
-    def maps(p):
-        px = diff(p, x)
-        return {"x": p, "u_x": mul(ux, pow_(px, -1)), "f": mul(pow_(px, 2), f),
-                "g": add(g, mul(diff(px, x), ux, f, pow_(px, -1)))}
-    return LiftedTransform(ch, maps(phi), maps(phi_inv))
+    return _lift(ch, "phi", phi, phi_inv)

@@ -133,8 +133,6 @@ class Chart:
     def __init__(self, jet_cap: int = 4):
         self.jet_cap = jet_cap
         self.symbols: dict[str, Symbol] = {}
-        self.independents: list[Symbol] = []
-        self.dependents: list[Symbol] = []
 
     def _register(self, s: Symbol) -> Symbol:
         if s.name in self.symbols:
@@ -143,14 +141,10 @@ class Chart:
         return s
 
     def independent(self, name: str, **flags) -> Symbol:
-        s = self._register(Symbol(name, INDEPENDENT, **flags))
-        self.independents.append(s)
-        return s
+        return self._register(Symbol(name, INDEPENDENT, **flags))
 
     def dependent(self, name: str) -> Symbol:
-        s = self._register(Symbol(name, DEPENDENT, dep=name, index=(0, 0)))
-        self.dependents.append(s)
-        return s
+        return self._register(Symbol(name, DEPENDENT, dep=name, index=(0, 0)))
 
     def jet(self, dep: str, nt: int, nx: int) -> Symbol:
         if nt == 0 and nx == 0:

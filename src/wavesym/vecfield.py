@@ -256,8 +256,7 @@ def transform_equation(P: PointTransform, f: Expr, g: Expr):
     only on (x~, u_x~); returns that pair expressed in the new coordinates
     (reusing the symbols x, u_x).  Raises TransformLeavesClass otherwise.
     """
-    f_old, g_old = transform_equation_old_coords(P, f, g)
-    return _to_new_coords(P, f_old), _to_new_coords(P, g_old)
+    return _to_new_coords(P, *transform_equation_old_coords(P, f, g))
 
 
 def transform_equation_old_coords(P: PointTransform, f: Expr, g: Expr):
@@ -296,7 +295,9 @@ def transform_equation_old_coords(P: PointTransform, f: Expr, g: Expr):
     return f_new, g_new
 
 
-def _to_new_coords(P: PointTransform, e: Expr) -> Expr:
+def _to_new_coords(P: PointTransform, *exprs: Expr) -> tuple:
+    """Each of ``exprs`` rewritten in the new coordinates (x, u_x standing for
+    x~, u_x~); the map to them is built once."""
     ch = P.chart
     t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
     u_t, u_x = ch.get("u_t"), ch.get("u_x")
@@ -322,12 +323,16 @@ def _to_new_coords(P: PointTransform, e: Expr) -> Expr:
     full[u_t] = ut_map
     full[u_x] = ux_map
 
-    out = substitute(e, full)
-    bad = [s for s in free_symbols(out) if s in (nT, nU, nUT)]
-    if bad:
-        raise TransformLeavesClass(
-            f"image depends on {[s.name for s in bad]}; not a class member", out)
-    return substitute(out, {nX: sym(x), nUX: sym(u_x)})
+    back = {nX: sym(x), nUX: sym(u_x)}
+    images = []
+    for e in exprs:
+        out = substitute(e, full)
+        bad = [s for s in free_symbols(out) if s in (nT, nU, nUT)]
+        if bad:
+            raise TransformLeavesClass(
+                f"image depends on {[s.name for s in bad]}; not a class member", out)
+        images.append(substitute(out, back))
+    return tuple(images)
 
 
 def compose_point_transforms(P2: PointTransform, P1: PointTransform) -> PointTransform:
@@ -366,6 +371,14 @@ class EquivParams:
                 substitute(self.phi_inv, {x: self.phi}), sym(x)):
             raise ValueError("phi_inv(phi(x)) is not x")
 
+    @classmethod
+    def moved(cls, chart: Chart, **params) -> "EquivParams":
+        """The identity transformation with the named parameters set."""
+        one = rat(1)
+        identity = dict(c0=ZERO, c1=one, c2=one, c3=ZERO, c4=ZERO,
+                        phi=sym(chart.get("x")), psi=ZERO)
+        return cls(chart, **{**identity, **params})
+
     def to_point_transform(self) -> PointTransform:
         ch = self.chart
         t = sym(ch.get("t"))
@@ -378,32 +391,36 @@ class EquivParams:
             x_inv=self.phi_inv,
         )
 
+    def action(self, f: Expr, g: Expr) -> dict:
+        """The closed-form action on (t, x, u, u_x, f, g), each new coordinate
+        written in the old ones:
+        u_x~ = (c2 u_x + psi_x)/phi_x,  f~ = phi_x^2 f/c1^2,
+        g~ = (c2 g + u_x~ phi_xx f - psi_xx f + 2 c4)/c1^2."""
+        ch = self.chart
+        x, ux = ch.get("x"), sym(ch.get("u_x"))
+        phi_x = diff(self.phi, x)
+        psi_x = diff(self.psi, x)
+        inv_c1sq = pow_(self.c1, -2)
+        ux_new = mul(add(mul(self.c2, ux), psi_x), pow_(phi_x, -1))
+        P = self.to_point_transform()
+        return {"t": P.T, "x": P.X, "u": P.U(), "u_x": ux_new,
+                "f": mul(pow_(phi_x, 2), inv_c1sq, f),
+                "g": mul(inv_c1sq,
+                         add(mul(self.c2, g), mul(ux_new, diff(phi_x, x), f),
+                             mul(rat(-1), diff(psi_x, x), f),
+                             mul(rat(2), self.c4)))}
+
 
 def apply_equivalence_old_coords(par: EquivParams, f: Expr, g: Expr):
-    """Closed-form equivalence action, still written in the old coordinates:
-    f~ = (phi_x^2/c1^2) f,
-    g~ = (c2 g + ((c2 u_x + psi_x)/phi_x) phi_xx f - psi_xx f + 2 c4)/c1^2."""
-    ch = par.chart
-    x, ux = ch.get("x"), sym(ch.get("u_x"))
-    phi_x = diff(par.phi, x)
-    phi_xx = diff(phi_x, x)
-    psi_x = diff(par.psi, x)
-    psi_xx = diff(psi_x, x)
-    inv_c1sq = pow_(par.c1, -2)
-    f_new = mul(pow_(phi_x, 2), inv_c1sq, f)
-    g_new = mul(inv_c1sq,
-                add(mul(par.c2, g),
-                    mul(add(mul(par.c2, ux), psi_x), pow_(phi_x, -1), phi_xx, f),
-                    mul(rat(-1), psi_xx, f),
-                    mul(rat(2), par.c4)))
-    return f_new, g_new
+    """The equivalence action on (f, g), still written in the old coordinates."""
+    image = par.action(f, g)
+    return image["f"], image["g"]
 
 
 def apply_equivalence(par: EquivParams, f: Expr, g: Expr):
     """Equivalence action with arguments rewritten to the new coordinates."""
-    f_old, g_old = apply_equivalence_old_coords(par, f, g)
-    P = par.to_point_transform()
-    return _to_new_coords(P, f_old), _to_new_coords(P, g_old)
+    return _to_new_coords(par.to_point_transform(),
+                          *apply_equivalence_old_coords(par, f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +429,15 @@ def apply_equivalence(par: EquivParams, f: Expr, g: Expr):
 class LiftedTransform:
     """A point transformation lifted to the augmented chart.
 
-    ``maps[c]`` gives the new coordinate c as an expression in the old ones;
-    ``inv[c]`` gives the old coordinate c as an expression written in the new
-    ones (same symbols).
+    For every coordinate c of the chart, ``maps[c]`` gives the new
+    coordinate c as an expression in the old ones, and ``inv[c]`` gives the
+    old coordinate c as an expression written in the new ones (same symbols).
     """
 
     def __init__(self, chart: Chart, maps: Mapping[str, Expr], inv: Mapping[str, Expr]):
         self.chart = chart
-        self.maps = {c: _id_default(chart, c, maps) for c in AUG_COORDS}
-        self.inv = {c: _id_default(chart, c, inv) for c in AUG_COORDS}
+        self.maps = {c: maps[c] for c in AUG_COORDS}
+        self.inv = {c: inv[c] for c in AUG_COORDS}
 
     def compose(self, first: "LiftedTransform") -> "LiftedTransform":
         """self after first (acts as self ∘ first)."""
@@ -430,11 +447,6 @@ class LiftedTransform:
         maps = {c: substitute(self.maps[c], subs_fwd) for c in AUG_COORDS}
         inv = {c: substitute(first.inv[c], subs_inv) for c in AUG_COORDS}
         return LiftedTransform(ch, maps, inv)
-
-
-def _id_default(chart: Chart, c: str, table: Mapping[str, Expr]) -> Expr:
-    e = table.get(c)
-    return e if e is not None else sym(chart.get(c))
 
 
 def pushforward(L: LiftedTransform, V: VectorField) -> VectorField:

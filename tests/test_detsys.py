@@ -87,8 +87,13 @@ def test_determining_system_rows(spec, ch):
 
 
 def test_tau_u_derivation_logged(spec):
+    """The log prints the combination of the u_tx and u_xx*u_t splits, and
+    it is exactly 3 f tau_u; a wrong combination (the u_tx split alone)
+    would print another line."""
     ds = generate_determining_system(spec)
-    assert any("3*f*tau_u" in line for line in ds.split_log)
+    want = "combination check: 3*f*tau_u"
+    assert want in ds.split_log
+    assert f"combination check: {ds.raw[1].expr!r}" != want
 
 
 def _instantiate_determining_equation(eqn_expr, ch, tau, xi, eta, f, g):

@@ -194,6 +194,64 @@ def test_lift_inverse_inverts_maps(ea):
                 assert equal(substitute(L.inv[n], fwd), sym(ch.get(n))), n
 
 
+def _reference_maps(ch, kind, p):
+    """The seven elementary maps on (t, x, u, u_x, f, g), each written out on
+    its own: an oracle for ``EquivParams.action``.  Coordinates left out are
+    fixed."""
+    x = ch.get("x")
+    t, u, ux, f, g = (sym(ch.get(n)) for n in ("t", "u", "u_x", "f", "g"))
+    if kind == "Pt":
+        return {"t": add(t, p)}
+    if kind == "Dt":
+        return {"t": mul(p, t), "f": mul(pow_(p, -2), f), "g": mul(pow_(p, -2), g)}
+    if kind == "Du":
+        return {"u": mul(p, u), "u_x": mul(p, ux), "g": mul(p, g)}
+    if kind == "F1":
+        return {"u": add(u, mul(p, t))}
+    if kind == "F2":
+        return {"u": add(u, mul(p, t, t)), "g": add(g, mul(rat(2), p))}
+    px = diff(p, x)
+    if kind == "G":
+        return {"u": add(u, p), "u_x": add(ux, px),
+                "g": add(g, mul(rat(-1), diff(px, x), f))}
+    return {"x": p, "u_x": mul(ux, pow_(px, -1)), "f": mul(pow_(px, 2), f),
+            "g": add(g, mul(diff(px, x), ux, f, pow_(px, -1)))}
+
+
+def test_lifts_match_reference_maps(ea):
+    """Each lift's ``maps`` and ``inv`` are the reference maps at the
+    parameter and at its inverse, as canonical trees: at seeded rational,
+    symbolic (c1, c4) and formal (psi(x)) parameters, and for D at an affine
+    and an exponential phi."""
+    ch = ea.chart
+    x = sym(ch.get("x"))
+    neg = lambda e: mul(rat(-1), e)
+    recip = lambda e: pow_(e, -1)
+    c1, c4 = sym(ch.get("c1")), sym(ch.get("c4"))
+    cases = [(lift_Dt, "Dt", c1, recip(c1)), (lift_F2, "F2", c4, neg(c4)),
+             (lift_G, "G", ea.formal("psi"), neg(ea.formal("psi")))]
+    for seed in range(4):
+        rng = random.Random(seed)
+
+        def c():
+            return rat(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                rng.randint(1, 3)))
+        cases += [(lift, kind, p, inv(p)) for lift, kind, inv, p in (
+            (lift_Pt, "Pt", neg, c()), (lift_Dt, "Dt", recip, c()),
+            (lift_Du, "Du", recip, c()), (lift_F1, "F1", neg, c()),
+            (lift_F2, "F2", neg, c()),
+            (lift_G, "G", neg, add(c(), mul(c(), x), mul(c(), x, x))))]
+        a, b = c(), c()
+        cases.append((lift_D, "D", add(mul(a, x), b),
+                      mul(add(x, neg(b)), recip(a))))
+    cases.append((lift_D, "D", exp_(x), lnabs(x)))
+    for lift, kind, p, q in cases:
+        L = lift(ch, p, q) if kind == "D" else lift(ch, p)
+        for got, want in ((L.maps, _reference_maps(ch, kind, p)),
+                          (L.inv, _reference_maps(ch, kind, q))):
+            assert got == {n: want.get(n, sym(ch.get(n))) for n in AUG_COORDS}, kind
+
+
 def test_pushforward_translation_fixes_own_generator(ea):
     ch = ea.chart
     c0 = sym(ch.get("c0"))
