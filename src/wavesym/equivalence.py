@@ -119,36 +119,39 @@ class EquivalenceAlgebra:
 # lifted elementary transformations: each moves one parameter of
 # EquivParams off the identity, and its inverse moves it to the inverse value
 
-def _lift(ch: Chart, name: str, value: Expr, inverse: Expr) -> LiftedTransform:
+def _lift(ch: Chart, fwd: dict, bwd: dict) -> LiftedTransform:
     f, g = sym(ch.get("f")), sym(ch.get("g"))
-    return LiftedTransform(ch, EquivParams.moved(ch, **{name: value}).action(f, g),
-                           EquivParams.moved(ch, **{name: inverse}).action(f, g))
+    return LiftedTransform(ch, EquivParams.moved(ch, **fwd).action(f, g),
+                           EquivParams.moved(ch, **bwd).action(f, g))
 
 
 def lift_Pt(ch: Chart, c0: Expr) -> LiftedTransform:
-    return _lift(ch, "c0", c0, mul(rat(-1), c0))
+    return _lift(ch, {"c0": c0}, {"c0": mul(rat(-1), c0)})
 
 
 def lift_Dt(ch: Chart, c1: Expr) -> LiftedTransform:
-    return _lift(ch, "c1", c1, pow_(c1, -1))
+    return _lift(ch, {"c1": c1}, {"c1": pow_(c1, -1)})
 
 
 def lift_Du(ch: Chart, c2: Expr) -> LiftedTransform:
-    return _lift(ch, "c2", c2, pow_(c2, -1))
+    return _lift(ch, {"c2": c2}, {"c2": pow_(c2, -1)})
 
 
 def lift_F1(ch: Chart, c3: Expr) -> LiftedTransform:
-    return _lift(ch, "c3", c3, mul(rat(-1), c3))
+    return _lift(ch, {"c3": c3}, {"c3": mul(rat(-1), c3)})
 
 
 def lift_F2(ch: Chart, c4: Expr) -> LiftedTransform:
-    return _lift(ch, "c4", c4, mul(rat(-1), c4))
+    return _lift(ch, {"c4": c4}, {"c4": mul(rat(-1), c4)})
 
 
 def lift_G(ch: Chart, psi: Expr) -> LiftedTransform:
-    return _lift(ch, "psi", psi, mul(rat(-1), psi))
+    return _lift(ch, {"psi": psi}, {"psi": mul(rat(-1), psi)})
 
 
 def lift_D(ch: Chart, phi: Expr, phi_inv: Expr) -> LiftedTransform:
-    """x-reparametrization; ``phi_inv`` is the inverse function, written in x."""
-    return _lift(ch, "phi", phi, phi_inv)
+    """x-reparametrization; ``phi_inv`` is the inverse function, written in
+    x.  A ``phi_inv`` that does not invert ``phi`` raises ValueError, as
+    ``EquivParams`` checks it."""
+    return _lift(ch, {"phi": phi, "phi_inv": phi_inv},
+                 {"phi": phi_inv, "phi_inv": phi})

@@ -17,6 +17,11 @@ only inside this module, every tree that leaves it is canonical, and there is
 no re-normalization pass.  ``iter_terms`` is the one way to read a canonical
 expression back as (coefficient, factors) terms.
 
+Nodes are interned: a constructor called with the fields of a node it has
+built returns that node (``Expr.__new__``), so equal trees are one object,
+``==`` is identity and hashing is object hashing.  The node tables, like
+``diff``'s memo, live as long as the process.
+
 Products of sums expand in one pass: ``mul`` multiplies its partial products,
 a ``{key-sorted factors: coef}`` map, by each sum's terms.  Two terms with no
 common base concatenate their factors; a shared base adds exponents and is
@@ -85,7 +90,7 @@ class Symbol:
     """
 
     __slots__ = ("name", "kind", "dep", "index", "arg_names",
-                 "square_one", "idempotent", "positive", "nonzero", "_h")
+                 "square_one", "idempotent", "positive", "nonzero", "_id", "_h")
 
     def __init__(self, name, kind, dep=None, index=None, arg_names=None,
                  square_one=False, idempotent=False, positive=False, nonzero=False):
@@ -98,19 +103,22 @@ class Symbol:
         self.idempotent = idempotent
         self.positive = positive
         self.nonzero = nonzero
-        self._h = hash(self._id())
-
-    def _id(self):
         # flags are part of the identity: a positive-marked x is a different
-        # atom (with different folding semantics) than an unsigned one
-        return (self.name, self.kind, self.dep, self.index, self.arg_names,
-                self.square_one, self.idempotent, self.positive, self.nonzero)
+        # atom (with different folding semantics) than an unsigned one.  The
+        # tuple lists the constructor's arguments in order
+        self._id = (name, kind, dep, index, self.arg_names,
+                    square_one, idempotent, positive, nonzero)
+        self._h = hash(self._id)
 
     def __eq__(self, other):
-        return isinstance(other, Symbol) and self._id() == other._id()
+        return self is other or (isinstance(other, Symbol) and self._id == other._id)
 
     def __hash__(self):
         return self._h
+
+    def __reduce__(self):
+        # rebuilt, so the string hash in ``_h`` is the unpickling process's
+        return Symbol, self._id
 
     def __repr__(self):
         return f"Symbol({self.name!r})"
@@ -205,22 +213,46 @@ class ExpansionTooLarge(ValueError):
 # expression nodes
 
 class Expr:
-    __slots__ = ("_h", "_k")
+    """A canonical node.  Each node class keeps the nodes it has built in
+    ``_nodes``, a trie of dicts keyed by one field at each level (so no key
+    tuple is kept per node), and returns the stored node for equal fields.
+    Children are interned already, so they are keyed by identity."""
+
+    __slots__ = ("_k",)
+
+    def __init_subclass__(cls):
+        cls._nodes = {}
+
+    def __new__(cls, *fields):
+        table = cls._nodes
+        for f in fields[:-1]:
+            sub = table.get(f)
+            if sub is None:
+                sub = table[f] = {}
+            table = sub
+        node = table.get(fields[-1])
+        if node is None:
+            node = table[fields[-1]] = object.__new__(cls)
+            for name, v in zip(cls.__slots__, fields):
+                # the rational fields (Rat.q, Pow.exp, Mul.coef) are stored by _q
+                setattr(node, name, v if isinstance(v, (Expr, Symbol, tuple)) else _q(v))
+            node._k = None
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def key(self):
         k = self._k
         if k is None:
             k = self._k = self._key()
         return k
-
-    def __hash__(self):
-        h = self._h
-        if h is None:
-            h = self._h = hash(self.key())
-        return h
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Expr) and self.key() == other.key())
 
     def __repr__(self):
         from .printer import to_str
@@ -269,11 +301,6 @@ def _coerce(v) -> "Expr":
 class Rat(Expr):
     __slots__ = ("q",)
 
-    def __init__(self, q: Rational):
-        self.q = _q(q)
-        self._h = None
-        self._k = None
-
     def _key(self):
         return (0, self.q)
 
@@ -281,13 +308,8 @@ class Rat(Expr):
 class Sym(Expr):
     __slots__ = ("s",)
 
-    def __init__(self, s: Symbol):
-        self.s = s
-        self._h = None
-        self._k = None
-
     def _key(self):
-        return (1,) + self.s._id()
+        return (1, self.s._id)
 
 
 class App(Expr):
@@ -299,25 +321,12 @@ class App(Expr):
 
     __slots__ = ("fn", "didx", "args")
 
-    def __init__(self, fn: Symbol, didx: tuple, args: tuple):
-        self.fn = fn
-        self.didx = didx
-        self.args = args
-        self._h = None
-        self._k = None
-
     def _key(self):
-        return (2, self.fn._id(), self.didx, tuple(a.key() for a in self.args))
+        return (2, self.fn._id, self.didx, tuple(a.key() for a in self.args))
 
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
-
-    def __init__(self, base: Expr, exp: Rational):
-        self.base = base
-        self.exp = _q(exp)
-        self._h = None
-        self._k = None
 
     def _key(self):
         return (3, self.base.key(), self.exp)
@@ -328,12 +337,6 @@ class AbsPow(Expr):
 
     __slots__ = ("base", "exp")
 
-    def __init__(self, base: Expr, exp: Expr):
-        self.base = base
-        self.exp = exp
-        self._h = None
-        self._k = None
-
     def _key(self):
         return (4, self.base.key(), self.exp.key())
 
@@ -341,22 +344,12 @@ class AbsPow(Expr):
 class ExpF(Expr):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Expr):
-        self.arg = arg
-        self._h = None
-        self._k = None
-
     def _key(self):
         return (5, self.arg.key())
 
 
 class LnAbs(Expr):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        self.arg = arg
-        self._h = None
-        self._k = None
 
     def _key(self):
         return (6, self.arg.key())
@@ -367,23 +360,12 @@ class Mul(Expr):
 
     __slots__ = ("coef", "factors")
 
-    def __init__(self, coef: Rational, factors: tuple):
-        self.coef = _q(coef)
-        self.factors = factors
-        self._h = None
-        self._k = None
-
     def _key(self):
         return (7, tuple(f.key() for f in self.factors), self.coef)
 
 
 class Add(Expr):
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple):
-        self.terms = terms
-        self._h = None
-        self._k = None
 
     def _key(self):
         return (8, tuple(t.key() for t in self.terms))
@@ -867,6 +849,8 @@ def atoms(e: Expr) -> set:
 # ---------------------------------------------------------------------------
 # differentiation
 
+# {symbol: {node: derivative}}: a table per symbol needs no (node, symbol)
+# key tuple per entry, and interned nodes hit by identity
 _DIFF_CACHE: dict = {}
 
 
@@ -877,12 +861,12 @@ def diff(e: Expr, s: Symbol) -> Expr:
     their argument expressions; |e|^q differentiates under the recorded
     nonvanishing assumption of its base.
     """
-    key = (e, s)
-    hit = _DIFF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _diff(e, s)
-    _DIFF_CACHE[key] = out
+    memo = _DIFF_CACHE.get(s)
+    if memo is None:
+        memo = _DIFF_CACHE[s] = {}
+    out = memo.get(e)
+    if out is None:
+        out = memo[e] = _diff(e, s)
     return out
 
 

@@ -1,6 +1,11 @@
 """Expression core: construction, differentiation, canonical form, zero test."""
+import copy
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -264,7 +269,7 @@ def _assert_constructor_fixpoint(e):
     stack = [e]
     while stack:
         n = stack.pop()
-        assert _rebuild(n) == n, to_str(n)
+        assert _rebuild(n) is n, to_str(n)
         stack.extend(_children(n))
 
 
@@ -458,6 +463,57 @@ def test_constructor_fixpoint(spec, ch):
     node."""
     for e in _sample_trees(spec, ch):
         _assert_constructor_fixpoint(e)
+
+
+def test_equal_trees_are_one_node(ch):
+    """Constructors intern their nodes: an equal tree built along another
+    path is the same object."""
+    square = P("(x+1)^2", ch)
+    x1 = P("x + 1", ch)
+    assert square is mul(x1, x1) is pow_(P("1 + x", ch), 2)
+    assert square is P("x^2 + 2*x + 1", ch)
+    assert square is substitute(P("(t+1)^2", ch), {ch.get("t"): sym(ch.get("x"))})
+    assert rat(Fraction(4, 2)) is rat(2) and type(rat(Fraction(4, 2)).q) is int
+
+
+def test_diff_of_equal_trees_runs_once(ch, monkeypatch):
+    """Two separately parsed equal trees are one node, so differentiating
+    the second is a memo hit on the first."""
+    seen = []
+    real = expr_module._diff
+
+    def counting(e, s):
+        seen.append(e)
+        return real(e, s)
+    monkeypatch.setattr(expr_module, "_DIFF_CACHE", {})
+    monkeypatch.setattr(expr_module, "_diff", counting)
+    a = P("exp(x)*u_x^2 + f(x,u_x)", ch)
+    b = P("f(x, u_x) + u_x^2*exp(x)", ch)
+    assert a is b
+    d = diff(a, ch.get("x"))
+    assert sum(e is a for e in seen) == 1
+    calls = len(seen)
+    assert diff(b, ch.get("x")) is d and len(seen) == calls
+
+
+def test_pickle_and_copy_keep_interning(spec, ch):
+    for e in _sample_trees(spec, ch):
+        assert pickle.loads(pickle.dumps(e)) is e, to_str(e)
+        assert copy.deepcopy(e) is e and copy.copy(e) is e
+
+
+def test_unpickled_in_another_hash_seed_is_interned(ch):
+    """A tree pickled by processes with other string hash seeds unpickles to
+    this process's node: symbols rebuild their hash where they land."""
+    text = "x*u_x + exp(t) + f(x,u_x)"
+    code = ("import pickle, sys; from wavesym.detsys import ClassSpec; "
+            "from wavesym.parse import parse; sys.stdout.buffer.write("
+            f"pickle.dumps(parse({text!r}, ClassSpec.default().chart)))")
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             env=dict(os.environ, PYTHONHASHSEED=seed),
+                             check=True, timeout=120).stdout
+        assert pickle.loads(out) is P(text, ch)
 
 
 def _subst_reference(e, table):

@@ -252,6 +252,19 @@ def test_lifts_match_reference_maps(ea):
             assert got == {n: want.get(n, sym(ch.get(n))) for n in AUG_COORDS}, kind
 
 
+def test_lift_D_refuses_a_wrong_inverse(ea):
+    """``lift_D`` checks ``phi_inv`` against ``phi`` as ``EquivParams`` does;
+    a true inverse leaves the maps as the reference writes them."""
+    ch = ea.chart
+    with pytest.raises(ValueError):
+        lift_D(ch, parse("2*x", ch), parse("x", ch))
+    phi, phi_inv = parse("2*x + 1", ch), parse("(x - 1)/2", ch)
+    L = lift_D(ch, phi, phi_inv)
+    for got, want in ((L.maps, _reference_maps(ch, "D", phi)),
+                      (L.inv, _reference_maps(ch, "D", phi_inv))):
+        assert got == {n: want.get(n, sym(ch.get(n))) for n in AUG_COORDS}
+
+
 def test_pushforward_translation_fixes_own_generator(ea):
     ch = ea.chart
     c0 = sym(ch.get("c0"))
