@@ -26,9 +26,9 @@ from .detsys import (ClassSpec, check_symmetry, kernel_fields,
                      solve_within_ansatz)
 from .equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt, lift_Du,
                           lift_F2, lift_G)
-from .expr import (Chart, Expr, Rat, ZERO, add, app, diff, equal, lnabs, mul,
-                   pow_, rat, structurally_zero, substitute, sym,
-                   total_derivative)
+from .expr import (Chart, Expr, MINUS_ONE, Rat, ZERO, add, add_products, app,
+                   diff, equal, lnabs, mul, pow_, rat, structurally_zero,
+                   substitute, sym, total_derivative)
 from .liealg import (LieAlgebraPresentation, NonClosure, Subspace,
                      _Coordinatizer, close_or_fail, center, centralizer,
                      coordinate_subspace, derived_series,
@@ -287,7 +287,7 @@ def _sample_polys(ea: EquivalenceAlgebra, rng: random.Random) -> list:
     for _ in range(2):
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(3)] + \
                  [Fraction(rng.randint(1, 5))]
-        out.append(add(*[mul(rat(c), pow_(x, k)) for k, c in enumerate(coeffs)]))
+        out.append(add_products(*[(rat(c), pow_(x, k)) for k, c in enumerate(coeffs)]))
     return out
 
 
@@ -367,8 +367,8 @@ def verify_megaideals() -> CaseReport:
     rep.add("a24 = a44*a35",
             equal(fam.entry(1, 3), mul(names["a44"], names["a35"])))
     rep.add("a14 = a44*a25 - a45*a24",
-            equal(fam.entry(0, 3), add(mul(names["a44"], names["a25"]),
-                                       mul(rat(-1), names["a45"], fam.entry(1, 3)))))
+            equal(fam.entry(0, 3), add_products(
+                (names["a44"], names["a25"]), (MINUS_ONE, names["a45"], fam.entry(1, 3)))))
     rep.add("no unresolved constraints", not fam.unresolved)
     rep.add("<G(1),F1,Pt> invariant under the whole family",
             (1, 2, 4) in fam.invariant_coordinate_subspaces)
@@ -516,11 +516,11 @@ def _elementary_rows(spec: ClassSpec):
         ("P^t(c0)", par(c0=c0), f, g),
         ("D^t(c1)", par(c1=c1), mul(pow_(c1, -2), f), mul(pow_(c1, -2), g)),
         ("D(phi)", par(phi=phi),
-         mul(pow_(phi_x, 2), f), add(g, mul(phi_xx, ux, f, pow_(phi_x, -1)))),
+         mul(pow_(phi_x, 2), f), add_products((g,), (phi_xx, ux, f, pow_(phi_x, -1)))),
         ("D^u(c2)", par(c2=c2), f, mul(c2, g)),
         ("F^1(c3)", par(c3=c3), f, g),
-        ("F^2(c4)", par(c4=c4), f, add(g, mul(rat(2), c4))),
-        ("G(psi)", par(psi=psi), f, add(g, mul(rat(-1), psi_xx, f))),
+        ("F^2(c4)", par(c4=c4), f, add_products((g,), (rat(2), c4))),
+        ("G(psi)", par(psi=psi), f, add_products((g,), (MINUS_ONE, psi_xx, f))),
     ]
 
 
@@ -572,8 +572,8 @@ def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
         a, b = rnd(nonzero=True), rnd(nonzero=True)
         # phi = a e^{b x}, strictly monotone with closed-form inverse
         phi_c = mul(rat(a), parse(f"exp({b}*x)", ch))
-        phi_inv = mul(pow_(rat(b), -1), add(lnabs(x), mul(rat(-1), lnabs(rat(a)))))
-        psi_c = add(*[mul(rat(rnd()), pow_(x, k)) for k in range(3)])
+        phi_inv = mul(pow_(rat(b), -1), add_products((lnabs(x),), (MINUS_ONE, lnabs(rat(a)))))
+        psi_c = add_products(*[(rat(rnd()), pow_(x, k)) for k in range(3)])
         par = EquivParams(ch, rat(c0v), rat(c1v), rat(c2v), rat(c3v), rat(c4v),
                           phi_c, psi_c, phi_inv=phi_inv)
         whole = transform_equation(par.to_point_transform(), f, g)
@@ -628,7 +628,7 @@ def verify_reductions(spec: ClassSpec) -> list:
                            parse(f"exp(-x/{p + 1})", ch), one, zero,
                            x_inv=mul(rat(-(p + 1)), lnabs(x)))
         fn, gn = transform_equation(P, fzn, gzn)
-        nu_t = add(delta, mul(rat(-(p + 1)), nu))
+        nu_t = add_products((delta,), (rat(-(p + 1)), nu))
         ok_f = equal(fn, mul(delta, pow_(ux, Fraction(2 * p))))
         ok_g = equal(gn, mul(nu_t, pow_(x, -1), pow_(ux, Fraction(2 * p + 1))))
         rep.add(f"p={p}: image is the case-19 form with nu~ = delta - nu(p+1)",
@@ -643,14 +643,14 @@ def verify_reductions(spec: ClassSpec) -> list:
     reports.append(rep)
 
     rep = CaseReport("case 8 -> 21-form")
-    psi = add(mul(x, lnabs(x)), mul(rat(-1), x))
+    psi = add_products((x, lnabs(x)), (MINUS_ONE, x))
     P = PointTransform(ch, t, x, one, psi)
     f8 = parse("delta*x^2*exp(2*u_x)", ch)
     g8 = parse("nu*x*exp(2*u_x)", ch)
     fn, gn = transform_equation(P, f8, g8)
     rep.add("image is exp(2 u_x)(delta u_xx + (nu - delta) x^-1)",
             equal(fn, mul(delta, parse("exp(2*u_x)", ch))) and
-            equal(gn, mul(add(nu, mul(rat(-1), delta)), pow_(x, -1),
+            equal(gn, mul(add_products((nu,), (MINUS_ONE, delta)), pow_(x, -1),
                           parse("exp(2*u_x)", ch))))
     gn21 = substitute(gn, {ch.get("nu"): delta})
     rep.add("coincides with case 21 at nu = delta", structurally_zero(gn21))
@@ -729,22 +729,21 @@ def verify_potential_link(spec: ClassSpec) -> CaseReport:
     # forward: u_x = v, u_t = w1, w1_t = f(x,v) v_x + g(x,v)  =>  class equation
     e = sym(ch.get("u_tt"))
     e = substitute(e, {ch.get("u_t"): sym(ch.get("w1"))}, chart=ch)
-    e = substitute(e, {ch.get("w1_t"): add(mul(f_v, sym(ch.get("v_x"))), g_v)},
+    e = substitute(e, {ch.get("w1_t"): add_products((f_v, sym(ch.get("v_x"))), (g_v,))},
                    chart=ch)
     e = substitute(e, {ch.get("v"): sym(ch.get("u_x"))}, chart=ch)
-    expected = add(mul(spec.f_symbolic(), sym(ch.get("u_xx"))), spec.g_symbolic())
+    expected = add_products((spec.f_symbolic(), sym(ch.get("u_xx"))), (spec.g_symbolic(),))
     rep.add("excluding v and w1 yields u_tt = f(x,u_x) u_xx + g(x,u_x)",
             equal(e, expected))
 
     # backward: D_x of the class equation with u_x -> v gives the telegraph form
-    L = add(sym(ch.get("u_tt")),
-            mul(rat(-1), spec.f_symbolic(), sym(ch.get("u_xx"))),
-            mul(rat(-1), spec.g_symbolic()))
+    L = add_products((sym(ch.get("u_tt")),),
+                     (MINUS_ONE, spec.f_symbolic(), sym(ch.get("u_xx"))),
+                     (MINUS_ONE, spec.g_symbolic()))
     DxL = total_derivative(L, "x", ch)
     renamed = substitute(DxL, {ch.get("u_x"): v}, chart=ch)
-    telegraph = add(sym(ch.get("v_tt")),
-                    mul(rat(-1), total_derivative(
-                        add(mul(f_v, sym(ch.get("v_x"))), g_v), "x", ch)))
+    telegraph = add_products((sym(ch.get("v_tt")),), (MINUS_ONE, total_derivative(
+        add_products((f_v, sym(ch.get("v_x"))), (g_v,)), "x", ch)))
     rep.add("total x-differentiation with u_x -> v gives v_tt = (f v_x + g)_x",
             equal(renamed, telegraph))
 

@@ -16,9 +16,9 @@ from typing import Optional
 
 from ._linalg import nullspace
 from .charts import BASE_COORDS, equation_chart
-from .expr import (Chart, Expr, Sym, ZERO, add, app, atoms, collect, diff,
-                   is_zero, iter_terms, mul, rat, structurally_zero,
-                   substitute, sym)
+from .expr import (Chart, Expr, MINUS_ONE, Sym, ZERO, add_products, app, atoms,
+                   collect, diff, is_zero, iter_terms, mul, rat,
+                   structurally_zero, substitute, sym)
 from .parse import parse
 from .vecfield import ProlongedField, VectorField, prolong2, vf
 
@@ -75,8 +75,8 @@ def _prolonged_residual(spec: ClassSpec, pr: ProlongedField, f: Expr,
     alone: restricting that one coefficient restricts the product."""
     ch = spec.chart
     u_tt, u_xx = ch.get("u_tt"), ch.get("u_xx")
-    L = add(sym(u_tt), mul(rat(-1), f, sym(u_xx)), mul(rat(-1), g))
-    eta_tt = substitute(pr.eta_tt, {u_tt: add(mul(f, sym(u_xx)), g)}, chart=ch)
+    L = add_products((sym(u_tt),), (MINUS_ONE, f, sym(u_xx)), (MINUS_ONE, g))
+    eta_tt = substitute(pr.eta_tt, {u_tt: add_products((f, sym(u_xx)), (g,))}, chart=ch)
     return replace(pr, eta_tt=eta_tt).apply(L)
 
 
@@ -156,8 +156,8 @@ def generate_determining_system(spec: ClassSpec) -> DeterminingSystem:
     ]
     # tau_u = 0: differentiating the u_tx split by u_x and combining with the
     # u_xx*u_t split leaves 3 f tau_u = 0, and f != 0.
-    comb = add(mul(rat(Fraction(1, 2)), diff(raw[1].expr, u_x)),
-               mul(rat(-1), raw[2].expr))
+    comb = add_products((rat(Fraction(1, 2)), diff(raw[1].expr, u_x)),
+                        (MINUS_ONE, raw[2].expr))
     tau_u, xi_u, eta_uu = (parse(name, ch) for name in ("tau_u", "xi_u", "eta_uu"))
 
     R2 = _kill_u_partials(R1)
@@ -199,7 +199,7 @@ def simplified_system_residuals(Q: VectorField) -> list:
         diff(tau, u), diff(tau, x), diff(xi, u), diff(xi, t),
         diff(diff(eta, u), u), diff(diff(eta, x), u),
         diff(diff(diff(eta, t), t), x), diff(diff(diff(tau, t), t), t),
-        add(mul(rat(2), diff(diff(eta, t), u)), mul(rat(-1), diff(diff(tau, t), t))),
+        add_products((rat(2), diff(diff(eta, t), u)), (MINUS_ONE, diff(diff(tau, t), t))),
     ]
 
 
@@ -250,10 +250,11 @@ class _ParametricAnsatz:
         ks = tuple(ch.get(n) if n in ch else ch.parameter(n) for n in names)
         slots = tuple([("t", b) for b in basis.tau] + [("x", b) for b in basis.xi]
                       + [("u", b) for b in basis.eta])
-        coeffs = {"t": ZERO, "x": ZERO, "u": ZERO}
+        prods = {"t": [], "x": [], "u": []}
         for k, (coord, b) in zip(ks, slots):
-            coeffs[coord] = add(coeffs[coord], mul(sym(k), b))
-        Q = VectorField(ch, BASE_COORDS, coeffs, check=False)
+            prods[coord].append((sym(k), b))
+        Q = VectorField(ch, BASE_COORDS, {n: add_products(*p) for n, p in prods.items()},
+                        check=False)
         return cls(basis, ks, slots, prolong2(Q))
 
 
@@ -298,10 +299,11 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
     null = nullspace(rows_map.values(), len(ks))
     fields = []
     for vec in null:
-        fcoeffs = {"t": ZERO, "x": ZERO, "u": ZERO}
+        prods = {"t": [], "x": [], "u": []}
         for j, c in vec.items():
             coord, b = slots[j]
-            fcoeffs[coord] = add(fcoeffs[coord], mul(rat(c), b))
-        fields.append(VectorField(ch, BASE_COORDS, fcoeffs, check=False))
+            prods[coord].append((rat(c), b))
+        fields.append(VectorField(
+            ch, BASE_COORDS, {n: add_products(*p) for n, p in prods.items()}, check=False))
     return AnsatzSolution(dimension=len(null), fields=fields,
                           basis=ansatz.basis, n_equations=len(rows_map))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .charts import AUG_COORDS, augmented_chart
-from .expr import Chart, Expr, add, app, diff, mul, pow_, rat, sym
+from .expr import Chart, Expr, MINUS_ONE, add_products, app, diff, mul, pow_, rat, sym
 from .vecfield import EquivParams, LiftedTransform, VectorField
 
 
@@ -98,8 +98,8 @@ class EquivalenceAlgebra:
         if key == ("Pt", "F2"):
             return self.field(Gen("F1")).scale(2)
         if key == ("D", "D"):
-            return self.field(Gen("D", add(mul(p.fn, diff(q.fn, X)),
-                                           mul(rat(-1), diff(p.fn, X), q.fn))))
+            return self.field(Gen("D", add_products((p.fn, diff(q.fn, X)),
+                                                    (MINUS_ONE, diff(p.fn, X), q.fn))))
         if key == ("D", "G"):
             return self.field(Gen("G", mul(p.fn, diff(q.fn, X))))
         return None

@@ -22,13 +22,13 @@ built returns that node (``Expr.__new__``), so equal trees are one object,
 ``==`` is identity and hashing is object hashing.  The node tables, like
 ``diff``'s memo, live as long as the process.
 
-Products of sums expand in one pass: ``mul`` multiplies its partial products,
-a ``{key-sorted factors: coef}`` map, by each sum's terms.  Two terms with no
-common base concatenate their factors; a shared base adds exponents and is
-rebuilt by ``mul``'s own merge rule (``_power``).  A pair whose merged factor
-is not plain, or with exps or abs-powers of one base on both sides, goes
-through ``mul`` once.  ``_sum`` builds the terms of ``add`` and of the
-expansion alike.  A power of a sum that would take more than
+Products of sums expand in one pass: ``_mul_terms`` multiplies its partial
+products, a ``{key-sorted factors: coef}`` map, by each sum's terms.  Two
+terms with no common base concatenate their factors; a shared base adds
+exponents and is rebuilt by the merge rule (``_power``).  A pair whose merged
+factor is not plain, or with exps or abs-powers of one base on both sides,
+goes through ``_mul_terms`` once.  ``add_products`` merges the maps of a sum
+of products and builds no product as a node.  A power of a sum over
 ``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``, as
 does a rational power whose value would take more bits.
 
@@ -265,10 +265,10 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(rat(-1), _coerce(other)))
+        return add_products((self,), (MINUS_ONE, _coerce(other)))
 
     def __rsub__(self, other):
-        return add(_coerce(other), mul(rat(-1), self))
+        return add_products((_coerce(other),), (MINUS_ONE, self))
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
@@ -459,8 +459,25 @@ def _constraint_fold(base: Expr, k: Rational):
     return base, k
 
 
-def mul(*parts: Expr, _depth: int = 0) -> Expr:
-    if _depth > 24:
+def add_products(*products: Sequence[Expr]) -> Expr:
+    """``add(*[mul(*p) for p in products])``: every product's terms go into
+    one map, and no product is built as a node."""
+    acc: dict = {}
+    for p in products:
+        for f, c in _mul_terms(p).items():
+            acc[f] = acc.get(f, 0) + c
+    return _sum(acc)
+
+
+def mul(*parts: Expr) -> Expr:
+    return _sum(_mul_terms(parts))
+
+
+def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
+    """The product of ``parts`` as a ``{key-sorted factors: coef}`` map."""
+    if len(parts) == 1:     # a canonical node is its own product
+        return {f: c for c, f in iter_terms(parts[0])}
+    if depth > 24:
         raise RuntimeError("mul normalization did not reach a fixpoint")
     coef = 1
     pow_acc: dict = {}    # base Expr -> rational exponent
@@ -488,7 +505,7 @@ def mul(*parts: Expr, _depth: int = 0) -> Expr:
             pow_acc[e] = pow_acc.get(e, 0) + 1
 
     if coef == 0:
-        return Rat(0)
+        return {}
 
     # rebuild merged factors; a rebuild may itself reduce (rational folds,
     # even abs-powers, exp/ln extraction), in which case run another pass
@@ -513,7 +530,7 @@ def mul(*parts: Expr, _depth: int = 0) -> Expr:
             redo.append(x)
 
     if redo:
-        return mul(Rat(coef), *factors, *redo, *adds, _depth=_depth + 1)
+        return _mul_terms((Rat(coef), *factors, *redo, *adds), depth + 1)
 
     # expand products of sums in one pass: partial products are
     # {key-sorted factors: coef} entries, multiplied by each sum's terms
@@ -526,12 +543,12 @@ def mul(*parts: Expr, _depth: int = 0) -> Expr:
             for c2, f2, b2 in terms:
                 f = _times(f1, by_base, f2, b2)
                 if f is None:
-                    for c, g in iter_terms(mul(Rat(c1 * c2), *f1, *f2)):
+                    for g, c in _mul_terms((Rat(c1 * c2), *f1, *f2)).items():
                         prods[g] = prods.get(g, 0) + c
                 else:
                     prods[f] = prods.get(f, 0) + c1 * c2
         acc = prods
-    return _sum(acc)
+    return acc
 
 
 def _power(base: Expr, k: Rational):
@@ -883,8 +900,8 @@ def _diff(e: Expr, s: Symbol) -> Expr:
                 continue
             didx = list(e.didx)
             didx[i] += 1
-            parts.append(mul(App(e.fn, tuple(didx), e.args), da))
-        return add(*parts) if parts else ZERO
+            parts.append((App(e.fn, tuple(didx), e.args), da))
+        return add_products(*parts)
     if isinstance(e, Pow):
         db = diff(e.base, s)
         if isinstance(db, Rat) and db.q == 0:
@@ -895,10 +912,10 @@ def _diff(e: Expr, s: Symbol) -> Expr:
         dq = diff(e.exp, s)
         parts = []
         if not (isinstance(db, Rat) and db.q == 0):
-            parts.append(mul(e.exp, e, pow_(e.base, -1), db))
+            parts.append((e.exp, e, pow_(e.base, -1), db))
         if not (isinstance(dq, Rat) and dq.q == 0):
-            parts.append(mul(e, lnabs(e.base), dq))
-        return add(*parts) if parts else ZERO
+            parts.append((e, lnabs(e.base), dq))
+        return add_products(*parts)
     if isinstance(e, ExpF):
         da = diff(e.arg, s)
         if isinstance(da, Rat) and da.q == 0:
@@ -915,9 +932,8 @@ def _diff(e: Expr, s: Symbol) -> Expr:
             df = diff(f, s)
             if isinstance(df, Rat) and df.q == 0:
                 continue
-            rest = e.factors[:i] + e.factors[i + 1:]
-            parts.append(mul(Rat(e.coef), df, *rest))
-        return add(*parts) if parts else ZERO
+            parts.append((Rat(e.coef), df, *e.factors[:i], *e.factors[i + 1:]))
+        return add_products(*parts)
     if isinstance(e, Add):
         return add(*[diff(t, s) for t in e.terms])
     raise TypeError(type(e))
@@ -933,15 +949,15 @@ def total_derivative(e: Expr, direction: str, chart: Chart) -> Expr:
         raise ValueError("direction must be 't' or 'x'")
     di = (1, 0) if direction == "t" else (0, 1)
     dir_sym = chart.get(direction)
-    parts = [diff(e, dir_sym)]
+    parts = [(diff(e, dir_sym),)]
     for s in free_symbols(e):
         if s.kind in (DEPENDENT, JET):
             nt, nx = s.index
             promoted = chart.jet(s.dep, nt + di[0], nx + di[1])
             d = diff(e, s)
             if not (isinstance(d, Rat) and d.q == 0):
-                parts.append(mul(sym(promoted), d))
-    return add(*parts)
+                parts.append((sym(promoted), d))
+    return add_products(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,7 +1115,7 @@ def _clear_denominators(e: Expr) -> Expr:
         # multiply term by term with raw Pow nodes so each denominator merges
         # with its clearing factor before positive sum-powers expand
         mults = [Pow(b, k) for b, k in need.items()]
-        e = add(*[mul(Rat(coef), *factors, *mults) for coef, factors in terms])
+        e = add_products(*[(Rat(coef), *factors, *mults) for coef, factors in terms])
     return e
 
 
@@ -1208,7 +1224,7 @@ def _value_atoms(apps: Sequence[App], env: dict, rng: random.Random) -> bool:
         for b in apps[:i]:
             if (b.fn, b.didx) != (a.fn, a.didx):
                 continue
-            sep = {_nonzero_at(add(x, mul(MINUS_ONE, y)), env)
+            sep = {_nonzero_at(add_products((x,), (MINUS_ONE, y)), env)
                    for x, y in zip(a.args, b.args)}
             if sep <= {False}:
                 env[a] = env[b]
@@ -1270,4 +1286,4 @@ def is_zero(e: Expr) -> ZeroResult:
 
 def equal(a: Expr, b: Expr) -> bool:
     """Exact (structural-after-clearing) equality of canonical forms."""
-    return structurally_zero(add(a, mul(MINUS_ONE, b)))
+    return structurally_zero(add_products((a,), (MINUS_ONE, b)))

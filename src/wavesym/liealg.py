@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._linalg import EchelonBasis, axpy, nullspace
-from .expr import (Chart, Expr, ZERO, add, diff, iter_terms, mul, pow_,
-                   provably_nonzero, rat, structurally_zero, substitute, sym)
+from .expr import (Chart, Expr, ZERO, add_products, diff, iter_terms, mul,
+                   pow_, provably_nonzero, rat, structurally_zero, substitute, sym)
 from .vecfield import VectorField, bracket
 
 
@@ -305,28 +305,25 @@ def flag_automorphism_solve(A: LieAlgebraPresentation,
     # flag invariance: for v in V, A v reduced modulo V must vanish
     for V in flag:
         for v in V.rows:
-            img = [add(*[mul(entries[(i, j)], rat(c)) for j, c in v.items()])
+            img = [add_products(*[(entries[(i, j)], rat(c)) for j, c in v.items()])
                    for i in range(n)]
             for row, p in zip(V.rows, V.pivots):
                 fpiv = img[p]
                 for k, c in row.items():
-                    img[k] = add(img[k], mul(rat(-1), fpiv, rat(c)))
+                    img[k] = add_products((img[k],), (rat(-c), fpiv))
             eqs.extend(img)
-    # bracket preservation
+    # bracket preservation: row r of A [e_i, e_j] - [A e_i, A e_j]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = [add(*[mul(entries[(r, k)], rat(c))
-                         for k, c in A.c(i, j).items()]) for r in range(n)]
-            rhs = [ZERO] * n
+            rows = [[(entries[(r, k)], rat(c)) for k, c in A.c(i, j).items()]
+                    for r in range(n)]
             for p in range(n):
                 for q in range(n):
                     if p == q:
                         continue
-                    coefpq = mul(entries[(p, i)], entries[(q, j)])
                     for r, c in A.c(p, q).items():
-                        rhs[r] = add(rhs[r], mul(coefpq, rat(c)))
-            for r in range(n):
-                eqs.append(add(lhs[r], mul(rat(-1), rhs[r])))
+                        rows[r].append((rat(-c), entries[(p, i)], entries[(q, j)]))
+            eqs.extend(add_products(*row) for row in rows)
 
     unknowns = sorted(syms.values(), key=lambda s: s.name)
     solved: dict = {}

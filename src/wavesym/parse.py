@@ -16,9 +16,9 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .expr import (Chart, DEPENDENT, Expr, FUNCTION, Rat, Symbol, UNKNOWN,
-                   UnknownIdentifier, abspow, add, app, exp_, lnabs, mul,
-                   pow_, rat, sym)
+from .expr import (Chart, DEPENDENT, Expr, FUNCTION, MINUS_ONE, Rat, Symbol,
+                   UNKNOWN, UnknownIdentifier, abspow, add, add_products, app,
+                   exp_, lnabs, mul, pow_, rat, sym)
 from .vecfield import VectorField
 
 
@@ -133,7 +133,7 @@ class _Parser:
             if val in ("+", "-"):
                 self.next()
                 rhs = self.term()
-                e = add(e, rhs) if val == "+" else add(e, mul(rat(-1), rhs))
+                e = add(e, rhs) if val == "+" else add_products((e,), (MINUS_ONE, rhs))
             else:
                 return e
 

@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .charts import AUG_COORDS, BASE_COORDS
-from .expr import (Chart, Expr, Symbol, ZERO, add, diff, equal, free_symbols,
-                   is_positive, mul, pow_, rat, structurally_zero, substitute,
-                   sym, total_derivative)
+from .expr import (Chart, Expr, MINUS_ONE, Symbol, ZERO, add_products, diff,
+                   equal, free_symbols, is_positive, mul, pow_, rat,
+                   structurally_zero, substitute, sym, total_derivative)
 
 
 class ChartMismatch(ValueError):
@@ -59,11 +59,12 @@ class VectorField:
         elif self.coords == AUG_COORDS:
             tau, xi, eta = (self.coeff(n) for n in ("t", "x", "u"))
             t, x, u = (self.chart.get(n) for n in ("t", "x", "u"))
-            ux = self.chart.get("u_x")
+            ux = sym(self.chart.get("u_x"))
             if not structurally_zero(diff(tau, x)) or not structurally_zero(diff(tau, u)):
                 raise ChartMismatch("augmented chart needs tau = tau(t)")
-            expected = add(diff(eta, x), mul(sym(ux), diff(eta, u)),
-                           mul(rat(-1), sym(ux), add(diff(xi, x), mul(sym(ux), diff(xi, u)))))
+            expected = add_products((diff(eta, x),), (ux, diff(eta, u)),
+                                    (MINUS_ONE, ux, diff(xi, x)),
+                                    (MINUS_ONE, ux, ux, diff(xi, u)))
             if not equal(self.coeff("u_x"), expected):
                 raise ChartMismatch(
                     "u_x coefficient disagrees with the first-prolongation formula")
@@ -73,28 +74,32 @@ class VectorField:
 
     def apply(self, e: Expr) -> Expr:
         """Act as a derivation: sum of coeff * d/d(coord)."""
-        parts = []
-        for c, v in self.coeffs.items():
+        return add_products(*self._products(e))
+
+    def _products(self, e: Expr, *more):
+        """``(coeff, de/dcoord)`` over the ``(coord, coeff)`` pairs of this
+        field and ``more``, skipping structurally zero ``de/dcoord``."""
+        for c, v in (*self.coeffs.items(), *more):
             d = diff(e, self.chart.get(c))
             if not structurally_zero(d):
-                parts.append(mul(v, d))
-        return add(*parts) if parts else ZERO
+                yield v, d
 
-    def __add__(self, other: "VectorField") -> "VectorField":
+    def __add__(self, other: "VectorField", *k: Expr) -> "VectorField":
+        """self + k other, k a product of factors (none: 1)."""
         if self.coords != other.coords:
             raise ChartMismatch("cannot add fields on different charts")
         names = set(self.coeffs) | set(other.coeffs)
         return VectorField(self.chart, self.coords,
-                           {c: add(self.coeff(c), other.coeff(c)) for c in names},
-                           check=False)
+                           {c: add_products((self.coeff(c),), (*k, other.coeff(c)))
+                            for c in names}, check=False)
+
+    def __sub__(self, other: "VectorField") -> "VectorField":
+        return self.__add__(other, MINUS_ONE)
 
     def scale(self, k) -> "VectorField":
         return VectorField(self.chart, self.coords,
                            {c: mul(rat(k) if isinstance(k, (int, Fraction)) else k, v)
                             for c, v in self.coeffs.items()}, check=False)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + other.scale(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField) or self.coords != other.coords:
@@ -127,7 +132,8 @@ def bracket(V: VectorField, W: VectorField) -> VectorField:
         raise ChartMismatch("bracket needs fields on a common chart")
     out = {}
     for c in V.coords:
-        out[c] = add(V.apply(W.coeff(c)), mul(rat(-1), W.apply(V.coeff(c))))
+        out[c] = add_products(*V._products(W.coeff(c)),
+                              *((MINUS_ONE, *p) for p in W._products(V.coeff(c))))
     return VectorField(V.chart, V.coords, out)
 
 
@@ -146,15 +152,9 @@ class ProlongedField:
     eta_xx: Expr
 
     def apply(self, e: Expr) -> Expr:
-        ch = self.base.chart
-        parts = [self.base.apply(e)]
-        for name, coeff in (("u_t", self.eta_t), ("u_x", self.eta_x),
-                            ("u_tt", self.eta_tt), ("u_tx", self.eta_tx),
-                            ("u_xx", self.eta_xx)):
-            d = diff(e, ch.get(name))
-            if not structurally_zero(d):
-                parts.append(mul(coeff, d))
-        return add(*parts)
+        return add_products(*self.base._products(
+            e, ("u_t", self.eta_t), ("u_x", self.eta_x), ("u_tt", self.eta_tt),
+            ("u_tx", self.eta_tx), ("u_xx", self.eta_xx)))
 
 
 def prolong2(Q: VectorField) -> ProlongedField:
@@ -164,7 +164,7 @@ def prolong2(Q: VectorField) -> ProlongedField:
     ch = Q.chart
     tau, xi, eta = Q.coeff("t"), Q.coeff("x"), Q.coeff("u")
     ut, ux = sym(ch.get("u_t")), sym(ch.get("u_x"))
-    W = add(eta, mul(rat(-1), tau, ut), mul(rat(-1), xi, ux))
+    W = add_products((eta,), (MINUS_ONE, tau, ut), (MINUS_ONE, xi, ux))
 
     def D(e,*dirs):
         for d in dirs:
@@ -175,11 +175,11 @@ def prolong2(Q: VectorField) -> ProlongedField:
         return sym(ch.jet("u", nt, nx))
 
     out = {}
-    out["eta_t"] = add(D(W, "t"), mul(tau, jet(2, 0)), mul(xi, jet(1, 1)))
-    out["eta_x"] = add(D(W, "x"), mul(tau, jet(1, 1)), mul(xi, jet(0, 2)))
-    out["eta_tt"] = add(D(W, "t", "t"), mul(tau, jet(3, 0)), mul(xi, jet(2, 1)))
-    out["eta_tx"] = add(D(W, "t", "x"), mul(tau, jet(2, 1)), mul(xi, jet(1, 2)))
-    out["eta_xx"] = add(D(W, "x", "x"), mul(tau, jet(1, 2)), mul(xi, jet(0, 3)))
+    out["eta_t"] = add_products((D(W, "t"),), (tau, jet(2, 0)), (xi, jet(1, 1)))
+    out["eta_x"] = add_products((D(W, "x"),), (tau, jet(1, 1)), (xi, jet(0, 2)))
+    out["eta_tt"] = add_products((D(W, "t", "t"),), (tau, jet(3, 0)), (xi, jet(2, 1)))
+    out["eta_tx"] = add_products((D(W, "t", "x"),), (tau, jet(2, 1)), (xi, jet(1, 2)))
+    out["eta_xx"] = add_products((D(W, "x", "x"),), (tau, jet(1, 2)), (xi, jet(0, 3)))
     for name, e in out.items():
         for s in free_symbols(e):
             if s.kind == "jet" and s.order > 2:
@@ -217,7 +217,7 @@ class PointTransform:
 
     def U(self) -> Expr:
         ch = self.chart
-        return add(mul(self.U1, sym(ch.get("u"))), self.U0)
+        return add_products((self.U1, sym(ch.get("u"))), (self.U0,))
 
     def _invert_component(self, expr: Expr, var: Symbol, given: Optional[Expr]) -> Expr:
         if given is not None:
@@ -228,7 +228,7 @@ class PointTransform:
             raise ProlongationError(
                 f"no closed-form inverse available for {var.name}-component")
         b = substitute(expr, {var: ZERO})
-        return mul(add(sym(var), mul(rat(-1), b)), pow_(a, -1))
+        return mul(add_products((sym(var),), (MINUS_ONE, b)), pow_(a, -1))
 
     def inverse_t(self) -> Expr:
         return self._invert_component(self.T, self.chart.get("t"), self.t_inv)
@@ -272,12 +272,12 @@ def transform_equation_old_coords(P: PointTransform, f: Expr, g: Expr):
     DxU = total_derivative(U, "x", ch)
     ut_new = mul(DtU, pow_(T_t, -1))
     ux_new = mul(DxU, pow_(X_x, -1))
-    utt_new = mul(add(total_derivative(DtU, "t", ch),
-                      mul(rat(-1), ut_new, diff(T_t, t))), pow_(T_t, -2))
-    uxx_new = mul(add(total_derivative(DxU, "x", ch),
-                      mul(rat(-1), ux_new, diff(X_x, x))), pow_(X_x, -2))
+    utt_new = mul(add_products((total_derivative(DtU, "t", ch),),
+                               (MINUS_ONE, ut_new, diff(T_t, t))), pow_(T_t, -2))
+    uxx_new = mul(add_products((total_derivative(DxU, "x", ch),),
+                               (MINUS_ONE, ux_new, diff(X_x, x))), pow_(X_x, -2))
 
-    S = substitute(utt_new, {u_tt: add(mul(f, sym(u_xx)), g)}, chart=ch)
+    S = substitute(utt_new, {u_tt: add_products((f, sym(u_xx)), (g,))}, chart=ch)
 
     from .expr import collect
     S_parts = collect(S, [u_xx, u_tx])
@@ -287,7 +287,7 @@ def transform_equation_old_coords(P: PointTransform, f: Expr, g: Expr):
     A = S_parts.get(sym(u_xx), ZERO)
     B = collect(uxx_new, [u_xx]).get(sym(u_xx), ZERO)
     f_new = mul(A, pow_(B, -1))
-    g_new = add(S, mul(rat(-1), f_new, uxx_new))
+    g_new = add_products((S,), (MINUS_ONE, f_new, uxx_new))
     for s in free_symbols(g_new):
         if s.kind == "jet" and s.order >= 2:
             raise TransformLeavesClass(
@@ -309,7 +309,7 @@ def _to_new_coords(P: PointTransform, *exprs: Expr) -> tuple:
     base = {t: t_map, x: x_map}
     U1i = substitute(P.U1, base)
     U0i = substitute(P.U0, base)
-    u_map = mul(add(sym(nU), mul(rat(-1), U0i)), pow_(U1i, -1))
+    u_map = mul(add_products((sym(nU),), (MINUS_ONE, U0i)), pow_(U1i, -1))
     full = {t: t_map, x: x_map, u: u_map}
     U = P.U()
     # first derivatives: u~_t~ = (U_t + U_u u_t)/T_t, u~_x~ = (U_x + U_u u_x)/X_x
@@ -318,8 +318,8 @@ def _to_new_coords(P: PointTransform, *exprs: Expr) -> tuple:
     U_u = substitute(diff(U, u), full)
     T_t = substitute(diff(P.T, t), {t: t_map})
     X_x = substitute(diff(P.X, x), {x: x_map})
-    ut_map = mul(add(mul(T_t, sym(nUT)), mul(rat(-1), U_t)), pow_(U_u, -1))
-    ux_map = mul(add(mul(X_x, sym(nUX)), mul(rat(-1), U_x)), pow_(U_u, -1))
+    ut_map = mul(add_products((T_t, sym(nUT)), (MINUS_ONE, U_t)), pow_(U_u, -1))
+    ux_map = mul(add_products((X_x, sym(nUX)), (MINUS_ONE, U_x)), pow_(U_u, -1))
     full[u_t] = ut_map
     full[u_x] = ux_map
 
@@ -345,7 +345,7 @@ def compose_point_transforms(P2: PointTransform, P1: PointTransform) -> PointTra
         T=substitute(P2.T, {t: P1.T}),
         X=substitute(P2.X, {x: P1.X}),
         U1=mul(substitute(P2.U1, base), P1.U1),
-        U0=add(mul(substitute(P2.U1, base), P1.U0), substitute(P2.U0, base)),
+        U0=add_products((substitute(P2.U1, base), P1.U0), (substitute(P2.U0, base),)),
         t_inv=substitute(P1.inverse_t(), {t: P2.inverse_t()}),
         x_inv=substitute(P1.inverse_x(), {x: P2.inverse_x()}),
     )
@@ -384,10 +384,10 @@ class EquivParams:
         t = sym(ch.get("t"))
         return PointTransform(
             ch,
-            T=add(mul(self.c1, t), self.c0),
+            T=add_products((self.c1, t), (self.c0,)),
             X=self.phi,
             U1=self.c2,
-            U0=add(mul(self.c4, mul(t, t)), mul(self.c3, t), self.psi),
+            U0=add_products((self.c4, t, t), (self.c3, t), (self.psi,)),
             x_inv=self.phi_inv,
         )
 
@@ -401,14 +401,14 @@ class EquivParams:
         phi_x = diff(self.phi, x)
         psi_x = diff(self.psi, x)
         inv_c1sq = pow_(self.c1, -2)
-        ux_new = mul(add(mul(self.c2, ux), psi_x), pow_(phi_x, -1))
+        ux_new = mul(add_products((self.c2, ux), (psi_x,)), pow_(phi_x, -1))
         P = self.to_point_transform()
         return {"t": P.T, "x": P.X, "u": P.U(), "u_x": ux_new,
                 "f": mul(pow_(phi_x, 2), inv_c1sq, f),
                 "g": mul(inv_c1sq,
-                         add(mul(self.c2, g), mul(ux_new, diff(phi_x, x), f),
-                             mul(rat(-1), diff(psi_x, x), f),
-                             mul(rat(2), self.c4)))}
+                         add_products((self.c2, g), (ux_new, diff(phi_x, x), f),
+                                      (MINUS_ONE, diff(psi_x, x), f),
+                                      (rat(2), self.c4)))}
 
 
 def apply_equivalence_old_coords(par: EquivParams, f: Expr, g: Expr):

@@ -12,10 +12,11 @@ import pytest
 
 import wavesym.expr as expr_module
 from wavesym.expr import (AbsPow, Add, App, ExpF, LnAbs, Mul, Pow, Rat, Sym,
-                          ExpansionTooLarge, SingularValue, _Transcendental,
-                          abspow, add, app, collect, diff, equal, evaluate,
-                          exp_, free_symbols, is_zero, lnabs, mul, pow_, rat,
-                          substitute, sym, total_derivative, NotPolynomial)
+                          ZERO, ExpansionTooLarge, SingularValue,
+                          _Transcendental, abspow, add, add_products, app,
+                          collect, diff, equal, evaluate, exp_, free_symbols,
+                          is_zero, lnabs, mul, pow_, rat, substitute, sym,
+                          total_derivative, NotPolynomial)
 from wavesym.parse import parse
 from wavesym.printer import to_str
 
@@ -366,25 +367,50 @@ def test_mul_matches_term_by_term_reference(ch):
 
 
 def test_mul_expands_sums_in_one_call(ch, monkeypatch):
-    """A product of sums makes one mul call, plus one per pair of terms
-    whose merged factors mul must rebuild (here exp(x)*exp(u))."""
+    """A product of sums makes one _mul_terms call, plus one per pair of
+    terms whose merged factors it must rebuild (here exp(x)*exp(u))."""
     a, b, c, d, e, f = (sym(ch.get(n)) for n in ("t", "x", "u", "u_t", "u_x", "u_tt"))
     plain = (add(a, b, c), add(d, e, f))
     one_fallback = (add(a, exp_(b)), add(exp_(c), rat(1)))
-    real = expr_module.mul
+    real = expr_module._mul_terms
     calls = []
 
-    def counting(*parts, **kw):
-        calls.append(parts)
-        return real(*parts, **kw)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(expr_module, "mul", counting)
+    monkeypatch.setattr(expr_module, "_mul_terms", counting)
     assert len(expr_module.mul(*plain).terms) == 9
     assert len(calls) == 1
     calls.clear()
-    assert expr_module.mul(*one_fallback) == \
-        P("t*exp(u) + t + exp(x + u) + exp(x)", ch)
+    got = expr_module.mul(*one_fallback)
     assert len(calls) == 2
+    assert got == P("t*exp(u) + t + exp(x + u) + exp(x)", ch)
+
+
+def test_add_products_is_add_of_muls(spec, ch):
+    """add_products(*ps) is the node add(*[mul(*p) for p in ps]): on random
+    products of sample trees, with -1 factors and cancelling products, on
+    exp and abs-power pairs that _mul_terms must rebuild, and on one or no
+    product."""
+    trees = list(_sample_trees(spec, ch))
+    small = [t for t in trees if len(_terms(t)) <= 6]
+    rng = random.Random(113)
+    for _ in range(200):
+        ps = [(rng.choice(trees),)] + [
+            tuple(rng.sample(small, rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.3:
+            ps.append((rat(-1), *rng.choice(ps)))
+        rng.shuffle(ps)
+        assert add_products(*ps) is add(*[mul(*p) for p in ps])
+    a, b = P("exp(x) + t", ch), P("exp(-u) + 1", ch)
+    c, d = P("abs(u_x)^p + x", ch), P("abs(u_x)^(1/3) - t", ch)
+    for ps in ([(a, b)], [(c, d)], [(a, b), (c, d), (rat(-1), a, c)]):
+        assert add_products(*ps) is add(*[mul(*p) for p in ps])
+    assert add_products((a, c), (rat(-1), c, a)) is ZERO
+    assert add_products((a, b, c)) is mul(a, b, c)
+    assert add_products() is ZERO
 
 
 def test_large_power_of_sum_refused(ch):

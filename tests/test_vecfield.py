@@ -7,8 +7,8 @@ import pytest
 from wavesym.charts import AUG_COORDS, BASE_COORDS
 from wavesym.equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt,
                                  lift_Du, lift_F1, lift_F2, lift_G, lift_Pt)
-from wavesym.expr import (add, app, diff, equal, exp_, lnabs, mul, pow_, rat,
-                          structurally_zero, substitute, sym)
+from wavesym.expr import (Add, add, app, diff, equal, exp_, lnabs, mul, pow_,
+                          rat, structurally_zero, substitute, sym)
 from wavesym.parse import parse
 from wavesym.vecfield import (ChartMismatch, EquivParams, PointTransform,
                               TransformLeavesClass, VectorField,
@@ -46,6 +46,33 @@ def test_bracket_chart_mismatch(ch, ea):
     W = ea.field(Gen("Pt"))
     with pytest.raises(ChartMismatch):
         bracket(V, W)
+
+
+def _interned(cls):
+    """The number of nodes in a node class's table, a trie of dicts."""
+    def leaves(table):
+        return sum(leaves(v) if type(v) is dict else 1 for v in table.values())
+    return leaves(cls._nodes)
+
+
+def test_derivations_build_no_intermediate_sums(ch):
+    """With diff's memo warm, V(e) interns at most one new sum, its result,
+    and [V, W] at most one per coefficient: no product coeff * de/dz is
+    built as a sum of its own on the way."""
+    V = vf(ch, BASE_COORDS, t=parse("7/11*t^2 + x", ch), x=parse("x*u - 3/13", ch),
+           u=parse("u*t + 5/17*x^2", ch))
+    W = vf(ch, BASE_COORDS, t=parse("x^2 - 2/19*t", ch), x=parse("u^2 + 9/23*t*x", ch),
+           u=parse("t*x - 4/29*u", ch))
+    e = parse("t*x^2 + 6/31*u^2*x + t*u", ch)
+    for g in (e, *V.coeffs.values(), *W.coeffs.values()):
+        for c in BASE_COORDS:
+            diff(g, ch.get(c))
+    before = _interned(Add)
+    V.apply(e)
+    assert _interned(Add) - before <= 1
+    before = _interned(Add)
+    bracket(V, W)
+    assert _interned(Add) - before <= len(BASE_COORDS)
 
 
 def test_augmented_ux_coefficient_checked(ea):
