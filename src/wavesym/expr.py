@@ -20,14 +20,17 @@ expression back as (coefficient, factors) terms.
 Nodes are interned: a constructor called with the fields of a node it has
 built returns that node (``Expr.__new__``), so equal trees are one object,
 ``==`` is identity and hashing is object hashing.  The node tables, like
-``diff``'s memo, live as long as the process.
+``diff``'s memo and the term-product table ``_TIMES``, live as long as the
+process.
 
 Products of sums expand in one pass: ``_mul_terms`` multiplies its partial
 products, a ``{key-sorted factors: coef}`` map, by each sum's terms.  Two
 terms with no common base concatenate their factors; a shared base adds
 exponents and is rebuilt by the merge rule (``_power``).  A pair whose merged
 factor is not plain, or with exps or abs-powers of one base on both sides,
-goes through ``_mul_terms`` once.  ``add_products`` merges the maps of a sum
+goes through ``_mul_terms`` once.  ``_TIMES`` keeps each pair's product
+(``_times``), or None for such a pair, so a pair of interned factor tuples
+is merged once per process.  ``add_products`` merges the maps of a sum
 of products and builds no product as a node.  A power of a sum over
 ``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``, as
 does a rational power whose value would take more bits.
@@ -536,12 +539,14 @@ def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
     # {key-sorted factors: coef} entries, multiplied by each sum's terms
     acc = {tuple(sorted(factors, key=Expr.key)): coef}
     for a in adds:
-        terms = [(c, f, [_base(x) for x in f]) for c, f in iter_terms(a)]
+        terms = list(iter_terms(a))
         prods: dict = {}
         for f1, c1 in acc.items():
-            by_base = {_base(x): x for x in f1}
-            for c2, f2, b2 in terms:
-                f = _times(f1, by_base, f2, b2)
+            for c2, f2 in terms:
+                try:
+                    f = _TIMES[f1, f2]
+                except KeyError:
+                    f = _TIMES[f1, f2] = _times(f1, f2)
                 if f is None:
                     for g, c in _mul_terms((Rat(c1 * c2), *f1, *f2)).items():
                         prods[g] = prods.get(g, 0) + c
@@ -575,13 +580,18 @@ def _base(f: Expr):
     return ExpF if isinstance(f, ExpF) else f
 
 
-def _times(f1: tuple, by_base: dict, f2: tuple, b2: list):
+# {(f1, f2): _times(f1, f2)} for the life of the process, None results too
+_TIMES: dict = {}
+
+
+def _times(f1: tuple, f2: tuple):
     """The key-sorted factors of the product of two terms' factors, or None
     when ``mul`` must form it: exps, or abs-powers of one base, on both
-    sides, or a shared base whose merged power is not plain.  ``by_base`` maps each
-    base of ``f1`` to its factor, ``b2`` lists the bases of ``f2``."""
+    sides, or a shared base whose merged power is not plain."""
     if not f1 or not f2:
         return f1 or f2
+    by_base = {_base(x): x for x in f1}
+    b2 = [_base(x) for x in f2]
     if by_base.keys().isdisjoint(b2):
         return tuple(sorted(f1 + f2, key=Expr.key))
     rest = dict(by_base)
@@ -1113,7 +1123,8 @@ def _clear_denominators(e: Expr) -> Expr:
         if not need:
             return e
         # multiply term by term with raw Pow nodes so each denominator merges
-        # with its clearing factor before positive sum-powers expand
+        # with its clearing factor before positive sum-powers expand; the
+        # first pass of _mul_terms rebuilds them, so none reaches _TIMES
         mults = [Pow(b, k) for b, k in need.items()]
         e = add_products(*[(Rat(coef), *factors, *mults) for coef, factors in terms])
     return e

@@ -108,10 +108,13 @@ def test_is_zero_examples(ch):
     assert is_zero(P("f_ux", ch)).verdict == "nonzero"
 
 
+_DENOMINATOR_CLEARING = ("(x+1)^(-2)*(x^2+2*x+1) - 1",
+                         "(x+u)^(-3)*(x+u) - (x+u)^(-2)")
+
+
 def test_is_zero_denominator_clearing(ch):
-    e = P("(x+1)^(-2)*(x^2+2*x+1) - 1", ch)
-    assert is_zero(e).verdict == "zero"
-    assert is_zero(P("(x+u)^(-3)*(x+u) - (x+u)^(-2)", ch)).verdict == "zero"
+    for s in _DENOMINATOR_CLEARING:
+        assert is_zero(P(s, ch)).verdict == "zero", s
 
 
 def test_is_zero_undecided_surfaced(ch):
@@ -411,6 +414,69 @@ def test_add_products_is_add_of_muls(spec, ch):
     assert add_products((a, c), (rat(-1), c, a)) is ZERO
     assert add_products((a, b, c)) is mul(a, b, c)
     assert add_products() is ZERO
+
+
+def _table_products(spec, ch):
+    """200 seeded products of sample trees, then the exp and abs-power pairs
+    whose term products ``_times`` leaves to ``_mul_terms`` (None)."""
+    small = [t for t in _sample_trees(spec, ch) if len(_terms(t)) <= 6]
+    rng = random.Random(131)
+    ps = [tuple(rng.sample(small, rng.randint(2, 3))) for _ in range(200)]
+    a, b = P("exp(x) + t", ch), P("exp(-u) + 1", ch)
+    c, d = P("abs(u_x)^p + x", ch), P("abs(u_x)^(1/3) - t", ch)
+    return ps + [(a, b), (c, d), (a, b, c, d)]
+
+
+def test_term_product_table_is_transparent(spec, ch, monkeypatch):
+    """mul and add_products build the same node with the _TIMES table
+    cleared before each call as with it warm, and a repeated product calls
+    _times for none of its term pairs."""
+    table = expr_module._TIMES
+    ps = _table_products(spec, ch)
+    groups = [ps[i:i + 3] for i in range(0, len(ps), 3)]
+
+    def each_cold(build, args):
+        out = []
+        for a in args:
+            table.clear()
+            out.append(build(*a))
+        return out
+
+    cold = each_cold(mul, ps)
+    cold_sums = each_cold(add_products, groups)
+    real = expr_module._times
+    calls = []
+
+    def counting(f1, f2):
+        calls.append((f1, f2))
+        return real(f1, f2)
+
+    monkeypatch.setattr(expr_module, "_times", counting)
+    for warm_pass in range(2):
+        calls.clear()
+        assert all(mul(*p) is e for p, e in zip(ps, cold))
+        assert all(add_products(*g) is e for g, e in zip(groups, cold_sums))
+        # the first pass fills the table, the second finds every pair in it
+        assert bool(calls) == (warm_pass == 0)
+    assert None in table.values()
+
+
+def test_term_product_table_holds_canonical_factors(spec, ch):
+    """Every factor in a _TIMES key is a fixpoint of its constructor and
+    none is a positive integer power of a sum, which the canonical form
+    expands, also after denominator clearing, which feeds raw Pow nodes
+    into add_products."""
+    expr_module._TIMES.clear()
+    for p in _table_products(spec, ch):
+        mul(*p)
+    for s in _DENOMINATOR_CLEARING:
+        assert is_zero(P(s, ch)).verdict == "zero", s
+    factors = {x for pair in expr_module._TIMES for f in pair for x in f}
+    assert factors
+    for x in factors:
+        _assert_constructor_fixpoint(x)
+        assert not (isinstance(x, Pow) and isinstance(x.base, Add)
+                    and x.exp > 0 and x.exp.denominator == 1), to_str(x)
 
 
 def test_large_power_of_sum_refused(ch):
