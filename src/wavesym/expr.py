@@ -30,10 +30,13 @@ exponents and is rebuilt by the merge rule (``_power``).  A pair whose merged
 factor is not plain, or with exps or abs-powers of one base on both sides,
 goes through ``_mul_terms`` once.  ``_TIMES`` keeps each pair's product
 (``_times``), or None for such a pair, so a pair of interned factor tuples
-is merged once per process.  ``add_products`` merges the maps of a sum
-of products and builds no product as a node.  A power of a sum over
-``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``, as
-does a rational power whose value would take more bits.
+is merged once per process.  ``_times_into`` is that pair loop: ``diff``'s
+product and chain rules and ``total_derivative`` share it, since a product's
+other factors are already a key-sorted factor tuple.  ``add_products``
+merges the maps of a sum of products and builds no product as a node.  A
+power of a sum over ``MAX_EXPANSION_PRODUCTS`` term products raises
+``ExpansionTooLarge``, as does a rational power whose value would take more
+bits.
 
 ``is_zero`` samples with the constructors as its one exact evaluator: at a
 point a value is exact where the bound tree folds to a ``Rat``, else a
@@ -42,17 +45,20 @@ Function atoms, innermost first, share a value only where their arguments
 are proved equal and take a fresh one only where they are proved different.
 
 Stored rationals (``Rat.q``, ``Mul.coef``, ``Pow.exp``) are ``int`` when
-integral and ``Fraction`` otherwise (``_q``), so the constructors' arithmetic
-runs mostly as native ``int`` operations; the two compare, hash and print
-alike.  A power that could leave the rationals (``int ** -n`` is a float) is
-lifted to ``Fraction`` first.
+integral and ``Fraction`` otherwise (``_q``); the two compare, hash and print
+alike.  The term maps add and multiply them with ``_qadd`` and ``_qmul``,
+which return the stored form: native ``int`` arithmetic when both operands
+are ``int``, else one ``gcd`` on their numerators and denominators, so no
+``Fraction`` operator (with its reflected-operand dispatch) runs there.  A
+power that could leave the rationals (``int ** -n`` is a float) is lifted to
+``Fraction`` first.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -69,6 +75,27 @@ def _q(v) -> Rational:
     if type(v) is not Fraction:
         v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
+
+
+def _qadd(a: Rational, b: Rational) -> Rational:
+    """``_q(a + b)`` for stored rationals, in native ``int`` arithmetic."""
+    if type(a) is int and type(b) is int:
+        return a + b
+    ad, bd = a.denominator, b.denominator
+    return _qfrac(a.numerator * bd + b.numerator * ad, ad * bd)
+
+
+def _qmul(a: Rational, b: Rational) -> Rational:
+    """``_q(a * b)`` for stored rationals, in native ``int`` arithmetic."""
+    if type(a) is int and type(b) is int:
+        return a * b
+    return _qfrac(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def _qfrac(n: int, d: int) -> Rational:
+    """The stored form of ``n/d`` for ``d > 0``."""
+    g = gcd(n, d)
+    return n // g if g == d else Fraction(n // g, d // g)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +457,16 @@ def provably_nonzero(e: Expr) -> bool:
     return isinstance(e, (ExpF, AbsPow))
 
 
+_NO_NODES: dict = {}     # read-only: the table of a coefficient with no Mul
+
+
 def _sum(acc: dict) -> Expr:
     """The canonical sum of a ``{key-sorted factors: coef}`` map, in which
-    ``()`` keys the constant: the one place terms are built."""
-    terms = [f[0] if c == 1 and len(f) == 1 else Mul(c, f) if f else Rat(c)
+    ``()`` keys the constant: the one place terms are built.  A product
+    already built is read from ``Mul._nodes`` without a constructor call."""
+    muls = Mul._nodes
+    terms = [f[0] if c == 1 and len(f) == 1
+             else (muls.get(c, _NO_NODES).get(f) or Mul(c, f)) if f else Rat(c)
              for f, c in acc.items() if c != 0]
     if not terms:
         return Rat(0)
@@ -447,7 +480,8 @@ def add(*parts: Expr) -> Expr:
     acc: dict = {}
     for e in parts:
         for c, f in iter_terms(e):
-            acc[f] = acc.get(f, 0) + c
+            old = acc.get(f)
+            acc[f] = c if old is None else _qadd(old, c)
     return _sum(acc)
 
 
@@ -464,11 +498,14 @@ def _constraint_fold(base: Expr, k: Rational):
 
 def add_products(*products: Sequence[Expr]) -> Expr:
     """``add(*[mul(*p) for p in products])``: every product's terms go into
-    one map, and no product is built as a node."""
-    acc: dict = {}
-    for p in products:
+    one map, the first product's own, and no product is built as a node."""
+    if not products:
+        return ZERO
+    acc = _mul_terms(products[0])
+    for p in products[1:]:
         for f, c in _mul_terms(p).items():
-            acc[f] = acc.get(f, 0) + c
+            old = acc.get(f)
+            acc[f] = c if old is None else _qadd(old, c)
     return _sum(acc)
 
 
@@ -477,7 +514,8 @@ def mul(*parts: Expr) -> Expr:
 
 
 def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
-    """The product of ``parts`` as a ``{key-sorted factors: coef}`` map."""
+    """The product of ``parts`` as a ``{key-sorted factors: coef}`` map,
+    a fresh one that the caller may keep and update."""
     if len(parts) == 1:     # a canonical node is its own product
         return {f: c for c, f in iter_terms(parts[0])}
     if depth > 24:
@@ -492,20 +530,22 @@ def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
     while work:
         e = work.pop()
         if isinstance(e, Rat):
-            coef *= e.q
+            coef = _qmul(coef, e.q)
         elif isinstance(e, Mul):
-            coef *= e.coef
+            coef = _qmul(coef, e.coef)
             work.extend(e.factors)
         elif isinstance(e, ExpF):
             exp_args.append(e.arg)
         elif isinstance(e, Pow):
-            pow_acc[e.base] = pow_acc.get(e.base, 0) + e.exp
+            k = pow_acc.get(e.base)
+            pow_acc[e.base] = e.exp if k is None else _qadd(k, e.exp)
         elif isinstance(e, AbsPow):
             abs_acc.setdefault(e.base, []).append(e.exp)
         elif isinstance(e, Add):
             adds.append(e)
         else:
-            pow_acc[e] = pow_acc.get(e, 0) + 1
+            k = pow_acc.get(e)
+            pow_acc[e] = 1 if k is None else _qadd(k, 1)
 
     if coef == 0:
         return {}
@@ -539,21 +579,30 @@ def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
     # {key-sorted factors: coef} entries, multiplied by each sum's terms
     acc = {tuple(sorted(factors, key=Expr.key)): coef}
     for a in adds:
-        terms = list(iter_terms(a))
+        terms = iter_terms(a)
         prods: dict = {}
         for f1, c1 in acc.items():
-            for c2, f2 in terms:
-                try:
-                    f = _TIMES[f1, f2]
-                except KeyError:
-                    f = _TIMES[f1, f2] = _times(f1, f2)
-                if f is None:
-                    for g, c in _mul_terms((Rat(c1 * c2), *f1, *f2)).items():
-                        prods[g] = prods.get(g, 0) + c
-                else:
-                    prods[f] = prods.get(f, 0) + c1 * c2
+            _times_into(prods, c1, f1, terms)
         acc = prods
     return acc
+
+
+def _times_into(prods: dict, c1: Rational, f1: tuple, terms: list) -> None:
+    """Add the products of the term ``c1 * f1`` (key-sorted factors) with
+    each of ``terms`` (as ``iter_terms`` gives them) to the map ``prods``."""
+    for c2, f2 in terms:
+        try:
+            f = _TIMES[f1, f2]
+        except KeyError:
+            f = _TIMES[f1, f2] = _times(f1, f2)
+        if f is None:
+            for g, c in _mul_terms((Rat(_qmul(c1, c2)), *f1, *f2)).items():
+                old = prods.get(g)
+                prods[g] = c if old is None else _qadd(old, c)
+        else:
+            c = _qmul(c1, c2)
+            old = prods.get(f)
+            prods[f] = c if old is None else _qadd(old, c)
 
 
 def _power(base: Expr, k: Rational):
@@ -603,8 +652,8 @@ def _times(f1: tuple, f2: tuple):
             continue
         if isinstance(x, (ExpF, AbsPow)):
             return None
-        p, plain = _power(b, (x.exp if isinstance(x, Pow) else 1) +
-                          (y.exp if isinstance(y, Pow) else 1))
+        p, plain = _power(b, _qadd(x.exp if isinstance(x, Pow) else 1,
+                                   y.exp if isinstance(y, Pow) else 1))
         if not plain:
             return None
         if p is not None:
@@ -820,19 +869,15 @@ MINUS_ONE = rat(-1)
 # ---------------------------------------------------------------------------
 # structural queries
 
-def iter_terms(e: Expr):
-    """Yield ``(coef, factors)`` for each term of canonical ``e``.
+def iter_terms(e: Expr) -> list:
+    """The ``(coef, factors)`` of each term of canonical ``e``, as a list.
 
     A constant term gives ``(q, ())``, a product its coefficient and its
     key-sorted factor tuple, any other node ``(1, (node,))``.
     """
-    for t in (e.terms if isinstance(e, Add) else (e,)):
-        if isinstance(t, Mul):
-            yield t.coef, t.factors
-        elif isinstance(t, Rat):
-            yield t.q, ()
-        else:
-            yield 1, (t,)
+    return [(t.coef, t.factors) if type(t) is Mul
+            else (t.q, ()) if type(t) is Rat else (1, (t,))
+            for t in (e.terms if type(e) is Add else (e,))]
 
 
 def _nodes(e: Expr) -> list:
@@ -903,15 +948,16 @@ def _diff(e: Expr, s: Symbol) -> Expr:
     if isinstance(e, Sym):
         return ONE if e.s == s else ZERO
     if isinstance(e, App):
-        parts = []
+        prods: dict = {}
         for i, a in enumerate(e.args):
             da = diff(a, s)
             if isinstance(da, Rat) and da.q == 0:
                 continue
             didx = list(e.didx)
             didx[i] += 1
-            parts.append((App(e.fn, tuple(didx), e.args), da))
-        return add_products(*parts)
+            _times_into(prods, 1, (App(e.fn, tuple(didx), e.args),),
+                        iter_terms(da))
+        return _sum(prods)
     if isinstance(e, Pow):
         db = diff(e.base, s)
         if isinstance(db, Rat) and db.q == 0:
@@ -937,13 +983,14 @@ def _diff(e: Expr, s: Symbol) -> Expr:
             return ZERO
         return mul(pow_(e.arg, -1), da)
     if isinstance(e, Mul):
-        parts = []
+        # the factors but one of a product are its key-sorted factor tuple
+        prods: dict = {}
         for i, f in enumerate(e.factors):
             df = diff(f, s)
-            if isinstance(df, Rat) and df.q == 0:
-                continue
-            parts.append((Rat(e.coef), df, *e.factors[:i], *e.factors[i + 1:]))
-        return add_products(*parts)
+            if not (isinstance(df, Rat) and df.q == 0):
+                _times_into(prods, e.coef, e.factors[:i] + e.factors[i + 1:],
+                            iter_terms(df))
+        return _sum(prods)
     if isinstance(e, Add):
         return add(*[diff(t, s) for t in e.terms])
     raise TypeError(type(e))
@@ -959,15 +1006,15 @@ def total_derivative(e: Expr, direction: str, chart: Chart) -> Expr:
         raise ValueError("direction must be 't' or 'x'")
     di = (1, 0) if direction == "t" else (0, 1)
     dir_sym = chart.get(direction)
-    parts = [(diff(e, dir_sym),)]
+    prods = _mul_terms((diff(e, dir_sym),))
     for s in free_symbols(e):
         if s.kind in (DEPENDENT, JET):
             nt, nx = s.index
             promoted = chart.jet(s.dep, nt + di[0], nx + di[1])
             d = diff(e, s)
             if not (isinstance(d, Rat) and d.q == 0):
-                parts.append((sym(promoted), d))
-    return add_products(*parts)
+                _times_into(prods, 1, (Sym(promoted),), iter_terms(d))
+    return _sum(prods)
 
 
 # ---------------------------------------------------------------------------
@@ -1115,7 +1162,7 @@ def _clear_denominators(e: Expr) -> Expr:
         if not isinstance(e, (Add, Mul, Pow)):
             return e
         need: dict = {}
-        terms = list(iter_terms(e))
+        terms = iter_terms(e)
         for _, factors in terms:
             for f in factors:
                 if isinstance(f, Pow) and f.exp < 0 and isinstance(f.base, Add):

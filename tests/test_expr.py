@@ -479,6 +479,98 @@ def test_term_product_table_holds_canonical_factors(spec, ch):
                     and x.exp > 0 and x.exp.denominator == 1), to_str(x)
 
 
+def test_rational_kernel_matches_fraction_arithmetic():
+    """_qadd and _qmul give Fraction's sum and product in stored form, an
+    int exactly when the result is integral: on 2,000 seeded pairs of int
+    and Fraction operands with zero, negatives, equal denominators,
+    integral results and +-2**200."""
+    q = expr_module._q
+    rng = random.Random(137)
+    big = 2 ** 200
+
+    def operand():
+        n = rng.choice((0, 1, -1, rng.randint(-9, 9), big, -big, big + 1))
+        return q(Fraction(n, rng.choice((1, 1, 2, 3, 6, rng.randint(1, 12), big))))
+
+    for _ in range(2000):
+        a = operand()
+        b = rng.choice((
+            operand(),
+            q(Fraction(rng.randint(-9, 9), Fraction(a).denominator)),
+            q(rng.randint(-3, 3) - Fraction(a)),
+            q(rng.randint(-3, 3) / Fraction(a)) if a else 0))
+        for got, want in ((expr_module._qadd(a, b), q(Fraction(a) + Fraction(b))),
+                          (expr_module._qmul(a, b), q(Fraction(a) * Fraction(b)))):
+            assert got == want and type(got) is type(want), (a, b, got)
+            assert (got.numerator, got.denominator) == \
+                (want.numerator, want.denominator)
+
+
+def test_derivative_products_match_add_products(spec, ch):
+    """diff's product and chain rules and total_derivative multiply through
+    _times_into, and return the node add_products returns for the same
+    products, with _TIMES and diff's memo cleared: for every symbol of
+    every sample tree, on the tree's product and application terms."""
+    from wavesym.expr import JetOrderError
+    checked = 0
+    for e in _sample_trees(spec, ch):
+        for s in sorted(free_symbols(e), key=lambda s: s.name):
+            expr_module._TIMES.clear()
+            expr_module._DIFF_CACHE.clear()
+            for t in _terms(e):
+                if isinstance(t, Mul):
+                    got = diff(t, s)
+                    want = add_products(*[
+                        (Rat(t.coef), diff(f, s), *t.factors[:i], *t.factors[i + 1:])
+                        for i, f in enumerate(t.factors)])
+                elif isinstance(t, App):
+                    got = diff(t, s)
+                    want = add_products(*[
+                        (App(t.fn, tuple(n + (j == i) for j, n in enumerate(t.didx)),
+                             t.args), diff(a, s))
+                        for i, a in enumerate(t.args)])
+                else:
+                    continue
+                assert got is want, (to_str(t), s.name)
+                _assert_constructor_fixpoint(got)
+                checked += 1
+        for direction in ("t", "x"):
+            try:
+                want = add_products((diff(e, ch.get(direction)),), *[
+                    (sym(ch.jet(s.dep, s.index[0] + (direction == "t"),
+                                s.index[1] + (direction == "x"))), diff(e, s))
+                    for s in free_symbols(e) if s.kind in ("dependent", "jet")])
+            except JetOrderError:
+                with pytest.raises(JetOrderError):
+                    total_derivative(e, direction, ch)
+                continue
+            got = total_derivative(e, direction, ch)
+            assert got is want, (to_str(e), direction)
+            _assert_constructor_fixpoint(got)
+    assert checked > 1000
+
+
+def test_diff_of_product_makes_no_mul_terms_call(ch, monkeypatch):
+    """With diff's memo cold, the derivative of a polynomial product is
+    formed in the term-product loop alone: no _mul_terms call."""
+    e = P("3*t*x*u_x*u_tt", ch)
+    assert isinstance(e, Mul)
+    real = expr_module._mul_terms
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expr_module, "_DIFF_CACHE", {})
+    monkeypatch.setattr(expr_module, "_mul_terms", counting)
+    got = [diff(e, ch.get(n)) for n in ("t", "x", "u_x", "u_tt", "u")]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == [P(s, ch) for s in ("3*x*u_x*u_tt", "3*t*u_x*u_tt",
+                                      "3*t*x*u_tt", "3*t*x*u_x", "0")]
+
+
 def test_large_power_of_sum_refused(ch):
     """A power of a sum whose expansion would take more than
     MAX_EXPANSION_PRODUCTS term products raises; (1+x+u_x)^40 expands."""
