@@ -39,7 +39,7 @@ from .report import CampaignReport, CaseReport
 from .vecfield import (EquivParams, PointTransform, VectorField, bracket,
                        compose_point_transforms, pushforward,
                        transform_equation, transform_equation_old_coords,
-                       apply_equivalence, apply_equivalence_old_coords)
+                       apply_equivalence)
 
 
 @dataclass
@@ -537,9 +537,9 @@ def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
         f_got, g_got = transform_equation_old_coords(par.to_point_transform(), f, g)
         ok = equal(f_got, f_want) and equal(g_got, g_want)
         rep.add(f"{name}: change of variables equals the printed row", ok)
-        fp, gp = apply_equivalence_old_coords(par, f, g)
+        image = par.action(f, g)
         rep.add(f"{name}: closed-form action agrees",
-                equal(f_got, fp) and equal(g_got, gp))
+                equal(f_got, image["f"]) and equal(g_got, image["g"]))
 
     # the three independent discrete equivalence transformations
     ux = sym(ch.get("u_x"))

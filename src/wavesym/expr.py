@@ -24,19 +24,20 @@ built returns that node (``Expr.__new__``), so equal trees are one object,
 process.
 
 Products of sums expand in one pass: ``_mul_terms`` multiplies its partial
-products, a ``{key-sorted factors: coef}`` map, by each sum's terms.  Two
-terms with no common base concatenate their factors; a shared base adds
-exponents and is rebuilt by the merge rule (``_power``).  A pair whose merged
-factor is not plain, or with exps or abs-powers of one base on both sides,
-goes through ``_mul_terms`` once.  ``_TIMES`` keeps each pair's product
-(``_times``), or None for such a pair, so a pair of interned factor tuples
-is merged once per process.  ``_times_into`` is that pair loop: ``diff``'s
-product and chain rules and ``total_derivative`` share it, since a product's
-other factors are already a key-sorted factor tuple.  ``add_products``
-merges the maps of a sum of products and builds no product as a node.  A
-power of a sum over ``MAX_EXPANSION_PRODUCTS`` term products raises
-``ExpansionTooLarge``, as does a rational power whose value would take more
-bits.
+products, a ``{key-sorted factors: coef}`` map, by each sum's terms.  It is
+the one rule by which factors merge: factors of one base add exponents and
+are rebuilt by ``_power``, ``abspow`` or ``exp_`` (a factor alone in its
+group is canonical already), and a rebuild that reduces further is
+multiplied in again.  The product of two terms is that merge of their
+factors (``_times``), a term map in its own right: ``2^(1/2)*2^(1/2)`` is
+the constant 2, ``(a+b)^(1/2)*(a+b)^(1/2)`` the two terms of ``a + b``.  ``_TIMES`` keeps it for each pair of interned factor
+tuples, so every pair is merged once per process.  ``_times_into`` is that
+pair loop: ``diff``'s product and chain rules and ``total_derivative``
+share it, since a product's other factors are already a key-sorted factor
+tuple.  ``add_products`` merges the maps of a sum of products and builds no
+product as a node.  A power of a sum over ``MAX_EXPANSION_PRODUCTS`` term
+products raises ``ExpansionTooLarge``, as does a rational power whose value
+would take more bits.
 
 ``is_zero`` samples with the constructors as its one exact evaluator: at a
 point a value is exact where the bound tree folds to a ``Rat``, else a
@@ -521,9 +522,9 @@ def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
     if depth > 24:
         raise RuntimeError("mul normalization did not reach a fixpoint")
     coef = 1
-    pow_acc: dict = {}    # base Expr -> rational exponent
-    abs_acc: dict = {}    # base Expr -> list of exponent Exprs
-    exp_args: list = []   # summands of a single exp() factor
+    pow_acc: dict = {}    # base Expr -> its powers (a plain factor is one)
+    abs_acc: dict = {}    # base Expr -> its abs-powers
+    exps: list = []       # exp() factors
     adds: list = []       # Add factors to distribute at the end
 
     work = list(parts)
@@ -535,44 +536,52 @@ def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
             coef = _qmul(coef, e.coef)
             work.extend(e.factors)
         elif isinstance(e, ExpF):
-            exp_args.append(e.arg)
+            exps.append(e)
         elif isinstance(e, Pow):
-            k = pow_acc.get(e.base)
-            pow_acc[e.base] = e.exp if k is None else _qadd(k, e.exp)
+            pow_acc.setdefault(e.base, []).append(e)
         elif isinstance(e, AbsPow):
-            abs_acc.setdefault(e.base, []).append(e.exp)
+            abs_acc.setdefault(e.base, []).append(e)
         elif isinstance(e, Add):
             adds.append(e)
         else:
-            k = pow_acc.get(e)
-            pow_acc[e] = 1 if k is None else _qadd(k, 1)
+            pow_acc.setdefault(e, []).append(e)
 
     if coef == 0:
         return {}
 
-    # rebuild merged factors; a rebuild may itself reduce (rational folds,
-    # even abs-powers, exp/ln extraction), in which case run another pass
+    # rebuild merged factors; a canonical factor alone in its group is its
+    # own rebuild.  A rebuild may itself reduce (rational folds, even
+    # abs-powers, exp/ln extraction), in which case run another pass
     factors = []
     redo = []
-    for base, k in pow_acc.items():
+    for base, fs in pow_acc.items():
+        if len(fs) == 1:
+            factors.append(fs[0])
+            continue
+        k = 0
+        for f in fs:
+            k = _qadd(k, f.exp if isinstance(f, Pow) else 1)
         p, plain = _power(base, k)
         if p is not None:
             (factors if plain else redo).append(p)
-    for base, exps in abs_acc.items():
-        q = add(*exps)
-        a = abspow(base, q)
+    for base, fs in abs_acc.items():
+        a = fs[0] if len(fs) == 1 else abspow(base, add(*[f.exp for f in fs]))
         if isinstance(a, AbsPow) and a.base == base:
             factors.append(a)
         else:
             redo.append(a)
-    if exp_args:
-        x = exp_(add(*exp_args))
+    if exps:
+        x = exps[0] if len(exps) == 1 else exp_(add(*[f.arg for f in exps]))
         if isinstance(x, ExpF):
             factors.append(x)
         else:
             redo.append(x)
 
     if redo:
+        # the sums still to expand join the next pass: expanding a rebuilt
+        # sum before them changes the form of products whose radicals of
+        # one sum merge, as in (u + (x+1)^(1/2))^(1/2) squared times
+        # ((x+1)^(-1/2) + t) * ((x+1)^(1/2) + 1)
         return _mul_terms((Rat(coef), *factors, *redo, *adds), depth + 1)
 
     # expand products of sums in one pass: partial products are
@@ -587,20 +596,27 @@ def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
     return acc
 
 
+# {(f1, f2): _times(f1, f2)} for the life of the process
+_TIMES: dict = {}
+
+
+def _times(f1: tuple, f2: tuple) -> tuple:
+    """The product of two terms' key-sorted factors as ``(factors, coef)``
+    entries, by ``_mul_terms``: the one rule by which factors merge."""
+    return tuple(_mul_terms(f1 + f2).items())
+
+
 def _times_into(prods: dict, c1: Rational, f1: tuple, terms: list) -> None:
     """Add the products of the term ``c1 * f1`` (key-sorted factors) with
     each of ``terms`` (as ``iter_terms`` gives them) to the map ``prods``."""
     for c2, f2 in terms:
         try:
-            f = _TIMES[f1, f2]
+            entries = _TIMES[f1, f2]
         except KeyError:
-            f = _TIMES[f1, f2] = _times(f1, f2)
-        if f is None:
-            for g, c in _mul_terms((Rat(_qmul(c1, c2)), *f1, *f2)).items():
-                old = prods.get(g)
-                prods[g] = c if old is None else _qadd(old, c)
-        else:
-            c = _qmul(c1, c2)
+            entries = _TIMES[f1, f2] = _times(f1, f2)
+        c12 = _qmul(c1, c2)
+        for f, c in entries:
+            c = c12 if c == 1 else _qmul(c12, c)
             old = prods.get(f)
             prods[f] = c if old is None else _qadd(old, c)
 
@@ -617,49 +633,6 @@ def _power(base: Expr, k: Rational):
         return base, not isinstance(base, (Rat, Mul, Add))
     p = pow_(base, k)
     return p, isinstance(p, Pow) and p.base == base
-
-
-def _base(f: Expr):
-    """The key under which ``mul`` merges factor ``f`` with another: all
-    exps share one, abs-powers merge by base apart from plain powers."""
-    if isinstance(f, Pow):
-        return f.base
-    if isinstance(f, AbsPow):
-        return AbsPow, f.base
-    return ExpF if isinstance(f, ExpF) else f
-
-
-# {(f1, f2): _times(f1, f2)} for the life of the process, None results too
-_TIMES: dict = {}
-
-
-def _times(f1: tuple, f2: tuple):
-    """The key-sorted factors of the product of two terms' factors, or None
-    when ``mul`` must form it: exps, or abs-powers of one base, on both
-    sides, or a shared base whose merged power is not plain."""
-    if not f1 or not f2:
-        return f1 or f2
-    by_base = {_base(x): x for x in f1}
-    b2 = [_base(x) for x in f2]
-    if by_base.keys().isdisjoint(b2):
-        return tuple(sorted(f1 + f2, key=Expr.key))
-    rest = dict(by_base)
-    out = []
-    for x, b in zip(f2, b2):
-        y = rest.pop(b, None)
-        if y is None:
-            out.append(x)
-            continue
-        if isinstance(x, (ExpF, AbsPow)):
-            return None
-        p, plain = _power(b, _qadd(x.exp if isinstance(x, Pow) else 1,
-                                   y.exp if isinstance(y, Pow) else 1))
-        if not plain:
-            return None
-        if p is not None:
-            out.append(p)
-    out.extend(rest.values())
-    return tuple(sorted(out, key=Expr.key))
 
 
 def pow_(base: Expr, exp) -> Expr:
@@ -1169,11 +1142,20 @@ def _clear_denominators(e: Expr) -> Expr:
                     need[f.base] = max(need.get(f.base, 0), -f.exp)
         if not need:
             return e
-        # multiply term by term with raw Pow nodes so each denominator merges
-        # with its clearing factor before positive sum-powers expand; the
-        # first pass of _mul_terms rebuilds them, so none reaches _TIMES
-        mults = [Pow(b, k) for b, k in need.items()]
-        e = add_products(*[(Rat(coef), *factors, *mults) for coef, factors in terms])
+        # each term's own power of a denominator joins its clearing power
+        # before pow_ builds (and expands) it
+        products = []
+        for coef, factors in terms:
+            own: dict = {}
+            rest = [Rat(coef)]
+            for f in factors:
+                if isinstance(f, Pow) and f.base in need:
+                    own[f.base] = f.exp
+                else:
+                    rest.append(f)
+            products.append((*rest, *[pow_(b, _qadd(k, own.get(b, 0)))
+                                      for b, k in need.items()]))
+        e = add_products(*products)
     return e
 
 

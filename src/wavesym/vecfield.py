@@ -411,16 +411,10 @@ class EquivParams:
                                       (rat(2), self.c4)))}
 
 
-def apply_equivalence_old_coords(par: EquivParams, f: Expr, g: Expr):
-    """The equivalence action on (f, g), still written in the old coordinates."""
-    image = par.action(f, g)
-    return image["f"], image["g"]
-
-
 def apply_equivalence(par: EquivParams, f: Expr, g: Expr):
     """Equivalence action with arguments rewritten to the new coordinates."""
-    return _to_new_coords(par.to_point_transform(),
-                          *apply_equivalence_old_coords(par, f, g))
+    image = par.action(f, g)
+    return _to_new_coords(par.to_point_transform(), image["f"], image["g"])
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,9 @@ def test_is_zero_examples(ch):
 
 
 _DENOMINATOR_CLEARING = ("(x+1)^(-2)*(x^2+2*x+1) - 1",
-                         "(x+u)^(-3)*(x+u) - (x+u)^(-2)")
+                         "(x+u)^(-3)*(x+u) - (x+u)^(-2)",
+                         "(x+1)^(1/2)*(x^2+2*x+1)^(-1)*(x+1) - (x+1)^(-1/2)",
+                         "x^(1/2)*(x+1)^(-1) + x^(1/2)*x*(x+1)^(-1) - x^(1/2)")
 
 
 def test_is_zero_denominator_clearing(ch):
@@ -370,25 +372,45 @@ def test_mul_matches_term_by_term_reference(ch):
 
 
 def test_mul_expands_sums_in_one_call(ch, monkeypatch):
-    """A product of sums makes one _mul_terms call, plus one per pair of
-    terms whose merged factors it must rebuild (here exp(x)*exp(u))."""
+    """A product of sums makes one _mul_terms call once its term pairs are
+    in _TIMES, and each pair, exp(x)*exp(u) included, is merged by one
+    _mul_terms call of its own the first time it is met."""
     a, b, c, d, e, f = (sym(ch.get(n)) for n in ("t", "x", "u", "u_t", "u_x", "u_tt"))
     plain = (add(a, b, c), add(d, e, f))
-    one_fallback = (add(a, exp_(b)), add(exp_(c), rat(1)))
+    exps = (add(a, exp_(b)), add(exp_(c), rat(1)))
     real = expr_module._mul_terms
     calls = []
 
     def counting(*args):
-        calls.append(args)
+        calls.append(args[0])
         return real(*args)
 
+    monkeypatch.setattr(expr_module, "_TIMES", {})
     monkeypatch.setattr(expr_module, "_mul_terms", counting)
-    assert len(expr_module.mul(*plain).terms) == 9
-    assert len(calls) == 1
-    calls.clear()
-    got = expr_module.mul(*one_fallback)
-    assert len(calls) == 2
-    assert got == P("t*exp(u) + t + exp(x + u) + exp(x)", ch)
+    for cold in (1, 0):
+        calls.clear()
+        assert len(expr_module.mul(*plain).terms) == 9
+        # 3 pairs with the terms of the first sum expanded, then 9
+        assert len(calls) == 1 + 12 * cold
+        calls.clear()
+        got = expr_module.mul(*exps)
+        assert len(calls) == 1 + 6 * cold
+        assert sum(all(isinstance(x, ExpF) for x in p) for p in calls
+                   if len(p) == 2) == cold
+        assert got == P("t*exp(u) + t + exp(x + u) + exp(x)", ch)
+
+
+def test_rebuilt_sum_expands_after_pending_sums(ch):
+    """A product whose merged factor rebuilds to a sum (here u + (x+1)^(1/2))
+    expands the sums among its parts first.  Radicals of one sum merge
+    differently in another order: expanded first, the rebuilt sum's
+    (x+1)^(1/2) would meet that of the last part and make x + 1."""
+    b = P("(u + (x+1)^(1/2))^(1/2)", ch)
+    s1, s2 = P("(x+1)^(-1/2) + t", ch), P("(x+1)^(1/2) + 1", ch)
+    want = P("1 + t + u + (x+1)^(1/2) + t*u + t*u*(x+1)^(1/2) + t*x"
+             " + t*(x+1)^(1/2) + u*(x+1)^(-1/2)", ch)
+    assert mul(b, b, s1, s2) is want
+    assert mul(s1, b, s2, b) is want
 
 
 def test_add_products_is_add_of_muls(spec, ch):
@@ -417,14 +439,16 @@ def test_add_products_is_add_of_muls(spec, ch):
 
 
 def _table_products(spec, ch):
-    """200 seeded products of sample trees, then the exp and abs-power pairs
-    whose term products ``_times`` leaves to ``_mul_terms`` (None)."""
+    """200 seeded products of sample trees, then products with term pairs
+    whose merged factors reduce further: exps, abs-powers of one base, a
+    rational root squared and a square root of a sum squared."""
     small = [t for t in _sample_trees(spec, ch) if len(_terms(t)) <= 6]
     rng = random.Random(131)
     ps = [tuple(rng.sample(small, rng.randint(2, 3))) for _ in range(200)]
     a, b = P("exp(x) + t", ch), P("exp(-u) + 1", ch)
     c, d = P("abs(u_x)^p + x", ch), P("abs(u_x)^(1/3) - t", ch)
-    return ps + [(a, b), (c, d), (a, b, c, d)]
+    r, s = P("2^(1/2) + x", ch), P("(x+1)^(1/2) + t", ch)
+    return ps + [(a, b), (c, d), (a, b, c, d), (r, r), (s, s)]
 
 
 def test_term_product_table_is_transparent(spec, ch, monkeypatch):
@@ -458,20 +482,24 @@ def test_term_product_table_is_transparent(spec, ch, monkeypatch):
         assert all(add_products(*g) is e for g, e in zip(groups, cold_sums))
         # the first pass fills the table, the second finds every pair in it
         assert bool(calls) == (warm_pass == 0)
-    assert None in table.values()
+    # a stored product is a term map: 2^(1/2)*2^(1/2) is the constant 2,
+    # (x+1)^(1/2)*(x+1)^(1/2) the two terms of x + 1
+    r2, rx = P("2^(1/2)", ch), P("(x+1)^(1/2)", ch)
+    assert table[(r2,), (r2,)] == (((), 2),)
+    assert dict(table[(rx,), (rx,)]) == {(P("x", ch),): 1, (): 1}
 
 
 def test_term_product_table_holds_canonical_factors(spec, ch):
-    """Every factor in a _TIMES key is a fixpoint of its constructor and
-    none is a positive integer power of a sum, which the canonical form
-    expands, also after denominator clearing, which feeds raw Pow nodes
-    into add_products."""
+    """Every factor in a _TIMES key or stored product is a fixpoint of its
+    constructor and none is a positive integer power of a sum, which the
+    canonical form expands, also after denominator clearing."""
     expr_module._TIMES.clear()
     for p in _table_products(spec, ch):
         mul(*p)
     for s in _DENOMINATOR_CLEARING:
         assert is_zero(P(s, ch)).verdict == "zero", s
-    factors = {x for pair in expr_module._TIMES for f in pair for x in f}
+    factors = {x for pair, entries in expr_module._TIMES.items()
+               for f in (*pair, *(g for g, _ in entries)) for x in f}
     assert factors
     for x in factors:
         _assert_constructor_fixpoint(x)
@@ -552,7 +580,9 @@ def test_derivative_products_match_add_products(spec, ch):
 
 def test_diff_of_product_makes_no_mul_terms_call(ch, monkeypatch):
     """With diff's memo cold, the derivative of a polynomial product is
-    formed in the term-product loop alone: no _mul_terms call."""
+    formed in the term-product loop alone: the only _mul_terms calls are
+    the merges of term pairs not yet in _TIMES, one each, and there are
+    none once the table holds them."""
     e = P("3*t*x*u_x*u_tt", ch)
     assert isinstance(e, Mul)
     real = expr_module._mul_terms
@@ -562,10 +592,14 @@ def test_diff_of_product_makes_no_mul_terms_call(ch, monkeypatch):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(expr_module, "_DIFF_CACHE", {})
+    table = {}
+    monkeypatch.setattr(expr_module, "_TIMES", table)
     monkeypatch.setattr(expr_module, "_mul_terms", counting)
-    got = [diff(e, ch.get(n)) for n in ("t", "x", "u_x", "u_tt", "u")]
-    assert calls == []
+    for cold in (True, False):
+        calls.clear()
+        monkeypatch.setattr(expr_module, "_DIFF_CACHE", {})
+        got = [diff(e, ch.get(n)) for n in ("t", "x", "u_x", "u_tt", "u")]
+        assert calls == ([(f1 + f2,) for f1, f2 in table] if cold else [])
     monkeypatch.undo()
     assert got == [P(s, ch) for s in ("3*x*u_x*u_tt", "3*t*u_x*u_tt",
                                       "3*t*x*u_tt", "3*t*x*u_x", "0")]

@@ -11,8 +11,7 @@ from wavesym.expr import (Add, add, app, diff, equal, exp_, lnabs, mul, pow_,
                           rat, structurally_zero, substitute, sym)
 from wavesym.parse import parse
 from wavesym.vecfield import (ChartMismatch, EquivParams, PointTransform,
-                              TransformLeavesClass, VectorField,
-                              apply_equivalence_old_coords, bracket,
+                              TransformLeavesClass, VectorField, bracket,
                               compose_point_transforms, prolong2, pushforward,
                               transform_equation, transform_equation_old_coords,
                               vf)
@@ -151,13 +150,13 @@ def test_apply_equivalence_rows(ch):
     # c4-only: g~ = g + 2 c4
     par = EquivParams(ch, rat(0), rat(1), rat(1), rat(0), sym(ch.get("c4")),
                       x, rat(0))
-    fn, gn = apply_equivalence_old_coords(par, f, g)
-    assert equal(fn, f)
-    assert equal(gn, add(g, mul(rat(2), sym(ch.get("c4")))))
+    image = par.action(f, g)
+    assert equal(image["f"], f)
+    assert equal(image["g"], add(g, mul(rat(2), sym(ch.get("c4")))))
     # identity parameters
     par = EquivParams(ch, rat(0), rat(1), rat(1), rat(0), rat(0), x, rat(0))
-    fn, gn = apply_equivalence_old_coords(par, f, g)
-    assert equal(fn, f) and equal(gn, g)
+    image = par.action(f, g)
+    assert equal(image["f"], f) and equal(image["g"], g)
 
 
 def test_apply_equivalence_matches_transform_generic_phi(ch):
@@ -166,10 +165,10 @@ def test_apply_equivalence_matches_transform_generic_phi(ch):
     phi = app(ch.get("phi"), (0,), (sym(x),))
     par = EquivParams(ch, rat(0), rat(1), rat(1), rat(0), rat(0), phi, rat(0))
     f, g = parse("f(x,u_x)", ch), parse("g(x,u_x)", ch)
-    fa, ga = apply_equivalence_old_coords(par, f, g)
+    image = par.action(f, g)
     P = PointTransform(ch, T=sym(ch.get("t")), X=phi, U1=rat(1), U0=rat(0))
     ft, gt = transform_equation_old_coords(P, f, g)
-    assert equal(fa, ft) and equal(ga, gt)
+    assert equal(image["f"], ft) and equal(image["g"], gt)
     # printed row: f~ = phi_x^2 f, g~ = g + phi_xx u_x f / phi_x
     phi_x = diff(phi, x)
     assert equal(ft, mul(pow_(phi_x, 2), f))
