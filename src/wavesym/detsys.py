@@ -3,13 +3,16 @@
 The residual of the infinitesimal invariance criterion is computed from the
 second prolongation and restricted to the equation manifold; splitting over
 jet monomials that are not arguments of the arbitrary elements yields the
-determining system.  A finite ansatz turns the symmetry condition into an
-exact rational linear system whose null space is the symmetry algebra within
-the ansatz.
+determining system.  The restriction acts on eta_tt alone, split once per
+prolonged field as A + B u_tt, so the residual is a sum of products
+(``_residual_products``).  A finite ansatz turns the symmetry condition into
+an exact rational linear system whose null space is the symmetry algebra
+within the ansatz; its rows are read from those products' term map
+(``product_terms``), and the residual is never built as an expression.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -17,10 +20,11 @@ from typing import Optional
 from ._linalg import nullspace
 from .charts import BASE_COORDS, equation_chart
 from .expr import (Chart, Expr, MINUS_ONE, Sym, ZERO, add_products, app, atoms,
-                   collect, diff, is_zero, iter_terms, mul, rat,
-                   structurally_zero, substitute, sym)
+                   collect, diff, free_symbols, is_zero, mul, product_terms,
+                   rat, structurally_zero, substitute, sym)
 from .parse import parse
-from .vecfield import ProlongedField, VectorField, prolong2, vf
+from .vecfield import (ProlongationError, ProlongedField, VectorField,
+                       prolong2, vf)
 
 
 @dataclass
@@ -65,19 +69,35 @@ def kernel_fields(chart: Chart) -> list:
 
 def invariance_residual(spec: ClassSpec, Q: VectorField, f: Expr, g: Expr) -> Expr:
     """Q_(2) L restricted to L = 0, where L = u_tt - f u_xx - g."""
-    return _prolonged_residual(spec, prolong2(Q), f, g)
+    pr = prolong2(Q)
+    return add_products(*_residual_products(spec, pr, _tt_split(spec.chart, pr), f, g))
 
 
-def _prolonged_residual(spec: ClassSpec, pr: ProlongedField, f: Expr,
-                        g: Expr) -> Expr:
-    """``invariance_residual`` for a field already prolonged.  As f and g
+def _tt_split(ch: Chart, pr: ProlongedField) -> tuple:
+    """``(A, B)`` free of u_tt with eta_tt = A + B u_tt.  A second
+    prolongation of a point field is affine in u_tt; anything else raises."""
+    u_tt = ch.get("u_tt")
+    B = diff(pr.eta_tt, u_tt)
+    A = add_products((pr.eta_tt,), (MINUS_ONE, B, sym(u_tt)))
+    if u_tt in free_symbols(A) or u_tt in free_symbols(B):
+        raise ProlongationError("eta_tt is not affine in u_tt")
+    return A, B
+
+
+def _residual_products(spec: ClassSpec, pr: ProlongedField, split: tuple,
+                       f: Expr, g: Expr) -> tuple:
+    """The products whose sum is ``invariance_residual`` of the field
+    prolonged as ``pr``, with ``split = _tt_split(chart, pr)``.  As f and g
     depend on (x, u_x) only, u_tt enters ``pr.apply(L)`` through eta_tt
-    alone: restricting that one coefficient restricts the product."""
+    alone, with dL/du_tt = 1: restricting eta_tt to A + B (f u_xx + g)
+    restricts the whole."""
     ch = spec.chart
-    u_tt, u_xx = ch.get("u_tt"), ch.get("u_xx")
-    L = add_products((sym(u_tt),), (MINUS_ONE, f, sym(u_xx)), (MINUS_ONE, g))
-    eta_tt = substitute(pr.eta_tt, {u_tt: add_products((f, sym(u_xx)), (g,))}, chart=ch)
-    return replace(pr, eta_tt=eta_tt).apply(L)
+    u_tt, u_xx = sym(ch.get("u_tt")), sym(ch.get("u_xx"))
+    L = add_products((u_tt,), (MINUS_ONE, f, u_xx), (MINUS_ONE, g))
+    A, B = split
+    return (*pr.base._products(L, ("u_t", pr.eta_t), ("u_x", pr.eta_x),
+                               ("u_tx", pr.eta_tx), ("u_xx", pr.eta_xx)),
+            (A,), (B, f, u_xx), (B, g))
 
 
 def check_symmetry(spec: ClassSpec, f: Expr, g: Expr, Q: VectorField):
@@ -237,11 +257,13 @@ class CollectionFailure(Exception):
 
 @dataclass(frozen=True)
 class _ParametricAnsatz:
-    """Q = sum_i k_i b_i over a basis, with its second prolongation."""
+    """Q = sum_i k_i b_i over a basis, with its second prolongation and
+    that prolongation's ``_tt_split``."""
     basis: AnsatzBasis
     ks: tuple
     slots: tuple
     prolonged: ProlongedField
+    split: tuple
 
     @classmethod
     def build(cls, ch: Chart, basis: AnsatzBasis) -> "_ParametricAnsatz":
@@ -255,7 +277,8 @@ class _ParametricAnsatz:
             prods[coord].append((sym(k), b))
         Q = VectorField(ch, BASE_COORDS, {n: add_products(*p) for n, p in prods.items()},
                         check=False)
-        return cls(basis, ks, slots, prolong2(Q))
+        pr = prolong2(Q)
+        return cls(basis, ks, slots, pr, _tt_split(ch, pr))
 
 
 @dataclass
@@ -279,12 +302,13 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
     ansatz = (spec.default_ansatz if basis is None
               else _ParametricAnsatz.build(ch, basis))
     ks, slots = ansatz.ks, ansatz.slots
-    R = _prolonged_residual(spec, ansatz.prolonged, f, g)
+    terms = product_terms(*_residual_products(spec, ansatz.prolonged, ansatz.split, f, g))
 
     column = {k: j for j, k in enumerate(ks)}
     rows_map: dict = {}
-    terms = () if structurally_zero(R) else iter_terms(R)
-    for coef, factors in terms:
+    for factors, coef in terms.items():
+        if coef == 0:
+            continue
         k_hits = [fct for fct in factors
                   if isinstance(fct, Sym) and fct.s in column]
         if len(k_hits) != 1:

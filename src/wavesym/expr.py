@@ -34,10 +34,10 @@ the constant 2, ``(a+b)^(1/2)*(a+b)^(1/2)`` the two terms of ``a + b``.  ``_TIME
 tuples, so every pair is merged once per process.  ``_times_into`` is that
 pair loop: ``diff``'s product and chain rules and ``total_derivative``
 share it, since a product's other factors are already a key-sorted factor
-tuple.  ``add_products`` merges the maps of a sum of products and builds no
-product as a node.  A power of a sum over ``MAX_EXPANSION_PRODUCTS`` term
-products raises ``ExpansionTooLarge``, as does a rational power whose value
-would take more bits.
+tuple.  ``product_terms`` merges the maps of a sum of products and builds
+no product as a node; ``add_products`` is that map's sum.  A power of a sum
+over ``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``,
+as does a rational power whose value would take more bits.
 
 ``is_zero`` samples with the constructors as its one exact evaluator: at a
 point a value is exact where the bound tree folds to a ``Rat``, else a
@@ -498,16 +498,22 @@ def _constraint_fold(base: Expr, k: Rational):
 
 
 def add_products(*products: Sequence[Expr]) -> Expr:
-    """``add(*[mul(*p) for p in products])``: every product's terms go into
-    one map, the first product's own, and no product is built as a node."""
+    """``add(*[mul(*p) for p in products])``, summed from ``product_terms``."""
+    return _sum(product_terms(*products))
+
+
+def product_terms(*products: Sequence[Expr]) -> dict:
+    """The ``{key-sorted factors: coef}`` map of the sum of ``products``, in
+    which a coefficient may be zero: every product's terms go into one map,
+    the first product's own, and no product is built as a node."""
     if not products:
-        return ZERO
+        return {}
     acc = _mul_terms(products[0])
     for p in products[1:]:
         for f, c in _mul_terms(p).items():
             old = acc.get(f)
             acc[f] = c if old is None else _qadd(old, c)
-    return _sum(acc)
+    return acc
 
 
 def mul(*parts: Expr) -> Expr:

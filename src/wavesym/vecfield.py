@@ -166,20 +166,19 @@ def prolong2(Q: VectorField) -> ProlongedField:
     ut, ux = sym(ch.get("u_t")), sym(ch.get("u_x"))
     W = add_products((eta,), (MINUS_ONE, tau, ut), (MINUS_ONE, xi, ux))
 
-    def D(e,*dirs):
-        for d in dirs:
-            e = total_derivative(e, d, ch)
-        return e
+    def D(e, d):
+        return total_derivative(e, d, ch)
 
     def jet(nt, nx):
         return sym(ch.jet("u", nt, nx))
 
+    Wt, Wx = D(W, "t"), D(W, "x")
     out = {}
-    out["eta_t"] = add_products((D(W, "t"),), (tau, jet(2, 0)), (xi, jet(1, 1)))
-    out["eta_x"] = add_products((D(W, "x"),), (tau, jet(1, 1)), (xi, jet(0, 2)))
-    out["eta_tt"] = add_products((D(W, "t", "t"),), (tau, jet(3, 0)), (xi, jet(2, 1)))
-    out["eta_tx"] = add_products((D(W, "t", "x"),), (tau, jet(2, 1)), (xi, jet(1, 2)))
-    out["eta_xx"] = add_products((D(W, "x", "x"),), (tau, jet(1, 2)), (xi, jet(0, 3)))
+    out["eta_t"] = add_products((Wt,), (tau, jet(2, 0)), (xi, jet(1, 1)))
+    out["eta_x"] = add_products((Wx,), (tau, jet(1, 1)), (xi, jet(0, 2)))
+    out["eta_tt"] = add_products((D(Wt, "t"),), (tau, jet(3, 0)), (xi, jet(2, 1)))
+    out["eta_tx"] = add_products((D(Wt, "x"),), (tau, jet(2, 1)), (xi, jet(1, 2)))
+    out["eta_xx"] = add_products((D(Wx, "x"),), (tau, jet(1, 2)), (xi, jet(0, 3)))
     for name, e in out.items():
         for s in free_symbols(e):
             if s.kind == "jet" and s.order > 2:

@@ -181,10 +181,21 @@ def _doubled_terms(Q):
                               check=False)
 
 
+# entries whose f times (x+2) is still a member with the same generators
+# and the same dimension within the ansatz, so that mutant is a true claim
+_F_MUTANT_HOLDS = {
+    "4": "F(x) is arbitrary, so F(x)*(x+2) is another F",
+    "6": "its two generators keep h(x)*u_x^(-4) for any h(x)",
+    "L8.1:0": "the same f and g as row 6",
+    "L8.3:0": "theta(x) is arbitrary, so theta(x)*(x+2) is another theta",
+}
+
+
 def test_catalog_mutants_fail(spec):
     """Every entry passes, and each of its mutants fails: one generator
-    dropped, a redundant 1@t appended, dim +- 1, and one term of a
-    multi-term generator doubled.  A mutant is a catalog entry whose
+    dropped, a redundant 1@t appended, dim +- 1, one term of a multi-term
+    generator doubled, g plus x*u_x^3, and f times x+2 (but where that is
+    the entry again, in _F_MUTANT_HOLDS).  A mutant is a catalog entry whose
     generators are printed back to text, as ``perfbench --mutate`` builds it."""
     kinds = {}
     for case in builtin_catalog():
@@ -193,6 +204,13 @@ def test_catalog_mutants_fail(spec):
         mutants = [("drop", case, gens[:i] + gens[i + 1:])
                    for i in range(len(gens))]
         mutants.append(("redundant", case, gens + ["1@t"]))
+        mutants.append(("g", dataclasses.replace(case, g=f"({case.g}) + x*u_x^3"),
+                        gens))
+        f_mutant = dataclasses.replace(case, f=f"({case.f})*(x+2)")
+        if case.id in _F_MUTANT_HOLDS:
+            assert verify_case(spec, f_mutant).status == PASS, case.id
+        else:
+            mutants.append(("f", f_mutant, gens))
         mutants += [("dim", dataclasses.replace(case, dim=case.dim + d), gens)
                     for d in (1, -1)]
         for i, Q in enumerate(case.parsed(spec)[2]):
@@ -203,7 +221,8 @@ def test_catalog_mutants_fail(spec):
             kinds[kind] = kinds.get(kind, 0) + 1
             rep = verify_case(spec, dataclasses.replace(mutant, generators=tuple(mgens)))
             assert rep.status == FAIL, (case.id, kind)
-    assert kinds == {"drop": 74, "redundant": 32, "dim": 64, "double": 150}
+    assert kinds == {"drop": 74, "redundant": 32, "dim": 64, "double": 150,
+                     "g": 32, "f": 28}
 
 
 def test_span_check_bites_beyond_the_ansatz(spec):

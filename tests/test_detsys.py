@@ -255,12 +255,14 @@ def test_default_ansatz_built_once_per_spec(monkeypatch):
 
 
 def test_prolonged_residual_restricts_before_multiplying(spec, ch):
-    """Restricting eta_tt to the equation and then applying the prolonged
-    field gives the canonical form of restricting the applied product, for
-    every catalog generator at its first sample and for the default ansatz."""
+    """The residual products, with eta_tt split as A + B u_tt and restricted
+    to A + B (f u_xx + g), sum to the canonical form of restricting the
+    applied product, for every catalog generator at its first sample and for
+    the default ansatz; for the ansatz their nonzero term map is that form's
+    terms."""
     from wavesym.classif import _instantiate, _kernel_extension, builtin_catalog
-    from wavesym.detsys import _prolonged_residual
-    from wavesym.expr import substitute
+    from wavesym.detsys import _residual_products, _tt_split
+    from wavesym.expr import add_products, iter_terms, product_terms, substitute
     from wavesym.vecfield import prolong2
 
     u_tt, u_xx = ch.get("u_tt"), ch.get("u_xx")
@@ -278,10 +280,28 @@ def test_prolonged_residual_restricts_before_multiplying(spec, ch):
         pairs += [(prolong2(Q), fi, gi)
                   for Q in _kernel_extension(ch, gens, sample)[3:]]
     assert len(pairs) == 74
-    ansatz = spec.default_ansatz.prolonged
-    pairs += [(ansatz, P(f, ch), P(g, ch))
-              for f, g in (("u_x^(-4)", "0"), ("exp(2*u_x)", "exp(3*u_x)"),
-                           ("x^2*abs(u_x)^4", "x*u_x + lnabs(u_x)"))]
     for pr, f, g in pairs:
-        assert _prolonged_residual(spec, pr, f, g) == \
-            restricted_after(pr, f, g)
+        ps = _residual_products(spec, pr, _tt_split(ch, pr), f, g)
+        assert add_products(*ps) == restricted_after(pr, f, g)
+    ansatz = spec.default_ansatz
+    for f, g in (("u_x^(-4)", "0"), ("exp(2*u_x)", "exp(3*u_x)"),
+                 ("x^2*abs(u_x)^4", "x*u_x + lnabs(u_x)")):
+        f, g = P(f, ch), P(g, ch)
+        ps = _residual_products(spec, ansatz.prolonged, ansatz.split, f, g)
+        want = restricted_after(ansatz.prolonged, f, g)
+        assert add_products(*ps) == want
+        assert {fs: c for fs, c in product_terms(*ps).items() if c != 0} \
+            == {fs: c for c, fs in iter_terms(want)}
+
+
+def test_tt_split_refuses_a_nonaffine_eta_tt(spec, ch):
+    """eta_tt = A + B u_tt only where neither holds u_tt: a hand-built
+    prolongation whose eta_tt holds u_tt^2 is refused, not restricted."""
+    from wavesym.detsys import _tt_split
+    from wavesym.vecfield import ProlongationError, prolong2
+    pr = prolong2(parse_vector_field("x@x + u@u", ch, BASE_COORDS))
+    A, B = _tt_split(ch, pr)
+    assert add(A, mul(B, P("u_tt", ch))) is pr.eta_tt
+    bad = dataclasses.replace(pr, eta_tt=add(pr.eta_tt, P("u_tt^2", ch)))
+    with pytest.raises(ProlongationError):
+        _tt_split(ch, bad)

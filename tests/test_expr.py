@@ -13,9 +13,10 @@ import pytest
 import wavesym.expr as expr_module
 from wavesym.expr import (AbsPow, Add, App, ExpF, LnAbs, Mul, Pow, Rat, Sym,
                           ZERO, ExpansionTooLarge, SingularValue,
-                          _Transcendental, abspow, add, add_products, app,
-                          collect, diff, equal, evaluate, exp_, free_symbols,
-                          is_zero, lnabs, mul, pow_, rat, substitute, sym,
+                          _Transcendental, _sum, abspow, add, add_products,
+                          app, collect, diff, equal, evaluate, exp_,
+                          free_symbols, is_zero, iter_terms, lnabs, mul, pow_,
+                          product_terms, rat, substitute, sym,
                           total_derivative, NotPolynomial)
 from wavesym.parse import parse
 from wavesym.printer import to_str
@@ -417,7 +418,8 @@ def test_add_products_is_add_of_muls(spec, ch):
     """add_products(*ps) is the node add(*[mul(*p) for p in ps]): on random
     products of sample trees, with -1 factors and cancelling products, on
     exp and abs-power pairs that _mul_terms must rebuild, and on one or no
-    product."""
+    product.  On the random products it is the sum of product_terms(*ps),
+    whose nonzero entries are that node's terms."""
     trees = list(_sample_trees(spec, ch))
     small = [t for t in trees if len(_terms(t)) <= 6]
     rng = random.Random(113)
@@ -428,7 +430,12 @@ def test_add_products_is_add_of_muls(spec, ch):
         if rng.random() < 0.3:
             ps.append((rat(-1), *rng.choice(ps)))
         rng.shuffle(ps)
-        assert add_products(*ps) is add(*[mul(*p) for p in ps])
+        want = add(*[mul(*p) for p in ps])
+        assert add_products(*ps) is want
+        terms = product_terms(*ps)
+        assert _sum(terms) is want
+        assert {f: c for f, c in terms.items() if c != 0} \
+            == {f: c for c, f in iter_terms(want) if c != 0}
     a, b = P("exp(x) + t", ch), P("exp(-u) + 1", ch)
     c, d = P("abs(u_x)^p + x", ch), P("abs(u_x)^(1/3) - t", ch)
     for ps in ([(a, b)], [(c, d)], [(a, b), (c, d), (rat(-1), a, c)]):
