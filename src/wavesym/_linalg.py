@@ -1,6 +1,7 @@
-"""Exact linear algebra over Fraction, all on one row reduction.
+"""Exact linear algebra over stored rationals, all on one row reduction.
 
-A vector is a sparse map ``{index: Fraction}`` that holds no zero entry.
+A vector is a sparse map ``{index: q}`` with no zero entry, ``q`` a stored
+rational (``int`` when integral, else ``Fraction``) under ``expr``'s kernel.
 ``EchelonBasis`` grows the reduced row-echelon form of such vectors one
 insert at a time; on request each row also keeps the combination of kept
 input vectors it equals.  ``nullspace`` reads off it, and so do
@@ -8,16 +9,16 @@ input vectors it equals.  ``nullspace`` reads off it, and so do
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
-_ONE = Fraction(1)
+from .expr import _qadd, _qinv, _qmul
 
 
 def axpy(dst: dict, f, src: dict) -> None:
     """dst -= f * src on sparse maps, dropping entries that cancel."""
+    f = -f
     for k, c in src.items():
-        w = dst.get(k, 0) - f * c
+        w = _qadd(dst.get(k, 0), _qmul(f, c))
         if w:
             dst[k] = w
         else:
@@ -30,9 +31,11 @@ class EchelonBasis:
     ``rows`` maps each pivot to its row: pivot entry 1, nothing left of the
     pivot, zero at every other pivot.  Such a row set is the unique RREF of
     its span.  With ``combinations``, ``combs`` maps each pivot to the
-    combination ``{m: Fraction}`` of kept inputs (in insertion order) that
-    its row equals.  Input vectors may hold ``int`` and zero entries: zeros
-    are dropped, and each pivot divides as a Fraction.
+    combination ``{m: q}`` of kept inputs (in insertion order) that its row
+    equals.  Input entries may be any ``int`` or ``Fraction``, zero
+    included: zeros are dropped, and each pivot is inverted once
+    (``_qinv``) and multiplied in with ``_qmul``, so every stored entry is
+    a stored rational.
     """
 
     def __init__(self, vecs: Iterable[dict] = (), combinations: bool = False):
@@ -66,12 +69,12 @@ class EchelonBasis:
         if not rem:
             return False
         p = min(rem)
-        pv = Fraction(rem.pop(p))
-        row = {ax: c / pv for ax, c in rem.items()}
-        row[p] = _ONE
+        inv = _qinv(rem.pop(p))
+        row = {ax: _qmul(c, inv) for ax, c in rem.items()}
+        row[p] = 1
         if expansion is not None:
-            comb = {m: -c / pv for m, c in expansion.items()}
-            comb[self.kept] = 1 / pv
+            comb = {m: _qmul(c, -inv) for m, c in expansion.items()}
+            comb[self.kept] = inv
         # back-reduce, so that the new pivot column is zero in the other rows
         for q, other in self.rows.items():
             f = other.get(p)
@@ -92,7 +95,7 @@ def nullspace(vecs: Iterable[dict], ncols: int) -> list:
     red = EchelonBasis(vecs).rows
     basis = []
     for fc in (c for c in range(ncols) if c not in red):
-        v = {fc: _ONE}
+        v = {fc: 1}
         for p, row in red.items():
             if fc in row:
                 v[p] = -row[fc]

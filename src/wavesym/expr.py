@@ -52,7 +52,8 @@ which return the stored form: native ``int`` arithmetic when both operands
 are ``int``, else one ``gcd`` on their numerators and denominators, so no
 ``Fraction`` operator (with its reflected-operand dispatch) runs there.  A
 power that could leave the rationals (``int ** -n`` is a float) is lifted to
-``Fraction`` first.
+``Fraction`` first.  ``_linalg`` and ``liealg`` do their exact linear algebra
+on the same stored rationals with these helpers and ``_qinv``.
 """
 from __future__ import annotations
 
@@ -97,6 +98,15 @@ def _qfrac(n: int, d: int) -> Rational:
     """The stored form of ``n/d`` for ``d > 0``."""
     g = gcd(n, d)
     return n // g if g == d else Fraction(n // g, d // g)
+
+
+def _qinv(a: Rational) -> Rational:
+    """``_q(1 / a)`` for a nonzero ``int`` or ``Fraction``: ``d/n`` is
+    already in lowest terms, so only the sign moves to the numerator."""
+    n, d = a.numerator, a.denominator
+    if n < 0:
+        n, d = -n, -d
+    return d if n == 1 else Fraction(d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1331,5 +1341,5 @@ def is_zero(e: Expr) -> ZeroResult:
 
 
 def equal(a: Expr, b: Expr) -> bool:
-    """Exact (structural-after-clearing) equality of canonical forms."""
-    return structurally_zero(add_products((a,), (MINUS_ONE, b)))
+    """Exact (structural-after-clearing) equality of interned canonical forms."""
+    return a is b or structurally_zero(add_products((a,), (MINUS_ONE, b)))

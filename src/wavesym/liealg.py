@@ -2,17 +2,18 @@
 
 Presentations are built either from abstract structure constants or by
 closing a list of concrete vector fields under the Lie bracket.  All linear
-algebra is exact over Fraction.
+algebra is exact over stored rationals (``expr._q``), which the vectors,
+``Subspace`` rows and the structure constants ``close_or_fail`` reads off hold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._linalg import EchelonBasis, axpy, nullspace
-from .expr import (Chart, Expr, ZERO, add_products, diff, iter_terms, mul,
-                   pow_, provably_nonzero, rat, structurally_zero, substitute, sym)
+from .expr import (Chart, Expr, ZERO, _qadd, _qmul, add_products, diff,
+                   iter_terms, mul, pow_, provably_nonzero, rat,
+                   structurally_zero, substitute, sym)
 from .vecfield import VectorField, bracket
 
 
@@ -105,12 +106,12 @@ class _Coordinatizer:
         return self.index[key]
 
     def decompose(self, F: VectorField) -> dict:
-        """``{axis: Fraction}``, nonzero entries only."""
+        """``{axis: q}`` with stored rationals ``q``, nonzero entries only."""
         out: dict = {}
         for coord, e in F.coeffs.items():
             for coef, sig in iter_terms(e):
                 ax = self._axis(coord, sig)
-                out[ax] = out.get(ax, Fraction(0)) + coef
+                out[ax] = _qadd(out.get(ax, 0), coef)
         return {ax: c for ax, c in out.items() if c}
 
 
@@ -148,7 +149,7 @@ class LieAlgebraPresentation:
             for j, b in w.items():
                 row = self.table.get((i, j))
                 if row is not None:
-                    axpy(out, -a * b, row)
+                    axpy(out, -_qmul(a, b), row)
         return out
 
     def _check_jacobi(self):

@@ -127,14 +127,16 @@ def vf(chart: Chart, coords: Sequence[str], check: bool = True, **coeffs) -> Vec
 
 
 def bracket(V: VectorField, W: VectorField) -> VectorField:
-    """Lie bracket [V,W]^i = V(W^i) - W(V^i), coordinate-wise."""
+    """Lie bracket [V,W]^i = V(W^i) - W(V^i), coordinate-wise.  Not checked
+    again: on the base chart it adds no symbol, and on the augmented chart
+    first prolongation of point fields is a Lie-algebra homomorphism."""
     if V.coords != W.coords or V.chart is not W.chart:
         raise ChartMismatch("bracket needs fields on a common chart")
     out = {}
     for c in V.coords:
         out[c] = add_products(*V._products(W.coeff(c)),
                               *((MINUS_ONE, *p) for p in W._products(V.coeff(c))))
-    return VectorField(V.chart, V.coords, out)
+    return VectorField(V.chart, V.coords, out, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Lie algebra structure analysis on exact rational presentations.
 
-Vectors and table rows are sparse ``{index: Fraction}`` maps; the sympy
-oracles work on dense matrices, densified here."""
+Vectors and table rows are sparse ``{index: q}`` maps of stored rationals
+``q`` (``int`` when integral, else ``Fraction``); the sympy oracles work on
+dense matrices, densified here."""
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,12 @@ from wavesym.liealg import (LieAlgebraPresentation, NonClosure, Subspace,
                             subspace_intersection)
 from wavesym.parse import parse
 from wavesym.vecfield import bracket, vf
+
+
+def _stored(v) -> bool:
+    """``v`` is a nonzero stored rational: an ``int``, or a ``Fraction``
+    that is not integral."""
+    return (type(v) is int or type(v) is Fraction and v.denominator > 1) and v != 0
 
 
 @pytest.fixture(scope="module")
@@ -149,14 +156,14 @@ def test_flag_identity_on_abelian(ch):
 
 def test_subspace_from_int_and_zero_entries():
     """Int entries and explicit zeros go in; the rows hold only nonzero
-    Fractions, in pivot order, and equal spans give equal subspaces."""
+    stored rationals, in pivot order, and equal spans give equal subspaces."""
     S = Subspace([{0: 0, 1: 2, 2: 4}, {0: 3, 1: 0, 2: 0}, {0: 0, 2: 0}], 3)
     assert S.pivots == [0, 1]
     assert S.rows == [{0: 1}, {1: 1, 2: 2}]
-    assert all(type(v) is Fraction and v != 0 for row in S.rows
-               for v in row.values())
+    assert all(_stored(v) for row in S.rows for v in row.values())
     T = Subspace([{0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(2, 3)},
                   {1: Fraction(-1), 2: Fraction(-2)}], 3)
+    assert all(_stored(v) for row in T.rows for v in row.values())
     assert S == T and T == S
     assert S != Subspace([{0: 1}, {1: 1}], 3)
     assert S != Subspace([{0: 1}, {1: 1, 2: 2}], 4)
@@ -236,7 +243,7 @@ def _assert_closure_matches_oracle(fields, labels):
     assert list(pres.pruned) == pruned
     for (i, j), (bv, size) in brackets.items():
         c = pres.c(i, j)
-        assert all(type(v) is Fraction and v != 0 for v in c.values())
+        assert all(_stored(v) for v in c.values())
         assert _columns(cols, size) * _columns([c], pres.n) == bv
     return True
 

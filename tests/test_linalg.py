@@ -1,14 +1,20 @@
 """Exact linear algebra (`_linalg`) against an independent oracle: sympy's
 exact rational row reduction.  sympy is used by the tests only.  The test
 matrices are dense lists; they go in as sparse maps with their zero entries
-kept, and results are densified here for the comparison."""
+kept, and results are densified here for the comparison.  Every entry that
+`_linalg` stores is a stored rational: an ``int`` when integral, else a
+``Fraction``, and never zero."""
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from wavesym import _linalg, detsys, liealg
 from wavesym._linalg import EchelonBasis, nullspace
+from wavesym.classif import SECTIONS, run_campaign
+from wavesym.expr import _qinv
+from wavesym.report import PASS
 
 SHAPES = [(12, 5), (5, 12), (8, 8), (40, 20), (3, 20), (20, 3)]
 
@@ -39,9 +45,15 @@ def _rref(rows, ncols):
     return [_dense(red[p], ncols) for p in pivots], pivots
 
 
+def _stored(v) -> bool:
+    """``v`` is a nonzero stored rational: an ``int``, or a ``Fraction``
+    that is not integral."""
+    return (type(v) is int or type(v) is Fraction and v.denominator > 1) and v != 0
+
+
 def _stored_exactly(vecs):
-    """Every stored entry is a nonzero Fraction."""
-    return all(type(v) is Fraction and v != 0 for vec in vecs for v in vec.values())
+    """Every stored entry is a nonzero stored rational."""
+    return all(_stored(v) for vec in vecs for v in vec.values())
 
 
 def _oracle_rref(rows, ncols):
@@ -121,19 +133,22 @@ def test_nullspace_random_matches_oracle():
             assert all(sum(r[j] * c for j, c in vec.items()) == 0 for r in rows)
 
 
-def test_int_rows_give_fraction_entries():
+def test_int_rows_give_stored_rational_entries():
     """Rows of ints, as the ansatz solver's coefficients often are, come back
-    as exact Fraction entries, also where a pivot division is not integral."""
+    as stored rationals: ``int`` where a pivot division is integral, else a
+    ``Fraction``."""
     for rows, ncols in ([[2, 4, 6], [1, 3, 2]], 3), ([[3, 1], [6, 2]], 2):
         red = EchelonBasis(_sparse(rows)).rows
         basis = nullspace(_sparse(rows), ncols)
         assert red and basis
         assert _stored_exactly(list(red.values()) + basis)
+    assert EchelonBasis([{0: 2, 1: 4, 2: 6}]).rows == {0: {0: 1, 1: 2, 2: 3}}
+    assert type(nullspace([{0: 3, 1: 1}], 2)[0][0]) is Fraction
 
 
 def test_echelon_basis_normalizes_input():
-    """Int entries and explicit zeros go in; only nonzero Fractions are
-    stored, each pivot is 1, and the remainder of a vector in the span is
+    """Int entries and explicit zeros go in; only nonzero stored rationals
+    are stored, each pivot is 1, and the remainder of a vector in the span is
     empty whatever zeros it carries."""
     basis = EchelonBasis([{0: 0, 1: 2, 2: 3}, {0: 0, 1: 0, 2: 0},
                           {0: 3, 1: 0, 2: 1}])
@@ -169,13 +184,53 @@ def test_echelon_basis_rows_and_combinations():
         assert ([_dense(basis.rows[p], ncols) for p in pivots], pivots) == \
             _oracle_rref(rows, ncols)
         assert basis.kept == len(kept) == len(basis.rows)
+        assert _stored_exactly(basis.rows.values())
+        assert _stored_exactly(basis.combs.values())
         for p, row in basis.rows.items():
             assert _combination(basis.combs[p], kept, ncols) == \
                 _dense(row, ncols)
         for vec in pruned:
             rem, expansion = basis.reduce(vec)
-            assert rem == {}
+            assert rem == {} and _stored_exactly([expansion])
             assert _combination(expansion, kept, ncols) == \
                 _dense(vec, ncols)
         n_pruned += len(pruned)
     assert n_pruned > 100
+
+
+@pytest.mark.parametrize("a", [1, -1, 3, -3, Fraction(1, 3), Fraction(-1, 3),
+                               Fraction(2, 3), Fraction(-7, 4), Fraction(1),
+                               Fraction(-6)])
+def test_pivot_inverse(a):
+    """``_qinv`` of ±1, ±k, ±1/k and p/q (and of an input ``Fraction`` with
+    denominator 1) is ``1/a`` as a stored rational: a unit or ``1/k`` pivot
+    inverts to an ``int``."""
+    inv = _qinv(a)
+    assert inv == 1 / Fraction(a) and _stored(inv)
+    assert type(inv) is (int if Fraction(a).numerator in (1, -1) else Fraction)
+
+
+def test_nullspace_matches_oracle_on_campaign_systems(monkeypatch):
+    """Every null space a serial campaign (seed 0) takes: the 71 ansatz
+    systems of the table and special rows and the centralizer systems of the
+    algebra sections, each against sympy's nullspace."""
+    def recorder(seen):
+        def recording(vecs, ncols):
+            vecs = list(vecs)
+            seen.append((vecs, ncols))
+            return real(vecs, ncols)
+        return recording
+
+    real = _linalg.nullspace
+    ansatz, centralizers = [], []
+    monkeypatch.setattr(detsys, "nullspace", recorder(ansatz))
+    monkeypatch.setattr(liealg, "nullspace", recorder(centralizers))
+    assert run_campaign(SECTIONS, seed=0).status == PASS
+    assert (len(ansatz), len(centralizers)) == (71, 5)
+    for vecs, ncols in ansatz + centralizers:
+        rows = [_dense(v, ncols) for v in vecs]
+        basis = nullspace(vecs, ncols)
+        expected = [[_frac(v) for v in vec]
+                    for vec in _oracle(rows, ncols).nullspace()]
+        assert [_dense(vec, ncols) for vec in basis] == expected
+        assert _stored_exactly(basis)

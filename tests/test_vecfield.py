@@ -16,6 +16,8 @@ from wavesym.vecfield import (ChartMismatch, EquivParams, PointTransform,
                               transform_equation, transform_equation_old_coords,
                               vf)
 
+from property_suites import random_base_field
+
 
 @pytest.fixture(scope="module")
 def ea():
@@ -45,6 +47,22 @@ def test_bracket_chart_mismatch(ch, ea):
     W = ea.field(Gen("Pt"))
     with pytest.raises(ChartMismatch):
         bracket(V, W)
+
+
+def test_bracket_keeps_the_chart_invariant(ch, ea):
+    """``bracket`` does not validate its result; brackets of validated
+    fields still pass the chart check: seeded base-chart fields, and every
+    pair of equivalence generators, with formal phi and psi."""
+    rng = random.Random(53)
+    for _ in range(20):
+        bracket(random_base_field(ch, rng), random_base_field(ch, rng))._validate()
+    gens = [Gen(k) for k in ("Du", "Dt", "Pt", "F1", "F2")] + \
+        [Gen(k, ea.formal(n)) for k, n in (("D", "phi1"), ("D", "phi2"),
+                                            ("G", "psi1"), ("G", "psi2"))]
+    fields = [ea.field(g) for g in gens]
+    for i, V in enumerate(fields):
+        for W in fields[i + 1:]:
+            bracket(V, W)._validate()
 
 
 def _interned(cls):
