@@ -722,36 +722,33 @@ def verify_potential_link(spec: ClassSpec) -> CaseReport:
     ch = spec.chart
     rep = CaseReport("potential link")
     x = sym(ch.get("x"))
-    v = sym(ch.get("v"))
-    f_v = app(ch.get("f"), (0, 0), (x, v))
-    g_v = app(ch.get("g"), (0, 0), (x, v))
+    v, w1_t, v_x = (ch.get(n) for n in ("v", "w1_t", "v_x"))
+    flux = add_products((app(ch.get("f"), (0, 0), (x, sym(v))), sym(v_x)),
+                        (app(ch.get("g"), (0, 0), (x, sym(v))),))
+    # v = u_x as a jet map: each u jet with an x-derivative goes to the v jet
+    # with one x-derivative fewer
+    to_v = {sym(s): sym(ch.jet("v", s.index[0], s.index[1] - 1))
+            for s in tuple(ch.symbols.values())
+            if s.kind == "jet" and s.dep == "u" and s.index[1] > 0}
+    to_u = {b: a for a, b in to_v.items()}
+    u_tt = total_derivative(sym(ch.get("w1")), "t", ch)  # u_tt at u_t = w1
 
     # forward: u_x = v, u_t = w1, w1_t = f(x,v) v_x + g(x,v)  =>  class equation
-    e = sym(ch.get("u_tt"))
-    e = substitute(e, {ch.get("u_t"): sym(ch.get("w1"))}, chart=ch)
-    e = substitute(e, {ch.get("w1_t"): add_products((f_v, sym(ch.get("v_x"))), (g_v,))},
-                   chart=ch)
-    e = substitute(e, {ch.get("v"): sym(ch.get("u_x"))}, chart=ch)
-    expected = add_products((spec.f_symbolic(), sym(ch.get("u_xx"))), (spec.g_symbolic(),))
+    e = substitute(substitute(u_tt, {w1_t: flux}), to_u)
+    expected = spec.rhs(spec.f_symbolic(), spec.g_symbolic())
     rep.add("excluding v and w1 yields u_tt = f(x,u_x) u_xx + g(x,u_x)",
             equal(e, expected))
 
     # backward: D_x of the class equation with u_x -> v gives the telegraph form
-    L = add_products((sym(ch.get("u_tt")),),
-                     (MINUS_ONE, spec.f_symbolic(), sym(ch.get("u_xx"))),
-                     (MINUS_ONE, spec.g_symbolic()))
-    DxL = total_derivative(L, "x", ch)
-    renamed = substitute(DxL, {ch.get("u_x"): v}, chart=ch)
-    telegraph = add_products((sym(ch.get("v_tt")),), (MINUS_ONE, total_derivative(
-        add_products((f_v, sym(ch.get("v_x"))), (g_v,)), "x", ch)))
+    L = add_products((sym(ch.get("u_tt")),), (MINUS_ONE, expected))
+    renamed = substitute(total_derivative(L, "x", ch), to_v)
+    telegraph = add_products((sym(ch.get("v_tt")),),
+                             (MINUS_ONE, total_derivative(flux, "x", ch)))
     rep.add("total x-differentiation with u_x -> v gives v_tt = (f v_x + g)_x",
             equal(renamed, telegraph))
 
     # constant-coefficient specialization: the linear wave identity
-    e2 = sym(ch.get("u_tt"))
-    e2 = substitute(e2, {ch.get("u_t"): sym(ch.get("w1"))}, chart=ch)
-    e2 = substitute(e2, {ch.get("w1_t"): mul(rat(4), sym(ch.get("v_x")))}, chart=ch)
-    e2 = substitute(e2, {ch.get("v"): sym(ch.get("u_x"))}, chart=ch)
+    e2 = substitute(substitute(u_tt, {w1_t: mul(rat(4), sym(v_x))}), to_u)
     rep.add("constant specialization gives the linear wave identity",
             equal(e2, mul(rat(4), sym(ch.get("u_xx")))))
     return rep

@@ -3,12 +3,14 @@
 The residual of the infinitesimal invariance criterion is computed from the
 second prolongation and restricted to the equation manifold; splitting over
 jet monomials that are not arguments of the arbitrary elements yields the
-determining system.  The restriction acts on eta_tt alone, split once per
-prolonged field as A + B u_tt, so the residual is a sum of products
-(``_residual_products``).  A finite ansatz turns the symmetry condition into
-an exact rational linear system whose null space is the symmetry algebra
-within the ansatz; its rows are read from those products' term map
-(``product_terms``), and the residual is never built as an expression.
+determining system.  The residual rule takes any equation u_tt = R with R
+free of u_tt and u_tx (``_residual_products``); the class is the one call
+with R = f u_xx + g (``ClassSpec.rhs``).  The restriction acts on eta_tt
+alone, split once per prolonged field as A + B u_tt, so the residual is a
+sum of products.  A finite ansatz turns the symmetry condition into an exact
+rational linear system whose null space is the symmetry algebra within the
+ansatz; its rows are read from those products' term map (``product_terms``),
+and the residual is never built as an expression.
 """
 from __future__ import annotations
 
@@ -46,6 +48,10 @@ class ClassSpec:
         ch = self.chart
         return app(ch.get("g"), (0, 0), (sym(ch.get("x")), sym(ch.get("u_x"))))
 
+    def rhs(self, f: Expr, g: Expr) -> Expr:
+        """The right-hand side f u_xx + g of the class equation u_tt = R."""
+        return add_products((f, sym(self.chart.get("u_xx"))), (g,))
+
     @cached_property
     def kernel_is_symmetry(self) -> bool:
         """Whether every kernel field is a symmetry for symbolic f(x,u_x),
@@ -68,9 +74,9 @@ def kernel_fields(chart: Chart) -> list:
 
 
 def invariance_residual(spec: ClassSpec, Q: VectorField, f: Expr, g: Expr) -> Expr:
-    """Q_(2) L restricted to L = 0, where L = u_tt - f u_xx - g."""
+    """Q_(2) L restricted to L = 0, where L = u_tt - R and R = spec.rhs(f, g)."""
     pr = prolong2(Q)
-    return add_products(*_residual_products(spec, pr, _tt_split(spec.chart, pr), f, g))
+    return add_products(*_residual_products(pr, _tt_split(spec.chart, pr), spec.rhs(f, g)))
 
 
 def _tt_split(ch: Chart, pr: ProlongedField) -> tuple:
@@ -84,20 +90,21 @@ def _tt_split(ch: Chart, pr: ProlongedField) -> tuple:
     return A, B
 
 
-def _residual_products(spec: ClassSpec, pr: ProlongedField, split: tuple,
-                       f: Expr, g: Expr) -> tuple:
-    """The products whose sum is ``invariance_residual`` of the field
-    prolonged as ``pr``, with ``split = _tt_split(chart, pr)``.  As f and g
-    depend on (x, u_x) only, u_tt enters ``pr.apply(L)`` through eta_tt
-    alone, with dL/du_tt = 1: restricting eta_tt to A + B (f u_xx + g)
-    restricts the whole."""
-    ch = spec.chart
-    u_tt, u_xx = sym(ch.get("u_tt")), sym(ch.get("u_xx"))
-    L = add_products((u_tt,), (MINUS_ONE, f, u_xx), (MINUS_ONE, g))
+def _residual_products(pr: ProlongedField, split: tuple, R: Expr) -> tuple:
+    """The products whose sum is the invariance residual of u_tt = R for the
+    field prolonged as ``pr``, with ``split = _tt_split(chart, pr)``.  R may
+    hold t, x, u, u_t, u_x and u_xx, not u_tt or u_tx; then u_tt enters
+    ``pr.apply(L)``, L = u_tt - R, through eta_tt alone, with dL/du_tt = 1:
+    restricting eta_tt to A + B R restricts the whole."""
+    ch = pr.base.chart
+    for s in free_symbols(R):
+        if s.kind in ("dependent", "jet") and s.name not in ("u", "u_t", "u_x", "u_xx"):
+            raise ProlongationError(f"right-hand side depends on {s.name}")
+    L = add_products((sym(ch.get("u_tt")),), (MINUS_ONE, R))
     A, B = split
     return (*pr.base._products(L, ("u_t", pr.eta_t), ("u_x", pr.eta_x),
-                               ("u_tx", pr.eta_tx), ("u_xx", pr.eta_xx)),
-            (A,), (B, f, u_xx), (B, g))
+                               ("u_xx", pr.eta_xx)),
+            (A,), (B, R))
 
 
 def check_symmetry(spec: ClassSpec, f: Expr, g: Expr, Q: VectorField):
@@ -302,7 +309,8 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
     ansatz = (spec.default_ansatz if basis is None
               else _ParametricAnsatz.build(ch, basis))
     ks, slots = ansatz.ks, ansatz.slots
-    terms = product_terms(*_residual_products(spec, ansatz.prolonged, ansatz.split, f, g))
+    terms = product_terms(*_residual_products(ansatz.prolonged, ansatz.split,
+                                              spec.rhs(f, g)))
 
     column = {k: j for j, k in enumerate(ks)}
     rows_map: dict = {}

@@ -242,10 +242,6 @@ class SingularValue(Exception):
     pass
 
 
-class InconsistentBindings(Exception):
-    pass
-
-
 class ExpansionTooLarge(ValueError):
     pass
 
@@ -1009,51 +1005,12 @@ def total_derivative(e: Expr, direction: str, chart: Chart) -> Expr:
 # ---------------------------------------------------------------------------
 # substitution
 
-def substitute(e: Expr, bindings: Mapping, chart: Optional[Chart] = None) -> Expr:
+def substitute(e: Expr, bindings: Mapping) -> Expr:
     """Simultaneous substitution; keys are Symbols or atom Exprs (Sym/App).
-
-    When a jet variable is bound and ``e`` contains one of its total
-    derivatives, the needed binding is derived by total differentiation of
-    the given one (requires ``chart``).
-    """
-    table: dict = {}
-    for k, v in bindings.items():
-        if isinstance(k, Symbol):
-            table[Sym(k)] = _coerce(v)
-        else:
-            table[k] = _coerce(v)
-
-    if chart is not None:
-        jet_binds = {k.s: v for k, v in table.items()
-                     if isinstance(k, Sym) and k.s.kind in (JET, DEPENDENT)}
-        if jet_binds:
-            for s in sorted(free_symbols(e), key=lambda s: s.name):
-                if s.kind not in (JET, DEPENDENT) or Sym(s) in table:
-                    continue
-                for base_sym, val in sorted(jet_binds.items(), key=lambda kv: kv[0].name):
-                    if s.dep != base_sym.dep:
-                        continue
-                    dt = s.index[0] - base_sym.index[0]
-                    dx = s.index[1] - base_sym.index[1]
-                    if dt >= 0 and dx >= 0 and (dt, dx) != (0, 0):
-                        d = val
-                        for _ in range(dt):
-                            d = total_derivative(d, "t", chart)
-                        for _ in range(dx):
-                            d = total_derivative(d, "x", chart)
-                        table[Sym(s)] = d
-                        break
-
-    out = _subst(e, table)
-    if chart is not None:
-        # on-shell substitution: a bound jet surviving (or resurfacing through
-        # the derived bindings) means the binding set was inconsistent
-        for k in table:
-            if isinstance(k, Sym) and k.s.kind in (JET, DEPENDENT) \
-                    and k.s in free_symbols(out):
-                raise InconsistentBindings(
-                    f"bound jet {k.s.name} reappears after substitution")
-    return out
+    A bound jet binds that jet alone, never its derivatives."""
+    table = {Sym(k) if isinstance(k, Symbol) else k: _coerce(v)
+             for k, v in bindings.items()}
+    return _subst(e, table)
 
 
 def _subst(e: Expr, table: Mapping) -> Expr:

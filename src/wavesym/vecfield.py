@@ -88,7 +88,7 @@ class VectorField:
         """self + k other, k a product of factors (none: 1)."""
         if self.coords != other.coords:
             raise ChartMismatch("cannot add fields on different charts")
-        names = set(self.coeffs) | set(other.coeffs)
+        names = [c for c in self.coords if c in self.coeffs or c in other.coeffs]
         return VectorField(self.chart, self.coords,
                            {c: add_products((self.coeff(c),), (*k, other.coeff(c)))
                             for c in names}, check=False)
@@ -278,7 +278,7 @@ def transform_equation_old_coords(P: PointTransform, f: Expr, g: Expr):
     uxx_new = mul(add_products((total_derivative(DxU, "x", ch),),
                                (MINUS_ONE, ux_new, diff(X_x, x))), pow_(X_x, -2))
 
-    S = substitute(utt_new, {u_tt: add_products((f, sym(u_xx)), (g,))}, chart=ch)
+    S = substitute(utt_new, {u_tt: add_products((f, sym(u_xx)), (g,))})
 
     from .expr import collect
     S_parts = collect(S, [u_xx, u_tx])

@@ -118,6 +118,18 @@ def test_section_drivers_pass(spec):
         assert rep.status == PASS, rep.case_id
 
 
+def test_potential_link_checks_bite():
+    """A spec whose right-hand side doubles g fails both derivation checks of
+    the potential link; the constant specialization does not read the spec
+    and still passes."""
+    class DoubledG(ClassSpec):
+        def rhs(self, f, g):
+            return super().rhs(f, mul(rat(2), g))
+
+    rep = verify_potential_link(DoubledG.default())
+    assert [c.status for c in rep.checks] == [FAIL, FAIL, PASS]
+
+
 def test_case_reports_time_themselves(spec):
     """Each case's wall time is positive and within the call that made it."""
     for run in (lambda: [verify_adjoint_actions()],

@@ -125,14 +125,17 @@ def test_verify_all_json_matches_golden(seed, capsys):
     assert payload.encode() == golden.read_bytes()
 
 
-def test_verify_all_jobs2_matches_golden(tmp_path, capsys):
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_verify_all_jobs2_matches_golden(seed, tmp_path, capsys):
     """The whole campaign fanned out over two workers, table and special
     sections included, writes the same bytes as the serial golden report."""
     report = tmp_path / "all.json"
-    assert main(["verify", "all", "--jobs", "2", "--report", str(report)]) == 0
+    assert main(["verify", "all", "--seed", str(seed), "--jobs", "2",
+                 "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "catalog coverage: 32/32 entries verified" in out
-    assert report.read_bytes() == GOLDEN.read_bytes()
+    golden = Path(__file__).parent / "data" / f"verify_all_seed{seed}.json"
+    assert report.read_bytes() == golden.read_bytes()
 
 
 def test_dim_with_chart_parameter_named_like_an_unknown(capsys):

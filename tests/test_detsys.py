@@ -255,22 +255,26 @@ def test_default_ansatz_built_once_per_spec(monkeypatch):
 
 
 def test_prolonged_residual_restricts_before_multiplying(spec, ch):
-    """The residual products, with eta_tt split as A + B u_tt and restricted
-    to A + B (f u_xx + g), sum to the canonical form of restricting the
-    applied product, for every catalog generator at its first sample and for
-    the default ansatz; for the ansatz their nonzero term map is that form's
-    terms."""
+    """The residual products of u_tt = R, with eta_tt split as A + B u_tt and
+    restricted to A + B R, sum to the canonical form of restricting the
+    applied product.  R is the class right-hand side f u_xx + g and, outside
+    the class, the telegraph image D_x(f(x,u) u_x + g(x,u)) of the same
+    (f, g), for every catalog generator at its first sample; for the default
+    ansatz and the class R their nonzero term map is that form's terms."""
     from wavesym.classif import _instantiate, _kernel_extension, builtin_catalog
     from wavesym.detsys import _residual_products, _tt_split
-    from wavesym.expr import add_products, iter_terms, product_terms, substitute
+    from wavesym.expr import (add_products, iter_terms, product_terms,
+                              substitute, total_derivative)
     from wavesym.vecfield import prolong2
 
-    u_tt, u_xx = ch.get("u_tt"), ch.get("u_xx")
+    u_tt, u_x, u = ch.get("u_tt"), ch.get("u_x"), sym(ch.get("u"))
 
-    def restricted_after(pr, f, g):
-        L = add(sym(u_tt), mul(rat(-1), f, sym(u_xx)), mul(rat(-1), g))
-        return substitute(pr.apply(L), {u_tt: add(mul(f, sym(u_xx)), g)},
-                          chart=ch)
+    def restricted_after(pr, R):
+        return substitute(pr.apply(add(sym(u_tt), mul(rat(-1), R))), {u_tt: R})
+
+    def telegraph(f, g):
+        fu, gu = substitute(f, {u_x: u}), substitute(g, {u_x: u})
+        return total_derivative(add(mul(fu, sym(u_x)), gu), "x", ch)
 
     pairs = []
     for case in builtin_catalog():
@@ -281,17 +285,31 @@ def test_prolonged_residual_restricts_before_multiplying(spec, ch):
                   for Q in _kernel_extension(ch, gens, sample)[3:]]
     assert len(pairs) == 74
     for pr, f, g in pairs:
-        ps = _residual_products(spec, pr, _tt_split(ch, pr), f, g)
-        assert add_products(*ps) == restricted_after(pr, f, g)
+        for R in (spec.rhs(f, g), telegraph(f, g)):
+            ps = _residual_products(pr, _tt_split(ch, pr), R)
+            assert add_products(*ps) == restricted_after(pr, R)
     ansatz = spec.default_ansatz
     for f, g in (("u_x^(-4)", "0"), ("exp(2*u_x)", "exp(3*u_x)"),
                  ("x^2*abs(u_x)^4", "x*u_x + lnabs(u_x)")):
-        f, g = P(f, ch), P(g, ch)
-        ps = _residual_products(spec, ansatz.prolonged, ansatz.split, f, g)
-        want = restricted_after(ansatz.prolonged, f, g)
+        R = spec.rhs(P(f, ch), P(g, ch))
+        ps = _residual_products(ansatz.prolonged, ansatz.split, R)
+        want = restricted_after(ansatz.prolonged, R)
         assert add_products(*ps) == want
         assert {fs: c for fs, c in product_terms(*ps).items() if c != 0} \
             == {fs: c for c, fs in iter_terms(want)}
+
+
+def test_residual_refuses_a_right_hand_side_outside_its_jets(spec, ch):
+    """u_tt = R needs R free of u_tt, u_tx, higher jets and other dependent
+    variables: the prolongation's products would drop their terms."""
+    from wavesym.detsys import _residual_products, _tt_split
+    from wavesym.vecfield import ProlongationError, prolong2
+    pr = prolong2(parse_vector_field("x@x + u@u", ch, BASE_COORDS))
+    split = _tt_split(ch, pr)
+    assert _residual_products(pr, split, P("u_t*u_xx + u", ch))
+    for bad in ("u_tx", "u_tt", "u_xxx", "v_x"):
+        with pytest.raises(ProlongationError):
+            _residual_products(pr, split, P(bad, ch))
 
 
 def test_tt_split_refuses_a_nonaffine_eta_tt(spec, ch):

@@ -1,5 +1,9 @@
 """Vector fields: brackets, prolongation, transforms, push-forwards."""
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,6 +67,25 @@ def test_bracket_keeps_the_chart_invariant(ch, ea):
     for i, V in enumerate(fields):
         for W in fields[i + 1:]:
             bracket(V, W)._validate()
+
+
+def test_field_sum_orders_coefficients_by_chart():
+    """A sum of fields lists its coefficients in chart order under every
+    string hash seed, so the axes liealg numbers from them do not move."""
+    code = ("import json; from wavesym.equivalence import EquivalenceAlgebra, Gen; "
+            "ea = EquivalenceAlgebra(); "
+            "Du, Dt, Pt, F2 = (ea.field(Gen(k)) for k in ('Du', 'Dt', 'Pt', 'F2')); "
+            "D = ea.field(Gen('D', ea.formal('phi1'))); "
+            "print(json.dumps([list(V.coeffs) for V in (Du + Dt, Dt + Du, Pt + F2, "
+            "F2 - Pt, D + Du, Du - D + Dt)]))")
+    outs = set()
+    for seed in ("1", "2", "3", "4"):
+        outs.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                env=dict(os.environ, PYTHONHASHSEED=seed), text=True,
+                                check=True, timeout=120).stdout)
+    assert len(outs) == 1
+    for names in json.loads(outs.pop()):
+        assert names == [c for c in AUG_COORDS if c in names]
 
 
 def _interned(cls):
