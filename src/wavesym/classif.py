@@ -7,7 +7,8 @@ Entries of the auxiliary lists that restate a table row are built from it.
 Verification checks per case: exact vanishing of the invariance residual
 for every generator (parameters symbolic), bracket closure of
 kernel+extension, and at generic parameter samples the symmetry dimension
-within the default ansatz and that kernel+extension span those symmetries.
+within the default ansatz and that kernel+extension span those symmetries,
+read on the null vectors of the ansatz system.
 Dimension claims are statements *within the ansatz*.  The drivers that work
 on the class take a ``ClassSpec``, which computes its kernel check and
 default ansatz once; a serial campaign shares one spec among its sections.
@@ -249,6 +250,10 @@ def verify_case(spec: ClassSpec, case: ClassificationCase) -> CaseReport:
         rep.add("kernel+extension closes under bracket", False, str(e))
 
     kernel_ok = spec.kernel_is_symmetry
+    # each basis slot decomposed once; a solver field is its null vector's
+    # combination of them
+    coord = _Coordinatizer()
+    slots = [coord.terms(*slot) for slot in spec.default_ansatz.basis.slots]
     for sample, fields in zip(samples, instantiated):
         sol = solve_within_ansatz(spec, _instantiate(f, ch, sample),
                                   _instantiate(g, ch, sample))
@@ -258,16 +263,25 @@ def verify_case(spec: ClassSpec, case: ClassificationCase) -> CaseReport:
                 f"got {sol.dimension}, expected {case.dim}")
         # kernel + generators independent, of rank dim, holding every
         # solver field: they span the symmetries within the ansatz
-        coord, basis = _Coordinatizer(), EchelonBasis()
+        basis = EchelonBasis()
         kept = sum(basis.insert(coord.decompose(F)) for F in fields)
-        reduced = sum(not basis.reduce(coord.decompose(F))[0]
-                      for F in sol.fields)
+        reduced = sum(not basis.reduce(_negated_combination(slots, vec))[0]
+                      for vec in sol.null)
         rep.add(f"kernel+generators span the ansatz solutions at {label}",
                 kernel_ok and kept == len(fields) == case.dim
-                and reduced == len(sol.fields),
+                and reduced == sol.dimension,
                 f"rank {kept} of {len(fields)} fields, expected {case.dim}; "
-                f"{reduced} of {len(sol.fields)} solver fields reduce to zero")
+                f"{reduced} of {sol.dimension} solver fields reduce to zero")
     return rep
+
+
+def _negated_combination(slots: list, vec: dict) -> dict:
+    """-sum_j vec[j] slots[j] over decomposed slots: the solver field of the
+    null vector ``vec``, negated, which reduces to zero when it does."""
+    out: dict = {}
+    for j, c in vec.items():
+        axpy(out, c, slots[j])
+    return out
 
 
 def verify_table(spec: ClassSpec) -> list:

@@ -10,7 +10,10 @@ alone, split once per prolonged field as A + B u_tt, so the residual is a
 sum of products.  A finite ansatz turns the symmetry condition into an exact
 rational linear system whose null space is the symmetry algebra within the
 ansatz; its rows are read from those products' term map (``product_terms``),
-and the residual is never built as an expression.
+and the residual is never built as an expression.  The basis functions of
+each coordinate are linearly independent (``AnsatzBasis`` refuses others),
+so a null vector stands for one field: the solution carries the vectors
+and builds the fields only when they are read.
 """
 from __future__ import annotations
 
@@ -19,11 +22,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from ._linalg import nullspace
+from ._linalg import EchelonBasis, nullspace
 from .charts import BASE_COORDS, equation_chart
 from .expr import (Chart, Expr, MINUS_ONE, Sym, ZERO, add_products, app, atoms,
-                   collect, diff, free_symbols, is_zero, mul, product_terms,
-                   rat, structurally_zero, substitute, sym)
+                   collect, diff, free_symbols, is_zero, iter_terms, mul,
+                   product_terms, rat, structurally_zero, substitute, sym)
 from .parse import parse
 from .vecfield import (ProlongationError, ProlongedField, VectorField,
                        prolong2, vf)
@@ -239,9 +242,23 @@ def satisfies_simplified_system(Q: VectorField) -> bool:
 
 @dataclass(frozen=True)
 class AnsatzBasis:
+    """Basis functions for tau, xi and eta.  The functions on one coordinate
+    must be linearly independent over their canonical terms, so that a
+    coefficient vector over ``slots`` stands for exactly one field; a
+    dependent basis raises ``ValueError`` naming the coordinate."""
     tau: tuple
     xi: tuple
     eta: tuple
+
+    def __post_init__(self):
+        for name in ("tau", "xi", "eta"):
+            axes: dict = {}
+            rows = EchelonBasis()
+            for b in getattr(self, name):
+                if not rows.insert({axes.setdefault(sig, len(axes)): c
+                                    for c, sig in iter_terms(b)}):
+                    raise ValueError(f"ansatz basis functions for {name} are "
+                                     f"linearly dependent at {b!r}")
 
     @classmethod
     def default(cls, ch: Chart) -> "AnsatzBasis":
@@ -257,9 +274,26 @@ class AnsatzBasis:
     def size(self) -> int:
         return len(self.tau) + len(self.xi) + len(self.eta)
 
+    @cached_property
+    def slots(self) -> tuple:
+        """``(coordinate, function)`` per ansatz unknown, in column order."""
+        return tuple([("t", b) for b in self.tau] + [("x", b) for b in self.xi]
+                     + [("u", b) for b in self.eta])
+
 
 class CollectionFailure(Exception):
     pass
+
+
+def _combine(ch: Chart, slots: tuple, weights) -> VectorField:
+    """The field sum_j w_j b_j over ``slots`` = ((coordinate, b_j), ...),
+    with ``weights`` the pairs (j, w_j), each w_j an Expr."""
+    prods = {"t": [], "x": [], "u": []}
+    for j, w in weights:
+        coord, b = slots[j]
+        prods[coord].append((w, b))
+    return VectorField(ch, BASE_COORDS, {n: add_products(*p) for n, p in prods.items()},
+                       check=False)
 
 
 @dataclass(frozen=True)
@@ -268,7 +302,6 @@ class _ParametricAnsatz:
     that prolongation's ``_tt_split``."""
     basis: AnsatzBasis
     ks: tuple
-    slots: tuple
     prolonged: ProlongedField
     split: tuple
 
@@ -277,23 +310,30 @@ class _ParametricAnsatz:
         # a leading underscore: no chart declares it and no parse produces it
         names = [f"_k{j}" for j in range(basis.size())]
         ks = tuple(ch.get(n) if n in ch else ch.parameter(n) for n in names)
-        slots = tuple([("t", b) for b in basis.tau] + [("x", b) for b in basis.xi]
-                      + [("u", b) for b in basis.eta])
-        prods = {"t": [], "x": [], "u": []}
-        for k, (coord, b) in zip(ks, slots):
-            prods[coord].append((sym(k), b))
-        Q = VectorField(ch, BASE_COORDS, {n: add_products(*p) for n, p in prods.items()},
-                        check=False)
-        pr = prolong2(Q)
-        return cls(basis, ks, slots, pr, _tt_split(ch, pr))
+        pr = prolong2(_combine(ch, basis.slots, enumerate(map(sym, ks))))
+        return cls(basis, ks, pr, _tt_split(ch, pr))
 
 
 @dataclass
 class AnsatzSolution:
-    dimension: int
-    fields: list
+    """The null space of the ansatz system: one vector ``{column: q}`` per
+    dimension over ``basis.slots``.  The basis is independent on each
+    coordinate, so each vector stands for one field; ``fields`` builds
+    them when read."""
+    chart: Chart
+    null: list
     basis: AnsatzBasis
     n_equations: int
+
+    @property
+    def dimension(self) -> int:
+        return len(self.null)
+
+    @cached_property
+    def fields(self) -> list:
+        slots = self.basis.slots
+        return [_combine(self.chart, slots, ((j, rat(c)) for j, c in vec.items()))
+                for vec in self.null]
 
 
 def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
@@ -308,7 +348,7 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
     ch = spec.chart
     ansatz = (spec.default_ansatz if basis is None
               else _ParametricAnsatz.build(ch, basis))
-    ks, slots = ansatz.ks, ansatz.slots
+    ks = ansatz.ks
     terms = product_terms(*_residual_products(ansatz.prolonged, ansatz.split,
                                               spec.rhs(f, g)))
 
@@ -328,14 +368,5 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
         sig = tuple(fct for fct in factors if fct is not k_hits[0])
         rows_map.setdefault(sig, {})[column[k_hits[0].s]] = coef
 
-    null = nullspace(rows_map.values(), len(ks))
-    fields = []
-    for vec in null:
-        prods = {"t": [], "x": [], "u": []}
-        for j, c in vec.items():
-            coord, b = slots[j]
-            prods[coord].append((rat(c), b))
-        fields.append(VectorField(
-            ch, BASE_COORDS, {n: add_products(*p) for n, p in prods.items()}, check=False))
-    return AnsatzSolution(dimension=len(null), fields=fields,
-                          basis=ansatz.basis, n_equations=len(rows_map))
+    return AnsatzSolution(ch, nullspace(rows_map.values(), len(ks)),
+                          ansatz.basis, n_equations=len(rows_map))

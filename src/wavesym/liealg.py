@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ._linalg import EchelonBasis, axpy, nullspace
-from .expr import (Chart, Expr, ZERO, _qadd, _qmul, add_products, diff,
+from .expr import (Chart, Expr, ZERO, _qmul, add_products, diff,
                    iter_terms, mul, pow_, provably_nonzero, rat,
                    structurally_zero, substitute, sym)
 from .vecfield import VectorField, bracket
@@ -105,14 +105,18 @@ class _Coordinatizer:
             self.index[key] = len(self.index)
         return self.index[key]
 
+    def terms(self, coord: str, e: Expr) -> dict:
+        """``{axis: q}`` of ``e`` as the coefficient of d/d``coord``, with
+        stored rationals ``q``, nonzero entries only.  The terms of a
+        canonical expression have distinct signatures, so each axis is
+        hit once."""
+        return {self._axis(coord, sig): coef for coef, sig in iter_terms(e) if coef}
+
     def decompose(self, F: VectorField) -> dict:
-        """``{axis: q}`` with stored rationals ``q``, nonzero entries only."""
         out: dict = {}
         for coord, e in F.coeffs.items():
-            for coef, sig in iter_terms(e):
-                ax = self._axis(coord, sig)
-                out[ax] = _qadd(out.get(ax, 0), coef)
-        return {ax: c for ax, c in out.items() if c}
+            out.update(self.terms(coord, e))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,20 @@ Fields live on a declared chart: the base chart (t,x,u) or the augmented
 chart (t,x,u,u_x,f,g).  On the augmented chart the u_x coefficient is
 redundant data and is checked on construction against the first-prolongation
 formula applied to the (t,x,u) part.
+
+``prolong2`` and ``bracket`` keep their results in the process-lifetime
+tables ``_PROLONGED`` and ``_BRACKETS``, like ``expr``'s ``_TIMES`` and
+``diff``'s memo: a field is keyed by its chart, its coordinate tuple and its
+interned coefficient nodes in coordinate order, so each distinct field is
+prolonged, and each distinct pair bracketed, once per process.  The results
+are shared and must not be edited.  ``eta_tx``, which no invariance residual
+reads, is derived only when read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .charts import AUG_COORDS, BASE_COORDS
@@ -126,12 +135,30 @@ def vf(chart: Chart, coords: Sequence[str], check: bool = True, **coeffs) -> Vec
     return VectorField(chart, coords, fixed, check=check)
 
 
+def _key(V: VectorField) -> tuple:
+    """The memo key of a field: chart, coordinates, coefficient nodes."""
+    return (V.chart, V.coords, *map(V.coeff, V.coords))
+
+
+# {_key(V) + W's coefficient nodes: bracket(V, W)} for the life of the process
+_BRACKETS: dict = {}
+
+
 def bracket(V: VectorField, W: VectorField) -> VectorField:
-    """Lie bracket [V,W]^i = V(W^i) - W(V^i), coordinate-wise.  Not checked
-    again: on the base chart it adds no symbol, and on the augmented chart
-    first prolongation of point fields is a Lie-algebra homomorphism."""
+    """Lie bracket [V,W]^i = V(W^i) - W(V^i), coordinate-wise, computed once
+    per pair.  Not checked again: on the base chart it adds no symbol, and
+    on the augmented chart first prolongation of point fields is a
+    Lie-algebra homomorphism."""
     if V.coords != W.coords or V.chart is not W.chart:
         raise ChartMismatch("bracket needs fields on a common chart")
+    key = (*_key(V), *map(W.coeff, V.coords))
+    out = _BRACKETS.get(key)
+    if out is None:
+        out = _BRACKETS[key] = _bracket(V, W)
+    return out
+
+
+def _bracket(V: VectorField, W: VectorField) -> VectorField:
     out = {}
     for c in V.coords:
         out[c] = add_products(*V._products(W.coeff(c)),
@@ -142,16 +169,35 @@ def bracket(V: VectorField, W: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 # second prolongation
 
+def _second_order(name: str, e: Expr) -> Expr:
+    """``e``, refused when a jet of order above two survives in it."""
+    for s in free_symbols(e):
+        if s.kind == "jet" and s.order > 2:
+            raise ProlongationError(f"third-order jet survived in {name}: {s.name}")
+    return e
+
+
 @dataclass
 class ProlongedField:
     """Second prolongation of a base-chart field: coefficients of
-    d/du_t, d/du_x, d/du_tt, d/du_tx, d/du_xx."""
+    d/du_t, d/du_x, d/du_tt, d/du_tx, d/du_xx.  ``Wt`` is D_t of the
+    characteristic eta - tau u_t - xi u_x, kept for ``eta_tx``."""
     base: VectorField
     eta_t: Expr
     eta_x: Expr
     eta_tt: Expr
-    eta_tx: Expr
     eta_xx: Expr
+    Wt: Expr
+
+    @cached_property
+    def eta_tx(self) -> Expr:
+        """Derived when read: a third-order jet in it would also be one in
+        eta_tt or eta_xx, which ``prolong2`` refuses."""
+        Q = self.base
+        ch = Q.chart
+        return _second_order("eta_tx", add_products(
+            (total_derivative(self.Wt, "x", ch),),
+            (Q.coeff("t"), sym(ch.jet("u", 2, 1))), (Q.coeff("x"), sym(ch.jet("u", 1, 2)))))
 
     def apply(self, e: Expr) -> Expr:
         return add_products(*self.base._products(
@@ -159,10 +205,23 @@ class ProlongedField:
             ("u_tx", self.eta_tx), ("u_xx", self.eta_xx)))
 
 
+# {_key(Q): prolong2(Q)} for the life of the process
+_PROLONGED: dict = {}
+
+
 def prolong2(Q: VectorField) -> ProlongedField:
-    """Second prolongation via eta^J = D_J(eta - tau u_t - xi u_x) + tau u_{J,t} + xi u_{J,x}."""
+    """Second prolongation via eta^J = D_J(eta - tau u_t - xi u_x) + tau u_{J,t}
+    + xi u_{J,x}, computed once per field."""
     if Q.coords != BASE_COORDS:
         raise ChartMismatch("prolong2 expects a base-chart field")
+    key = _key(Q)
+    pr = _PROLONGED.get(key)
+    if pr is None:
+        pr = _PROLONGED[key] = _prolong2(Q)
+    return pr
+
+
+def _prolong2(Q: VectorField) -> ProlongedField:
     ch = Q.chart
     tau, xi, eta = Q.coeff("t"), Q.coeff("x"), Q.coeff("u")
     ut, ux = sym(ch.get("u_t")), sym(ch.get("u_x"))
@@ -175,17 +234,13 @@ def prolong2(Q: VectorField) -> ProlongedField:
         return sym(ch.jet("u", nt, nx))
 
     Wt, Wx = D(W, "t"), D(W, "x")
-    out = {}
-    out["eta_t"] = add_products((Wt,), (tau, jet(2, 0)), (xi, jet(1, 1)))
-    out["eta_x"] = add_products((Wx,), (tau, jet(1, 1)), (xi, jet(0, 2)))
-    out["eta_tt"] = add_products((D(Wt, "t"),), (tau, jet(3, 0)), (xi, jet(2, 1)))
-    out["eta_tx"] = add_products((D(Wt, "x"),), (tau, jet(2, 1)), (xi, jet(1, 2)))
-    out["eta_xx"] = add_products((D(Wx, "x"),), (tau, jet(1, 2)), (xi, jet(0, 3)))
-    for name, e in out.items():
-        for s in free_symbols(e):
-            if s.kind == "jet" and s.order > 2:
-                raise ProlongationError(f"third-order jet survived in {name}: {s.name}")
-    return ProlongedField(Q, **out)
+    out = {
+        "eta_t": add_products((Wt,), (tau, jet(2, 0)), (xi, jet(1, 1))),
+        "eta_x": add_products((Wx,), (tau, jet(1, 1)), (xi, jet(0, 2))),
+        "eta_tt": add_products((D(Wt, "t"),), (tau, jet(3, 0)), (xi, jet(2, 1))),
+        "eta_xx": add_products((D(Wx, "x"),), (tau, jet(1, 2)), (xi, jet(0, 3))),
+    }
+    return ProlongedField(Q, **{n: _second_order(n, e) for n, e in out.items()}, Wt=Wt)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,67 @@ def test_span_check_bites_beyond_the_ansatz(spec):
             ("kernel+generators span the ansatz solutions at generic", detail)]
 
 
+def test_span_check_runs_at_every_sample(spec):
+    """Row 20 with generator 3 scaled by p + 1 has dependent generators at
+    p = -1 only, its second sample: exactly that sample's span check fails,
+    and the residuals, the closure (at the first sample) and the other
+    samples pass."""
+    row20 = next(c for c in CATALOG if c.id == "20")
+    gens = row20.generators[:2] + ("(p + 1)*p*t@t - (p + 1)*u@u",)
+    checks = verify_case(spec, dataclasses.replace(row20, generators=gens)).checks
+    assert len(checks) == 4 + 2 * len(row20.samples)
+    assert [(c.name, c.detail) for c in checks if c.status != PASS] == [
+        ("kernel+generators span the ansatz solutions at p=-1,delta=-1",
+         "rank 5 of 6 fields, expected 6; 4 of 6 solver fields reduce to zero")]
+
+
+def test_span_check_reads_multi_term_basis_functions():
+    """The span check combines decomposed basis functions with each null
+    vector's entries.  A default ansatz whose functions are sums spanning
+    the default basis's space gives every catalog entry the same checks."""
+    from wavesym.detsys import AnsatzBasis, _ParametricAnsatz
+    spec = ClassSpec.default()
+    ch = spec.chart
+    want = [verify_case(spec, case).checks for case in builtin_catalog()]
+
+    def P(*texts):
+        return tuple(parse(s, ch) for s in texts)
+
+    basis = AnsatzBasis(
+        tau=P("1 + t", "1 - t", "t^2"),
+        xi=P("1 + x", "x - exp(x)", "x^2", "exp(x)", "exp(2*x) + exp(-x)", "exp(-x)"),
+        eta=P("u + t*u", "t*u", "1 + t + t^2", "t", "t^2", "x + t*x", "t*x",
+              "t^2*x", "x^2 - x*lnabs(x)", "exp(x)", "x*lnabs(x)"))
+    assert len(basis.slots) == len(AnsatzBasis.default(ch).slots)
+    spec.default_ansatz = _ParametricAnsatz.build(ch, basis)
+    got = [verify_case(spec, case).checks for case in builtin_catalog()]
+    assert [[(c.name, c.status, c.detail) for c in r] for r in got] == \
+        [[(c.name, c.status, c.detail) for c in r] for r in want]
+
+
+def test_catalog_pass_prolongs_and_brackets_each_field_once(monkeypatch):
+    """A serial pass over the 32 catalog entries with a fresh spec asks for
+    78 second prolongations and 378 closure brackets, and computes 32 and
+    107: one per distinct field and per distinct pair, the rest are table
+    hits."""
+    from wavesym import detsys, liealg, vecfield
+    counts = dict.fromkeys(("prolong2", "_prolong2", "bracket", "_bracket"), 0)
+
+    def counting(name, real):
+        def fn(*args):
+            counts[name] += 1
+            return real(*args)
+        return fn
+
+    for module, name in ((detsys, "prolong2"), (vecfield, "_prolong2"),
+                         (liealg, "bracket"), (vecfield, "_bracket")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    spec = ClassSpec.default()
+    for case in builtin_catalog():
+        verify_case(spec, case)
+    assert counts == {"prolong2": 78, "_prolong2": 32, "bracket": 378, "_bracket": 107}
+
+
 def test_campaign_symmetry_checks_counted(monkeypatch):
     """A serial campaign builds one spec for all of its sections, so the
     default ansatz is built once and the kernel checked once: the table and

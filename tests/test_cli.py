@@ -69,6 +69,21 @@ def test_dim_with_basis_file(tmp_path, capsys):
     assert "dimension within ansatz: 5" in out  # t^2 d_t and x-scaling excluded
 
 
+@pytest.mark.parametrize("eta", ["u; t*u; 1; t; 2*t", "u; t*u; 1; t; 0"],
+                         ids=["multiple", "zero"])
+def test_dim_refuses_a_dependent_basis(eta, tmp_path, capsys):
+    """Functions of one coordinate that are linearly dependent would let two
+    null vectors stand for one field and overstate the dimension (8, with
+    both (t)@u and (2*t)@u, against 7): exit 2, naming the coordinate."""
+    cfg = tmp_path / "basis.cfg"
+    cfg.write_text(f"eta = {eta}\n")
+    code = main(["dim", "-f", "u_x^(-4)", "-g", "0", "--basis", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ansatz basis functions for eta "
+                                   "are linearly dependent")
+
+
 def test_transform(tmp_path, capsys):
     params = tmp_path / "par.cfg"
     params.write_text("c1 = 2\n")

@@ -187,6 +187,23 @@ def _small_basis(ch):
                        eta=(P("u", ch), P("1", ch), P("t", ch)))
 
 
+def test_ansatz_basis_refuses_dependent_functions(ch):
+    """Linear dependence is judged per coordinate over canonical terms: a
+    multiple, a zero or a sum of other functions on one coordinate raises
+    ValueError naming it; sums that stay independent, and one function on
+    two coordinates, are accepted."""
+    small = _small_basis(ch)
+    for name, texts in (("xi", ("1", "x", "3*x")), ("eta", ("u", "0")),
+                        ("tau", ("1", "t", "2 + 3*t"))):
+        with pytest.raises(ValueError, match=f"for {name} are linearly dependent"):
+            dataclasses.replace(small, **{name: tuple(P(s, ch) for s in texts)})
+    multi = dataclasses.replace(small, tau=(P("1 + t", ch), P("1 - t", ch)),
+                                eta=(P("u", ch), P("1", ch), P("t + u", ch)))
+    assert multi.slots[:2] == (("t", P("1 + t", ch)), ("t", P("1 - t", ch)))
+    assert dataclasses.replace(small, xi=small.tau).slots[2:4] == \
+        (("x", P("1", ch)), ("x", P("t", ch)))
+
+
 def test_ansatz_monotone_under_enlargement(spec, ch):
     small = _small_basis(ch)
     f, g = P("u_x^(-4)", ch), rat(0)

@@ -1,4 +1,5 @@
 """Vector fields: brackets, prolongation, transforms, push-forwards."""
+import dataclasses
 import json
 import os
 import random
@@ -7,13 +8,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from wavesym.charts import AUG_COORDS, BASE_COORDS
 from wavesym.equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt,
                                  lift_Du, lift_F1, lift_F2, lift_G, lift_Pt)
 from wavesym.expr import (Add, add, app, diff, equal, exp_, lnabs, mul, pow_,
                           rat, structurally_zero, substitute, sym)
-from wavesym.parse import parse
+from wavesym.parse import parse, parse_vector_field
 from wavesym.vecfield import (ChartMismatch, EquivParams, PointTransform,
                               TransformLeavesClass, VectorField, bracket,
                               compose_point_transforms, prolong2, pushforward,
@@ -134,6 +136,160 @@ def test_prolong_examples(ch):
     assert equal(pr.eta_x, parse("u_x", ch))
     assert equal(pr.eta_tt, parse("-3*u_tt", ch))
     assert equal(pr.eta_xx, parse("u_xx", ch))
+
+
+# ---------------------------------------------------------------------------
+# prolong2 against the textbook formula in sympy
+
+def _sympy_jets(order: int) -> dict:
+    """{(nt, nx): sympy symbol named as the chart names the u jet}."""
+    return {(nt, nx): sympy.Symbol("u" + ("_" + "t" * nt + "x" * nx if nt + nx else ""))
+            for nt in range(order + 1) for nx in range(order + 1 - nt)}
+
+
+def _sympy_D(F, d: str, t, x, jets: dict):
+    """The total derivative D_t (d = "t") or D_x of F over the u jets."""
+    step = (1, 0) if d == "t" else (0, 1)
+    out = sympy.diff(F, t if d == "t" else x)
+    for (nt, nx), s in jets.items():
+        up = jets.get((nt + step[0], nx + step[1]))
+        if up is not None:
+            out += up * sympy.diff(F, s)
+    return out
+
+
+def _random_exp_field(ch, rng) -> VectorField:
+    """A seeded random base field whose coefficients are polynomials in
+    t, x, u, some times or plus a polynomial times exp of t, x, u or 2x."""
+    Q = random_base_field(ch, rng)
+    coeffs = {}
+    for c in BASE_COORDS:
+        e = Q.coeff(c)
+        r = rng.random()
+        arg = parse(rng.choice(("t", "x", "u", "2*x")), ch)
+        if r < 0.35:
+            e = mul(e, exp_(arg))
+        elif r < 0.7:
+            e = add(e, mul(random_base_field(ch, rng).coeff(c), exp_(arg)))
+        coeffs[c] = e
+    return VectorField(ch, BASE_COORDS, coeffs)
+
+
+def test_prolong2_matches_the_textbook_formula_in_sympy(ch):
+    """All five coefficients of prolong2, the lazily built eta_tx included,
+    equal eta^J = D_J(eta - tau u_t - xi u_x) + tau u_{J,t} + xi u_{J,x}
+    computed in sympy from the printed text, on 12 seeded random fields
+    with polynomial and exp coefficients."""
+    from wavesym.printer import to_str
+    t, x = sympy.symbols("t x")
+    jets = _sympy_jets(4)
+    names = {str(s): s for s in (t, x, *jets.values())}
+
+    def S(e):
+        return sympy.sympify(to_str(e).replace("^", "**"), locals=names)
+
+    rng = random.Random(2511)
+    for _ in range(12):
+        Q = _random_exp_field(ch, rng)
+        pr = prolong2(Q)
+        assert "eta_tx" not in vars(pr)     # derived only when read
+        tau, xi, eta = (S(Q.coeff(c)) for c in BASE_COORDS)
+        W = eta - tau * jets[1, 0] - xi * jets[0, 1]
+        for got, (nt, nx) in ((pr.eta_t, (1, 0)), (pr.eta_x, (0, 1)),
+                              (pr.eta_tt, (2, 0)), (pr.eta_tx, (1, 1)),
+                              (pr.eta_xx, (0, 2))):
+            want = W
+            for d in "t" * nt + "x" * nx:
+                want = _sympy_D(want, d, t, x, jets)
+            want += tau * jets[nt + 1, nx] + xi * jets[nt, nx + 1]
+            assert sympy.expand(S(got) - want) == 0, (Q, nt, nx)
+
+
+def test_prolong2_refuses_the_hostile_ansatz_bases(ch):
+    """The parametric fields of the bases eta = u; u_x and tau = 1; u_xx,
+    built unchecked as the ansatz builds them, hold a jet: prolong2 itself
+    raises, on every call, and so does building either ansatz."""
+    from wavesym.detsys import AnsatzBasis, _ParametricAnsatz
+    from wavesym.vecfield import ProlongationError
+    for coord, text in (("u", "a1*u + a2*u_x"), ("t", "a1 + a2*u_xx")):
+        Q = VectorField(ch, BASE_COORDS, {coord: parse(text, ch)}, check=False)
+        for _ in range(2):
+            with pytest.raises(ProlongationError):
+                prolong2(Q)
+    default = AnsatzBasis.default(ch)
+    for name, texts in (("eta", ("u", "u_x")), ("tau", ("1", "u_xx"))):
+        basis = dataclasses.replace(default, **{name: tuple(parse(s, ch) for s in texts)})
+        with pytest.raises(ProlongationError):
+            _ParametricAnsatz.build(ch, basis)
+
+
+# ---------------------------------------------------------------------------
+# the prolong2 and bracket tables
+
+def test_equal_fields_share_one_prolongation_and_bracket(ch):
+    """Equal fields parsed twice are two objects with the same coefficient
+    nodes: prolong2 and bracket return the stored result for both."""
+    texts = ("t^2@t + t*u@u", "exp(x)@x + x*u@u")
+    V1, W1 = (parse_vector_field(s, ch, BASE_COORDS) for s in texts)
+    V2, W2 = (parse_vector_field(s, ch, BASE_COORDS) for s in texts)
+    assert V1 is not V2 and W1 is not W2
+    assert prolong2(V1) is prolong2(V2)
+    assert bracket(V1, W1) is bracket(V2, W2)
+    assert bracket(W1, V1) is not bracket(V1, W1)
+
+
+def test_memo_tables_separate_charts_and_coordinates():
+    """Fields with equal coefficient nodes in coordinate order, on two
+    equation charts or on two coordinate tuples of one chart, never share
+    an entry: each result lives on its own chart and coordinates."""
+    from wavesym import vecfield
+    from wavesym.charts import equation_chart
+    charts = (equation_chart(), equation_chart())
+    fields = [[parse_vector_field(s, c, BASE_COORDS)
+               for s in ("t^2@t + t*u@u", "x@x + u@u")] for c in charts]
+    assert fields[0][0].coeff("t") is fields[1][0].coeff("t")
+    prs = [prolong2(V) for V, _ in fields]
+    brs = [bracket(V, W) for V, W in fields]
+    assert prs[0] is not prs[1] and brs[0] is not brs[1]
+    for c, pr, br in zip(charts, prs, brs):
+        assert pr.base.chart is c and br.chart is c
+        assert pr.eta_tt is prs[0].eta_tt and br == brs[0]
+    # the same nodes in coordinate order on (t, x, u) and (x, t, u)
+    ch = charts[0]
+    a, b, c = (parse(e, ch) for e in ("t", "x^2", "t^2"))
+    got = {}
+    for coords in (BASE_COORDS, ("x", "t", "u")):
+        first, second = coords[:2]
+        V = VectorField(ch, coords, {first: a, second: b, "u": sym(ch.get("u"))})
+        W = VectorField(ch, coords, {first: rat(1), "u": c})
+        got[coords] = bracket(V, W)
+        assert got[coords].coords == coords
+        assert got[coords] == vecfield._bracket(V, W)
+    assert got[BASE_COORDS] != got["x", "t", "u"]
+
+
+def test_memo_tables_are_transparent(ch):
+    """prolong2 and bracket give the same nodes with their tables cleared
+    before each call as warm, and a warm call returns the stored object."""
+    from wavesym import vecfield
+    rng = random.Random(2512)
+    fields = [_random_exp_field(ch, rng) for _ in range(8)]
+    pairs = list(zip(fields, fields[1:] + fields[:1]))
+
+    def coefficients(pr):
+        return (pr.eta_t, pr.eta_x, pr.eta_tt, pr.eta_tx, pr.eta_xx)
+
+    cold = []
+    for Q, (V, W) in zip(fields, pairs):
+        vecfield._PROLONGED.clear()
+        vecfield._BRACKETS.clear()
+        cold.append((coefficients(prolong2(Q)), bracket(V, W).coeffs))
+    warm = [(prolong2(Q), bracket(V, W)) for Q, (V, W) in zip(fields, pairs)]
+    for (pr, br), (cold_pr, cold_br), Q, (V, W) in zip(warm, cold, fields, pairs):
+        assert all(a is b for a, b in zip(coefficients(pr), cold_pr))
+        assert br.coeffs.keys() == cold_br.keys()
+        assert all(br.coeffs[c] is cold_br[c] for c in br.coeffs)
+        assert prolong2(Q) is pr and bracket(V, W) is br
 
 
 def test_transform_scaling(ch):
