@@ -6,7 +6,7 @@ jet monomials that are not arguments of the arbitrary elements yields the
 determining system.  The residual rule takes any equation u_tt = R with R
 free of u_tt and u_tx (``_residual_products``); the class is the one call
 with R = f u_xx + g (``ClassSpec.rhs``).  The restriction acts on eta_tt
-alone, split once per prolonged field as A + B u_tt, so the residual is a
+alone, split once per prolongation as A + B u_tt, so the residual is a
 sum of products.  A finite ansatz turns the symmetry condition into an exact
 rational linear system whose null space is the symmetry algebra within the
 ansatz; its rows are read from those products' term map (``product_terms``),
@@ -78,33 +78,21 @@ def kernel_fields(chart: Chart) -> list:
 
 def invariance_residual(spec: ClassSpec, Q: VectorField, f: Expr, g: Expr) -> Expr:
     """Q_(2) L restricted to L = 0, where L = u_tt - R and R = spec.rhs(f, g)."""
-    pr = prolong2(Q)
-    return add_products(*_residual_products(pr, _tt_split(spec.chart, pr), spec.rhs(f, g)))
+    return add_products(*_residual_products(prolong2(Q), spec.rhs(f, g)))
 
 
-def _tt_split(ch: Chart, pr: ProlongedField) -> tuple:
-    """``(A, B)`` free of u_tt with eta_tt = A + B u_tt.  A second
-    prolongation of a point field is affine in u_tt; anything else raises."""
-    u_tt = ch.get("u_tt")
-    B = diff(pr.eta_tt, u_tt)
-    A = add_products((pr.eta_tt,), (MINUS_ONE, B, sym(u_tt)))
-    if u_tt in free_symbols(A) or u_tt in free_symbols(B):
-        raise ProlongationError("eta_tt is not affine in u_tt")
-    return A, B
-
-
-def _residual_products(pr: ProlongedField, split: tuple, R: Expr) -> tuple:
+def _residual_products(pr: ProlongedField, R: Expr) -> tuple:
     """The products whose sum is the invariance residual of u_tt = R for the
-    field prolonged as ``pr``, with ``split = _tt_split(chart, pr)``.  R may
-    hold t, x, u, u_t, u_x and u_xx, not u_tt or u_tx; then u_tt enters
-    ``pr.apply(L)``, L = u_tt - R, through eta_tt alone, with dL/du_tt = 1:
-    restricting eta_tt to A + B R restricts the whole."""
+    field prolonged as ``pr``.  R may hold t, x, u, u_t, u_x and u_xx, not
+    u_tt or u_tx; then u_tt enters ``pr.apply(L)``, L = u_tt - R, through
+    eta_tt alone, with dL/du_tt = 1: restricting eta_tt = A + B u_tt
+    (``pr.tt_split``) to A + B R restricts the whole."""
     ch = pr.base.chart
     for s in free_symbols(R):
         if s.kind in ("dependent", "jet") and s.name not in ("u", "u_t", "u_x", "u_xx"):
             raise ProlongationError(f"right-hand side depends on {s.name}")
     L = add_products((sym(ch.get("u_tt")),), (MINUS_ONE, R))
-    A, B = split
+    A, B = pr.tt_split
     return (*pr.base._products(L, ("u_t", pr.eta_t), ("u_x", pr.eta_x),
                                ("u_xx", pr.eta_xx)),
             (A,), (B, R))
@@ -298,20 +286,17 @@ def _combine(ch: Chart, slots: tuple, weights) -> VectorField:
 
 @dataclass(frozen=True)
 class _ParametricAnsatz:
-    """Q = sum_i k_i b_i over a basis, with its second prolongation and
-    that prolongation's ``_tt_split``."""
+    """Q = sum_i k_i b_i over a basis, with its second prolongation."""
     basis: AnsatzBasis
     ks: tuple
     prolonged: ProlongedField
-    split: tuple
 
     @classmethod
     def build(cls, ch: Chart, basis: AnsatzBasis) -> "_ParametricAnsatz":
         # a leading underscore: no chart declares it and no parse produces it
         names = [f"_k{j}" for j in range(basis.size())]
         ks = tuple(ch.get(n) if n in ch else ch.parameter(n) for n in names)
-        pr = prolong2(_combine(ch, basis.slots, enumerate(map(sym, ks))))
-        return cls(basis, ks, pr, _tt_split(ch, pr))
+        return cls(basis, ks, prolong2(_combine(ch, basis.slots, enumerate(map(sym, ks)))))
 
 
 @dataclass
@@ -349,8 +334,7 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
     ansatz = (spec.default_ansatz if basis is None
               else _ParametricAnsatz.build(ch, basis))
     ks = ansatz.ks
-    terms = product_terms(*_residual_products(ansatz.prolonged, ansatz.split,
-                                              spec.rhs(f, g)))
+    terms = product_terms(*_residual_products(ansatz.prolonged, spec.rhs(f, g)))
 
     column = {k: j for j, k in enumerate(ks)}
     rows_map: dict = {}

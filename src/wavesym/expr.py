@@ -30,14 +30,16 @@ are rebuilt by ``_power``, ``abspow`` or ``exp_`` (a factor alone in its
 group is canonical already), and a rebuild that reduces further is
 multiplied in again.  The product of two terms is that merge of their
 factors (``_times``), a term map in its own right: ``2^(1/2)*2^(1/2)`` is
-the constant 2, ``(a+b)^(1/2)*(a+b)^(1/2)`` the two terms of ``a + b``.  ``_TIMES`` keeps it for each pair of interned factor
-tuples, so every pair is merged once per process.  ``_times_into`` is that
-pair loop: ``diff``'s product and chain rules and ``total_derivative``
-share it, since a product's other factors are already a key-sorted factor
-tuple.  ``product_terms`` merges the maps of a sum of products and builds
-no product as a node; ``add_products`` is that map's sum.  A power of a sum
-over ``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``,
-as does a rational power whose value would take more bits.
+the constant 2, ``(a+b)^(1/2)*(a+b)^(1/2)`` the two terms of ``a + b``.
+``_TIMES`` keeps it for each pair of interned factor tuples, so every pair
+is merged once per process.  ``_times_into`` is that pair loop (a constant
+term times another is that term scaled): ``diff`` and ``total_derivative``
+run the product rule of all the terms of a sum through it into one map
+(``_product_rule``), with no node, memo entry or ``add`` per term.
+``product_terms`` has ``_mul_terms`` expand every product straight into one
+map; ``add_products`` is its sum.  A power of a sum over
+``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``, as
+does a rational power whose value would take more bits.
 
 ``is_zero`` samples with the constructors as its one exact evaluator: at a
 point a value is exact where the bound tree folds to a ``Rat``, else a
@@ -510,27 +512,24 @@ def add_products(*products: Sequence[Expr]) -> Expr:
 
 def product_terms(*products: Sequence[Expr]) -> dict:
     """The ``{key-sorted factors: coef}`` map of the sum of ``products``, in
-    which a coefficient may be zero: every product's terms go into one map,
-    the first product's own, and no product is built as a node."""
-    if not products:
-        return {}
-    acc = _mul_terms(products[0])
-    for p in products[1:]:
-        for f, c in _mul_terms(p).items():
-            old = acc.get(f)
-            acc[f] = c if old is None else _qadd(old, c)
+    which a coefficient may be zero: ``_mul_terms`` expands every product
+    straight into one map, and no product is built as a node."""
+    acc: dict = {}
+    for p in products:
+        _mul_terms(p, acc)
     return acc
 
 
 def mul(*parts: Expr) -> Expr:
-    return _sum(_mul_terms(parts))
+    return _sum(_mul_terms(parts, {}))
 
 
-def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
-    """The product of ``parts`` as a ``{key-sorted factors: coef}`` map,
-    a fresh one that the caller may keep and update."""
+def _mul_terms(parts: Sequence[Expr], out: dict, depth: int = 0) -> dict:
+    """``out`` with the product of ``parts`` added to it, both as
+    ``{key-sorted factors: coef}`` maps."""
     if len(parts) == 1:     # a canonical node is its own product
-        return {f: c for c, f in iter_terms(parts[0])}
+        _times_into(out, 1, (), iter_terms(parts[0]))
+        return out
     if depth > 24:
         raise RuntimeError("mul normalization did not reach a fixpoint")
     coef = 1
@@ -559,7 +558,7 @@ def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
             pow_acc.setdefault(e, []).append(e)
 
     if coef == 0:
-        return {}
+        return out
 
     # rebuild merged factors; a canonical factor alone in its group is its
     # own rebuild.  A rebuild may itself reduce (rational folds, even
@@ -594,18 +593,22 @@ def _mul_terms(parts: Sequence[Expr], depth: int = 0) -> dict:
         # sum before them changes the form of products whose radicals of
         # one sum merge, as in (u + (x+1)^(1/2))^(1/2) squared times
         # ((x+1)^(-1/2) + t) * ((x+1)^(1/2) + 1)
-        return _mul_terms((Rat(coef), *factors, *redo, *adds), depth + 1)
+        return _mul_terms((Rat(coef), *factors, *redo, *adds), out, depth + 1)
 
     # expand products of sums in one pass: partial products are
-    # {key-sorted factors: coef} entries, multiplied by each sum's terms
-    acc = {tuple(sorted(factors, key=Expr.key)): coef}
-    for a in adds:
+    # {key-sorted factors: coef} entries, multiplied by each sum's terms,
+    # the last sum's straight into ``out``
+    key = tuple(sorted(factors, key=Expr.key))
+    acc = {key: coef}
+    for n, a in enumerate(adds, 1):
         terms = iter_terms(a)
-        prods: dict = {}
+        prods = out if n == len(adds) else {}
         for f1, c1 in acc.items():
             _times_into(prods, c1, f1, terms)
         acc = prods
-    return acc
+    if not adds:    # a lone term
+        _times_into(out, coef, (), ((1, key),))
+    return out
 
 
 # {(f1, f2): _times(f1, f2)} for the life of the process
@@ -615,15 +618,16 @@ _TIMES: dict = {}
 def _times(f1: tuple, f2: tuple) -> tuple:
     """The product of two terms' key-sorted factors as ``(factors, coef)``
     entries, by ``_mul_terms``: the one rule by which factors merge."""
-    return tuple(_mul_terms(f1 + f2).items())
+    return tuple(_mul_terms(f1 + f2, {}).items())
 
 
 def _times_into(prods: dict, c1: Rational, f1: tuple, terms: list) -> None:
     """Add the products of the term ``c1 * f1`` (key-sorted factors) with
-    each of ``terms`` (as ``iter_terms`` gives them) to the map ``prods``."""
+    each of ``terms`` (as ``iter_terms`` gives them) to the map ``prods``.
+    A constant term (no ``f1``) scales each term, with no ``_TIMES`` lookup."""
     for c2, f2 in terms:
         try:
-            entries = _TIMES[f1, f2]
+            entries = _TIMES[f1, f2] if f1 else ((f2, 1),)
         except KeyError:
             entries = _TIMES[f1, f2] = _times(f1, f2)
         c12 = _qmul(c1, c2)
@@ -967,31 +971,42 @@ def _diff(e: Expr, s: Symbol) -> Expr:
         if isinstance(da, Rat) and da.q == 0:
             return ZERO
         return mul(pow_(e.arg, -1), da)
-    if isinstance(e, Mul):
-        # the factors but one of a product are its key-sorted factor tuple
-        prods: dict = {}
-        for i, f in enumerate(e.factors):
-            df = diff(f, s)
-            if not (isinstance(df, Rat) and df.q == 0):
-                _times_into(prods, e.coef, e.factors[:i] + e.factors[i + 1:],
-                            iter_terms(df))
-        return _sum(prods)
-    if isinstance(e, Add):
-        return add(*[diff(t, s) for t in e.terms])
+    if isinstance(e, (Mul, Add)):
+        return _product_rule(e, lambda f: diff(f, s))
     raise TypeError(type(e))
+
+
+def _product_rule(e: Expr, derivation) -> Expr:
+    """``derivation`` of a sum or product ``e``, from its value on each
+    distinct factor, by the product rule of all the terms into one map: the
+    factors but one of a product are its key-sorted factor tuple."""
+    prods: dict = {}
+    done: dict = {}
+    for c, fs in iter_terms(e):
+        for i, f in enumerate(fs):
+            d = done.get(f)
+            if d is None:
+                d = derivation(f)
+                d = done[f] = [] if d is ZERO else iter_terms(d)
+            if d:
+                _times_into(prods, c, fs[:i] + fs[i + 1:], d)
+    return _sum(prods)
 
 
 def total_derivative(e: Expr, direction: str, chart: Chart) -> Expr:
     """Total derivative D_t or D_x on the jet space of ``chart``.
 
     Jet variables are promoted by one order; exceeding the chart's jet cap
-    raises JetOrderError.
+    raises JetOrderError.  A sum or product takes the product rule, as in
+    ``diff``, so the formula below runs on its distinct factors only.
     """
+    if isinstance(e, (Mul, Add)):
+        return _product_rule(e, lambda f: total_derivative(f, direction, chart))
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
     di = (1, 0) if direction == "t" else (0, 1)
     dir_sym = chart.get(direction)
-    prods = _mul_terms((diff(e, dir_sym),))
+    prods = _mul_terms((diff(e, dir_sym),), {})
     for s in free_symbols(e):
         if s.kind in (DEPENDENT, JET):
             nt, nx = s.index

@@ -11,7 +11,8 @@ tables ``_PROLONGED`` and ``_BRACKETS``, like ``expr``'s ``_TIMES`` and
 interned coefficient nodes in coordinate order, so each distinct field is
 prolonged, and each distinct pair bracketed, once per process.  The results
 are shared and must not be edited.  ``eta_tx``, which no invariance residual
-reads, is derived only when read.
+reads, is derived only when read, and so is the split of ``eta_tt`` as
+A + B u_tt that every invariance residual of the field reads.
 """
 from __future__ import annotations
 
@@ -198,6 +199,18 @@ class ProlongedField:
         return _second_order("eta_tx", add_products(
             (total_derivative(self.Wt, "x", ch),),
             (Q.coeff("t"), sym(ch.jet("u", 2, 1))), (Q.coeff("x"), sym(ch.jet("u", 1, 2)))))
+
+    @cached_property
+    def tt_split(self) -> tuple:
+        """``(A, B)`` free of u_tt with eta_tt = A + B u_tt, split when first
+        read.  A second prolongation of a point field is affine in u_tt;
+        anything else raises."""
+        u_tt = self.base.chart.get("u_tt")
+        B = diff(self.eta_tt, u_tt)
+        A = add_products((self.eta_tt,), (MINUS_ONE, B, sym(u_tt)))
+        if u_tt in free_symbols(A) or u_tt in free_symbols(B):
+            raise ProlongationError("eta_tt is not affine in u_tt")
+        return A, B
 
     def apply(self, e: Expr) -> Expr:
         return add_products(*self.base._products(

@@ -299,9 +299,11 @@ def test_catalog_pass_prolongs_and_brackets_each_field_once(monkeypatch):
     """A serial pass over the 32 catalog entries with a fresh spec asks for
     78 second prolongations and 378 closure brackets, and computes 32 and
     107: one per distinct field and per distinct pair, the rest are table
-    hits."""
+    hits.  Each of the 32 prolongations splits its eta_tt once."""
+    from functools import cached_property
     from wavesym import detsys, liealg, vecfield
-    counts = dict.fromkeys(("prolong2", "_prolong2", "bracket", "_bracket"), 0)
+    counts = dict.fromkeys(("prolong2", "_prolong2", "bracket", "_bracket",
+                            "tt_split"), 0)
 
     def counting(name, real):
         def fn(*args):
@@ -312,10 +314,14 @@ def test_catalog_pass_prolongs_and_brackets_each_field_once(monkeypatch):
     for module, name in ((detsys, "prolong2"), (vecfield, "_prolong2"),
                          (liealg, "bracket"), (vecfield, "_bracket")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    split = cached_property(counting("tt_split", vecfield.ProlongedField.tt_split.func))
+    split.__set_name__(vecfield.ProlongedField, "tt_split")
+    monkeypatch.setattr(vecfield.ProlongedField, "tt_split", split)
     spec = ClassSpec.default()
     for case in builtin_catalog():
         verify_case(spec, case)
-    assert counts == {"prolong2": 78, "_prolong2": 32, "bracket": 378, "_bracket": 107}
+    assert counts == {"prolong2": 78, "_prolong2": 32, "bracket": 378,
+                      "_bracket": 107, "tt_split": 32}
 
 
 def test_campaign_symmetry_checks_counted(monkeypatch):

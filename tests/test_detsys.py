@@ -279,7 +279,7 @@ def test_prolonged_residual_restricts_before_multiplying(spec, ch):
     (f, g), for every catalog generator at its first sample; for the default
     ansatz and the class R their nonzero term map is that form's terms."""
     from wavesym.classif import _instantiate, _kernel_extension, builtin_catalog
-    from wavesym.detsys import _residual_products, _tt_split
+    from wavesym.detsys import _residual_products
     from wavesym.expr import (add_products, iter_terms, product_terms,
                               substitute, total_derivative)
     from wavesym.vecfield import prolong2
@@ -303,13 +303,13 @@ def test_prolonged_residual_restricts_before_multiplying(spec, ch):
     assert len(pairs) == 74
     for pr, f, g in pairs:
         for R in (spec.rhs(f, g), telegraph(f, g)):
-            ps = _residual_products(pr, _tt_split(ch, pr), R)
+            ps = _residual_products(pr, R)
             assert add_products(*ps) == restricted_after(pr, R)
     ansatz = spec.default_ansatz
     for f, g in (("u_x^(-4)", "0"), ("exp(2*u_x)", "exp(3*u_x)"),
                  ("x^2*abs(u_x)^4", "x*u_x + lnabs(u_x)")):
         R = spec.rhs(P(f, ch), P(g, ch))
-        ps = _residual_products(ansatz.prolonged, ansatz.split, R)
+        ps = _residual_products(ansatz.prolonged, R)
         want = restricted_after(ansatz.prolonged, R)
         assert add_products(*ps) == want
         assert {fs: c for fs, c in product_terms(*ps).items() if c != 0} \
@@ -319,24 +319,23 @@ def test_prolonged_residual_restricts_before_multiplying(spec, ch):
 def test_residual_refuses_a_right_hand_side_outside_its_jets(spec, ch):
     """u_tt = R needs R free of u_tt, u_tx, higher jets and other dependent
     variables: the prolongation's products would drop their terms."""
-    from wavesym.detsys import _residual_products, _tt_split
+    from wavesym.detsys import _residual_products
     from wavesym.vecfield import ProlongationError, prolong2
     pr = prolong2(parse_vector_field("x@x + u@u", ch, BASE_COORDS))
-    split = _tt_split(ch, pr)
-    assert _residual_products(pr, split, P("u_t*u_xx + u", ch))
+    assert _residual_products(pr, P("u_t*u_xx + u", ch))
     for bad in ("u_tx", "u_tt", "u_xxx", "v_x"):
         with pytest.raises(ProlongationError):
-            _residual_products(pr, split, P(bad, ch))
+            _residual_products(pr, P(bad, ch))
 
 
 def test_tt_split_refuses_a_nonaffine_eta_tt(spec, ch):
     """eta_tt = A + B u_tt only where neither holds u_tt: a hand-built
     prolongation whose eta_tt holds u_tt^2 is refused, not restricted."""
-    from wavesym.detsys import _tt_split
     from wavesym.vecfield import ProlongationError, prolong2
     pr = prolong2(parse_vector_field("x@x + u@u", ch, BASE_COORDS))
-    A, B = _tt_split(ch, pr)
+    A, B = pr.tt_split
     assert add(A, mul(B, P("u_tt", ch))) is pr.eta_tt
     bad = dataclasses.replace(pr, eta_tt=add(pr.eta_tt, P("u_tt^2", ch)))
-    with pytest.raises(ProlongationError):
-        _tt_split(ch, bad)
+    for _ in range(2):
+        with pytest.raises(ProlongationError):
+            bad.tt_split

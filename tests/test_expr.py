@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import wavesym.expr as expr_module
 from wavesym.expr import (AbsPow, Add, App, ExpF, LnAbs, Mul, Pow, Rat, Sym,
@@ -20,6 +21,8 @@ from wavesym.expr import (AbsPow, Add, App, ExpF, LnAbs, Mul, Pow, Rat, Sym,
                           total_derivative, NotPolynomial)
 from wavesym.parse import parse
 from wavesym.printer import to_str
+
+from sympy_text import SympyText
 
 
 def P(s, ch):
@@ -365,7 +368,9 @@ def test_mul_matches_term_by_term_reference(ch):
 def test_mul_expands_sums_in_one_call(ch, monkeypatch):
     """A product of sums makes one _mul_terms call once its term pairs are
     in _TIMES, and each pair, exp(x)*exp(u) included, is merged by one
-    _mul_terms call of its own the first time it is met."""
+    _mul_terms call of its own the first time it is met.  A constant term,
+    of the coefficient or of a partial product, times a term is that term
+    scaled, with no pair and no call."""
     a, b, c, d, e, f = (sym(ch.get(n)) for n in ("t", "x", "u", "u_t", "u_x", "u_tt"))
     plain = (add(a, b, c), add(d, e, f))
     exps = (add(a, exp_(b)), add(exp_(c), rat(1)))
@@ -381,11 +386,12 @@ def test_mul_expands_sums_in_one_call(ch, monkeypatch):
     for cold in (1, 0):
         calls.clear()
         assert len(expr_module.mul(*plain).terms) == 9
-        # 3 pairs with the terms of the first sum expanded, then 9
-        assert len(calls) == 1 + 12 * cold
+        # the 9 pairs of a term of the first sum and one of the second
+        assert len(calls) == 1 + 9 * cold
         calls.clear()
         got = expr_module.mul(*exps)
-        assert len(calls) == 1 + 6 * cold
+        # 1 + exp(u) expands first: only exp(u) makes pairs, with t and exp(x)
+        assert len(calls) == 1 + 2 * cold
         assert sum(all(isinstance(x, ExpF) for x in p) for p in calls
                    if len(p) == 2) == cold
         assert got == P("t*exp(u) + t + exp(x + u) + exp(x)", ch)
@@ -596,10 +602,140 @@ def test_diff_of_product_makes_no_mul_terms_call(ch, monkeypatch):
         calls.clear()
         monkeypatch.setattr(expr_module, "_DIFF_CACHE", {})
         got = [diff(e, ch.get(n)) for n in ("t", "x", "u_x", "u_tt", "u")]
-        assert calls == ([(f1 + f2,) for f1, f2 in table] if cold else [])
+        assert [a[0] for a in calls] == ([f1 + f2 for f1, f2 in table] if cold else [])
     monkeypatch.undo()
     assert got == [P(s, ch) for s in ("3*x*u_x*u_tt", "3*t*u_x*u_tt",
                                       "3*t*x*u_tt", "3*t*x*u_x", "0")]
+
+
+def test_diff_of_a_sum_is_add_of_its_term_derivatives(spec, ch, monkeypatch):
+    """diff of a sum, which runs the product rule of all its terms into one
+    map, is the node add(*[diff(t, s) for t in terms]): with _DIFF_CACHE and
+    _TIMES both cleared before each side, and with both warm, for every
+    symbol of every sample sum.  The memo gains no entry for a product term
+    of the sum."""
+    monkeypatch.setattr(expr_module, "_TIMES", {})
+    monkeypatch.setattr(expr_module, "_DIFF_CACHE", {})
+
+    def cold(build):
+        expr_module._TIMES.clear()
+        expr_module._DIFF_CACHE.clear()
+        return build()
+
+    checked = 0
+    for e in _sample_trees(spec, ch):
+        if not isinstance(e, Add) or len(e.terms) > 60:
+            continue
+        for s in sorted(free_symbols(e), key=lambda s: s.name):
+            got = cold(lambda: diff(e, s))
+            want = cold(lambda: add(*[diff(t, s) for t in e.terms]))
+            assert got is want, (to_str(e), s.name)
+            expr_module._DIFF_CACHE.clear()
+            assert diff(e, s) is want and diff(e, s) is want
+            assert add(*[diff(t, s) for t in e.terms]) is want
+            checked += 1
+    assert checked > 300
+    e = P("3*t*x + x*u_x^2 + exp(x)", ch)
+    x = ch.get("x")
+    assert cold(lambda: diff(e, x)) is P("3*t + u_x^2 + exp(x)", ch)
+    memo = expr_module._DIFF_CACHE[x]
+    assert e in memo and P("exp(x)", ch) in memo
+    assert not any(isinstance(t, Mul) and t in memo for t in e.terms)
+
+
+def test_product_terms_is_the_merge_of_each_products_map(spec, ch):
+    """product_terms(*ps), which expands every product straight into one
+    map, is the merge of each product's own _mul_terms map, entry for entry
+    with zero coefficients included: for a lone constant, a lone sum, a
+    constant times two sums, a zero coefficient, products whose merged
+    factors reduce and are multiplied in again (2^(1/2)*2^(1/2)*(x+1)),
+    all of these together, and seeded groups of products of sample sums."""
+    def merged(ps):
+        acc = {}
+        for p in ps:
+            for f, c in expr_module._mul_terms(p, {}).items():
+                acc[f] = expr_module._qadd(acc[f], c) if f in acc else c
+        return acc
+
+    r2 = P("2^(1/2)", ch)
+    s1, s2 = P("x + 1", ch), P("u_x - t + 2^(1/2)", ch)
+    cases = [(rat(3),), (s1,), (rat(-2), s1, s2), (rat(0), s1), (r2, r2, s1),
+             (s2, r2, s1, r2), (rat(-1), s1, s2)]
+    products = _table_products(spec, ch)
+    groups = [[p] for p in cases] + [cases] + \
+        [products[i:i + 3] for i in range(0, len(products), 3)]
+    for ps in groups:
+        got = product_terms(*ps)
+        assert got == merged(ps), ps
+        assert _sum(got) is add(*[mul(*p) for p in ps])
+    assert product_terms((r2, r2, s1)) == {(P("x", ch),): 2, (): 2}
+    assert product_terms((rat(0), s1)) == {} == product_terms()
+    # cancelling products leave their entries at zero
+    assert set(product_terms(*cases[1:3], (rat(2), s1, s2)).values()) == {0, 1}
+
+
+# diff, total_derivative and add_products against sympy
+
+_ORACLE_ATOMS = ("t", "x", "u", "u_t", "u_x", "x^(-1)", "u_x^2", "exp(x)",
+                 "exp(u - 2*t)", "lnabs(x)", "lnabs(u_x + 1)", "abs(u_x)^(1/3)",
+                 "abs(x)^(-3/2)", "abs(u_x)^p", "(x + 1)^(1/2)", "f(x,u_x)",
+                 "f_ux")
+# oracle points avoid the poles and branch points of the atoms
+_ORACLE_VALUES = tuple(sympy.Rational(*q) for q in
+                       ((-7, 3), (-1, 2), (2, 5), (3, 2), (5, 7), (-4, 9)))
+
+
+def _oracle_sums(ch, rng, n):
+    """``n`` seeded random sums of 2-4 terms, each a rational coefficient
+    times up to three of the oracle atoms."""
+    atoms = [P(a, ch) for a in _ORACLE_ATOMS]
+    return [add(*[mul(rat(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))),
+                      *rng.sample(atoms, rng.randint(0, 3)))
+                  for _ in range(rng.randint(2, 4))])
+            for _ in range(n)]
+
+
+def _sympy_agree(got, want, rng) -> str:
+    """"expanded" where sympy expands ``got - want`` to zero; else "points",
+    once the difference is exactly zero at three seeded rational points."""
+    d = sympy.expand(got - want)
+    if d == 0:
+        return "expanded"
+    for _ in range(3):
+        point = {s: rng.choice(_ORACLE_VALUES) for s in d.free_symbols}
+        assert sympy.expand(d.subs(point)) == 0, (got, want, point)
+    return "points"
+
+
+def test_derivations_match_sympy(ch):
+    """diff, total_derivative and add_products agree with sympy on the
+    printed text of 30 seeded random sums with rational coefficients, exp,
+    lnabs, abs-powers, a root of a sum and the formal atom f(x,u_x) with
+    its partial f_ux: diff by six symbols, both total derivatives, and 30
+    sums of products of those sums with a constant.  sympy expands most
+    differences to zero; the rest (abs-powers, whose sympy derivative
+    holds sign) vanish exactly at rational points."""
+    S = SympyText(ch)
+    jets = S.jets("u", 2)
+    rng = random.Random(2611)
+    sums = _oracle_sums(ch, rng, 30)
+    paths = []
+    for e in sums:
+        se = S(e)
+        for name in ("t", "x", "u", "u_t", "u_x", "p"):
+            paths.append(_sympy_agree(S(diff(e, ch.get(name))),
+                                      sympy.diff(se, S.names[name]), rng))
+        for d in "tx":
+            paths.append(_sympy_agree(S(total_derivative(e, d, ch)),
+                                      S.D(se, d, jets), rng))
+    for _ in range(30):
+        ps = [(rat(Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
+               *rng.sample(sums, rng.randint(1, 2)))
+              for _ in range(rng.randint(1, 3))]
+        want = sympy.Add(*[sympy.Mul(*map(S, p)) for p in ps])
+        paths.append(_sympy_agree(S(add_products(*ps)), want, rng))
+    assert len(paths) == 270
+    assert paths.count("expanded") > 150 and paths.count("points") > 10
 
 
 def test_large_power_of_sum_refused(ch):

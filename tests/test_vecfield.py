@@ -23,6 +23,7 @@ from wavesym.vecfield import (ChartMismatch, EquivParams, PointTransform,
                               vf)
 
 from property_suites import random_base_field
+from sympy_text import SympyText
 
 
 @pytest.fixture(scope="module")
@@ -141,23 +142,6 @@ def test_prolong_examples(ch):
 # ---------------------------------------------------------------------------
 # prolong2 against the textbook formula in sympy
 
-def _sympy_jets(order: int) -> dict:
-    """{(nt, nx): sympy symbol named as the chart names the u jet}."""
-    return {(nt, nx): sympy.Symbol("u" + ("_" + "t" * nt + "x" * nx if nt + nx else ""))
-            for nt in range(order + 1) for nx in range(order + 1 - nt)}
-
-
-def _sympy_D(F, d: str, t, x, jets: dict):
-    """The total derivative D_t (d = "t") or D_x of F over the u jets."""
-    step = (1, 0) if d == "t" else (0, 1)
-    out = sympy.diff(F, t if d == "t" else x)
-    for (nt, nx), s in jets.items():
-        up = jets.get((nt + step[0], nx + step[1]))
-        if up is not None:
-            out += up * sympy.diff(F, s)
-    return out
-
-
 def _random_exp_field(ch, rng) -> VectorField:
     """A seeded random base field whose coefficients are polynomials in
     t, x, u, some times or plus a polynomial times exp of t, x, u or 2x."""
@@ -180,14 +164,8 @@ def test_prolong2_matches_the_textbook_formula_in_sympy(ch):
     equal eta^J = D_J(eta - tau u_t - xi u_x) + tau u_{J,t} + xi u_{J,x}
     computed in sympy from the printed text, on 12 seeded random fields
     with polynomial and exp coefficients."""
-    from wavesym.printer import to_str
-    t, x = sympy.symbols("t x")
-    jets = _sympy_jets(4)
-    names = {str(s): s for s in (t, x, *jets.values())}
-
-    def S(e):
-        return sympy.sympify(to_str(e).replace("^", "**"), locals=names)
-
+    S = SympyText(ch)
+    jets = S.jets("u", 4)
     rng = random.Random(2511)
     for _ in range(12):
         Q = _random_exp_field(ch, rng)
@@ -200,7 +178,7 @@ def test_prolong2_matches_the_textbook_formula_in_sympy(ch):
                               (pr.eta_xx, (0, 2))):
             want = W
             for d in "t" * nt + "x" * nx:
-                want = _sympy_D(want, d, t, x, jets)
+                want = S.D(want, d, jets)
             want += tau * jets[nt + 1, nx] + xi * jets[nt, nx + 1]
             assert sympy.expand(S(got) - want) == 0, (Q, nt, nx)
 
