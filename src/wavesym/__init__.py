@@ -18,8 +18,7 @@ from .liealg import (LieAlgebraPresentation, Subspace, center, centralizer,
                      close_or_fail, derived_series, flag_automorphism_solve)
 from .parse import parse, parse_vector_field
 from .printer import to_str
-from .vecfield import (EquivParams, PointTransform, VectorField,
-                       apply_equivalence, bracket, prolong2, pushforward,
-                       transform_equation)
+from .vecfield import (EquivParams, VectorField, apply_equivalence, bracket,
+                       prolong2, pushforward, transform_equation)
 
 __version__ = "0.1.0"

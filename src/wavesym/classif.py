@@ -27,9 +27,9 @@ from .detsys import (ClassSpec, check_symmetry, kernel_fields,
                      solve_within_ansatz)
 from .equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt, lift_Du,
                           lift_F2, lift_G)
-from .expr import (Chart, Expr, MINUS_ONE, Rat, ZERO, add, add_products, app,
-                   diff, equal, lnabs, mul, pow_, rat, structurally_zero,
-                   substitute, sym, total_derivative)
+from .expr import (Chart, Expr, MINUS_ONE, Rat, add_products, app, diff,
+                   equal, lnabs, mul, pow_, rat, structurally_zero, substitute,
+                   sym, total_derivative)
 from .liealg import (LieAlgebraPresentation, NonClosure, Subspace,
                      _Coordinatizer, close_or_fail, center, centralizer,
                      coordinate_subspace, derived_series,
@@ -37,8 +37,7 @@ from .liealg import (LieAlgebraPresentation, NonClosure, Subspace,
                      subspace_intersection)
 from .parse import parse, parse_vector_field
 from .report import CampaignReport, CaseReport
-from .vecfield import (EquivParams, PointTransform, VectorField, bracket,
-                       compose_point_transforms, pushforward,
+from .vecfield import (EquivParams, VectorField, bracket, pushforward,
                        transform_equation, transform_equation_old_coords,
                        apply_equivalence)
 
@@ -545,10 +544,10 @@ def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
     ch = spec.chart
     rep = CaseReport("equivalence group")
     f, g = spec.f_symbolic(), spec.g_symbolic()
-    x, t = sym(ch.get("x")), sym(ch.get("t"))
+    x = sym(ch.get("x"))
 
     for name, par, f_want, g_want in _elementary_rows(spec):
-        f_got, g_got = transform_equation_old_coords(par.to_point_transform(), f, g)
+        f_got, g_got = transform_equation_old_coords(par, f, g)
         ok = equal(f_got, f_want) and equal(g_got, g_want)
         rep.add(f"{name}: change of variables equals the printed row", ok)
         image = par.action(f, g)
@@ -559,12 +558,12 @@ def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
     ux = sym(ch.get("u_x"))
     neg_args = {ch.get("x"): mul(rat(-1), x), ch.get("u_x"): mul(rat(-1), ux)}
     neg_ux = {ch.get("u_x"): mul(rat(-1), ux)}
-    one, zero = rat(1), ZERO
+    moved = partial(EquivParams.moved, ch)
     discrete = [
-        ("t -> -t", PointTransform(ch, mul(rat(-1), t), x, one, zero), f, g),
-        ("x -> -x", PointTransform(ch, t, mul(rat(-1), x), one, zero),
+        ("t -> -t", moved(c1=rat(-1)), f, g),
+        ("x -> -x", moved(phi=mul(rat(-1), x)),
          substitute(f, neg_args), substitute(g, neg_args)),
-        ("u -> -u", PointTransform(ch, t, x, rat(-1), zero),
+        ("u -> -u", moved(c2=rat(-1)),
          substitute(f, neg_ux), mul(rat(-1), substitute(g, neg_ux))),
     ]
     for name, P, fw, gw in discrete:
@@ -590,20 +589,19 @@ def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
         psi_c = add_products(*[(rat(rnd()), pow_(x, k)) for k in range(3)])
         par = EquivParams(ch, rat(c0v), rat(c1v), rat(c2v), rat(c3v), rat(c4v),
                           phi_c, psi_c, phi_inv=phi_inv)
-        whole = transform_equation(par.to_point_transform(), f, g)
+        whole = transform_equation(par, f, g)
         direct = apply_equivalence(par, f, g)
         rep.add(f"composition decomposition (random draw {trial + 1}): "
                 "closed-form group action equals the change of variables",
                 equal(direct[0], whole[0]) and equal(direct[1], whole[1]))
-        one, zero = rat(1), ZERO
         seq_transforms = [  # rightmost acts first
-            PointTransform(ch, t, x, one, mul(rat(1 / c2v), psi_c)),        # G(psi/c2)
-            PointTransform(ch, t, x, one, mul(rat(c4v / c2v), t, t)),       # F2(c4/c2)
-            PointTransform(ch, t, x, one, mul(rat(c3v / c2v), t)),          # F1(c3/c2)
-            PointTransform(ch, t, x, rat(c2v), zero),                        # Du(c2)
-            PointTransform(ch, t, phi_c, one, zero, x_inv=phi_inv),          # D(phi)
-            PointTransform(ch, add(t, rat(c0v / c1v)), x, one, zero),        # Pt(c0/c1)
-            PointTransform(ch, mul(rat(c1v), t), x, one, zero),              # Dt(c1)
+            moved(psi=mul(rat(1 / c2v), psi_c)),            # G(psi/c2)
+            moved(c4=rat(c4v / c2v)),                       # F2(c4/c2)
+            moved(c3=rat(c3v / c2v)),                       # F1(c3/c2)
+            moved(c2=rat(c2v)),                             # Du(c2)
+            moved(phi=phi_c, phi_inv=phi_inv),              # D(phi)
+            moved(c0=rat(c0v / c1v)),                       # Pt(c0/c1)
+            moved(c1=rat(c1v)),                             # Dt(c1)
         ]
         cur = (f, g)
         for P in seq_transforms:
@@ -611,10 +609,10 @@ def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
         rep.add(f"composition decomposition (random draw {trial + 1}): "
                 "stepwise elementary action equals the whole transformation",
                 equal(cur[0], whole[0]) and equal(cur[1], whole[1]))
-        # and the composed single point transformation agrees as well
+        # and the composed single element agrees as well
         comp = seq_transforms[0]
         for P in seq_transforms[1:]:
-            comp = compose_point_transforms(P, comp)
+            comp = P.compose(comp)
         comp_result = transform_equation(comp, f, g)
         rep.add(f"composition decomposition (random draw {trial + 1}): "
                 "composed transform equals the whole transformation",
@@ -628,19 +626,18 @@ def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
 def verify_reductions(spec: ClassSpec) -> list:
     ch = spec.chart
     reports = []
-    x, t = sym(ch.get("x")), sym(ch.get("t"))
+    x = sym(ch.get("x"))
     ux = sym(ch.get("u_x"))
     delta, nu = sym(ch.get("delta")), sym(ch.get("nu"))
-    one, zero = rat(1), ZERO
+    moved = partial(EquivParams.moved, ch)
 
     rep = CaseReport("case 7 -> 19")
     for p in (1, 2):
         fzn = parse(f"delta*exp(2*x)*u_x^({2 * p})", ch)
         gzn = parse(f"nu*exp(2*x)*u_x^({2 * p})*u_x", ch)
         scale = Fraction(p + 1) ** (-(p + 1))
-        P = PointTransform(ch, mul(rat(scale), t),
-                           parse(f"exp(-x/{p + 1})", ch), one, zero,
-                           x_inv=mul(rat(-(p + 1)), lnabs(x)))
+        P = moved(c1=rat(scale), phi=parse(f"exp(-x/{p + 1})", ch),
+                  phi_inv=mul(rat(-(p + 1)), lnabs(x)))
         fn, gn = transform_equation(P, fzn, gzn)
         nu_t = add_products((delta,), (rat(-(p + 1)), nu))
         ok_f = equal(fn, mul(delta, pow_(ux, Fraction(2 * p))))
@@ -658,7 +655,7 @@ def verify_reductions(spec: ClassSpec) -> list:
 
     rep = CaseReport("case 8 -> 21-form")
     psi = add_products((x, lnabs(x)), (MINUS_ONE, x))
-    P = PointTransform(ch, t, x, one, psi)
+    P = moved(psi=psi)
     f8 = parse("delta*x^2*exp(2*u_x)", ch)
     g8 = parse("nu*x*exp(2*u_x)", ch)
     fn, gn = transform_equation(P, f8, g8)
@@ -671,8 +668,7 @@ def verify_reductions(spec: ClassSpec) -> list:
     reports.append(rep)
 
     rep = CaseReport("x-free subclass case X -> 20|p=-1")
-    PX = PointTransform(ch, t, parse("exp(x)", ch), one, zero,
-                        x_inv=lnabs(x))
+    PX = moved(phi=parse("exp(x)", ch), phi_inv=lnabs(x))
     fX = parse("delta*u_x^(-2)", ch)
     fn, gn = transform_equation(PX, fX, parse("-delta*u_x^(-1)", ch))
     rep.add("x~ = e^x maps (delta u_x^-2, -delta u_x^-1) to (delta u_x^-2, 0)",
@@ -689,14 +685,14 @@ def verify_reductions(spec: ClassSpec) -> list:
 
     rep = CaseReport("list (8.2) <-> (8.3) mapping")
     # mu = 1, top sign: phi_xx + phi_x = 0, phi = -e^-x; image theta = |x|^-2
-    P1 = PointTransform(ch, t, mul(rat(-1), parse("exp(-x)", ch)), one, zero,
-                        x_inv=mul(rat(-1), lnabs(x)))
+    P1 = moved(phi=mul(rat(-1), parse("exp(-x)", ch)),
+               phi_inv=mul(rat(-1), lnabs(x)))
     fn, gn = transform_equation(P1, parse("u_x^(-4)", ch), parse("u_x^(-3)", ch))
     rep.add("mu=1: image is |x|^-2 u_x^-4 (case (8.3):2 at p=-1)",
             equal(fn, parse("x^(-2)*u_x^(-4)", ch)) and structurally_zero(gn))
     # mu = 2/x, top sign: phi_xx + (2/x) phi_x = 0, phi = -1/x; p = -2
-    P2 = PointTransform(ch, t, mul(rat(-1), pow_(x, -1)), one, zero,
-                        x_inv=mul(rat(-1), pow_(x, -1)))
+    P2 = moved(phi=mul(rat(-1), pow_(x, -1)),
+               phi_inv=mul(rat(-1), pow_(x, -1)))
     fn, gn = transform_equation(P2, parse("u_x^(-4)", ch),
                                 parse("2*x^(-1)*u_x^(-3)", ch))
     rep.add("mu=2/x: image is |x|^(2p) u_x^-4 with p = -nu/(nu-1) = -2",
@@ -718,7 +714,7 @@ def verify_reductions(spec: ClassSpec) -> list:
     rep = CaseReport("q = 0 gauges")
     # u~ = u - t^2/2 removes a constant inhomogeneity: case 14 at q = 0 lands
     # on the case-20 form, case 13 at q = 0 on the case-21 form
-    Pg = PointTransform(ch, t, x, one, mul(rat(Fraction(-1, 2)), t, t))
+    Pg = moved(c4=rat(Fraction(-1, 2)))
     fn, gn = transform_equation(Pg, parse("delta*abs(u_x)^(2*p)", ch), rat(1))
     rep.add("case 14 at q=0: gauged to (delta |u_x|^2p, 0)",
             equal(fn, parse("delta*abs(u_x)^(2*p)", ch)) and structurally_zero(gn))

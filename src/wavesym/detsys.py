@@ -24,9 +24,10 @@ from typing import Optional
 
 from ._linalg import EchelonBasis, nullspace
 from .charts import BASE_COORDS, equation_chart
-from .expr import (Chart, Expr, MINUS_ONE, Sym, ZERO, add_products, app, atoms,
-                   collect, diff, free_symbols, is_zero, iter_terms, mul,
-                   product_terms, rat, structurally_zero, substitute, sym)
+from .expr import (DEPENDENT, INDEPENDENT, JET, Chart, Expr, MINUS_ONE, Sym,
+                   ZERO, add_products, app, atoms, collect, diff, free_symbols,
+                   is_zero, iter_terms, mul, product_terms, rat,
+                   structurally_zero, substitute, sym)
 from .parse import parse
 from .vecfield import (ProlongationError, ProlongedField, VectorField,
                        prolong2, vf)
@@ -233,7 +234,9 @@ class AnsatzBasis:
     """Basis functions for tau, xi and eta.  The functions on one coordinate
     must be linearly independent over their canonical terms, so that a
     coefficient vector over ``slots`` stands for exactly one field; a
-    dependent basis raises ``ValueError`` naming the coordinate."""
+    dependent basis raises ``ValueError`` naming the coordinate.  Canonical
+    terms prove that only over the rationals, so a term factor free of t, x
+    and u (``lnabs(2)``, ``2^(1/2)``, a parameter) raises as well."""
     tau: tuple
     xi: tuple
     eta: tuple
@@ -243,8 +246,14 @@ class AnsatzBasis:
             axes: dict = {}
             rows = EchelonBasis()
             for b in getattr(self, name):
+                terms = iter_terms(b)
+                if any(all(s.kind not in (INDEPENDENT, DEPENDENT, JET)
+                           for s in free_symbols(fac))
+                       for _, sig in terms for fac in sig):
+                    raise ValueError(f"ansatz basis function for {name} has a "
+                                     f"factor free of t, x and u at {b!r}")
                 if not rows.insert({axes.setdefault(sig, len(axes)): c
-                                    for c, sig in iter_terms(b)}):
+                                    for c, sig in terms}):
                     raise ValueError(f"ansatz basis functions for {name} are "
                                      f"linearly dependent at {b!r}")
 

@@ -1,4 +1,4 @@
-"""Vector fields, Lie brackets, prolongation, point transformations.
+"""Vector fields, Lie brackets, prolongation, the equivalence group.
 
 Fields live on a declared chart: the base chart (t,x,u) or the augmented
 chart (t,x,u,u_x,f,g).  On the augmented chart the u_x coefficient is
@@ -13,6 +13,11 @@ prolonged, and each distinct pair bracketed, once per process.  The results
 are shared and must not be edited.  ``eta_tx``, which no invariance residual
 reads, is derived only when read, and so is the split of ``eta_tt`` as
 A + B u_tt that every invariance residual of the field reads.
+
+An element of the equivalence group is an ``EquivParams``: its parameters,
+the maps they give, ``compose`` and the closed-form ``action``.  The change
+of variables (``transform_equation``) and ``apply_equivalence`` take one;
+``LiftedTransform`` carries a lifted element on the augmented chart.
 """
 from __future__ import annotations
 
@@ -257,53 +262,103 @@ def _prolong2(Q: VectorField) -> ProlongedField:
 
 
 # ---------------------------------------------------------------------------
-# point transformations
+# the equivalence group
+
+def _invert(expr: Expr, var: Symbol, given: Optional[Expr]) -> Expr:
+    """The inverse map of ``expr``, a function of ``var`` alone, written in
+    ``var``: ``given`` when supplied, else the closed form of an affine map."""
+    if given is not None:
+        return given
+    a = diff(expr, var)
+    if not structurally_zero(diff(a, var)):
+        raise ProlongationError(
+            f"no closed-form inverse available for {var.name}-component")
+    b = substitute(expr, {var: ZERO})
+    return mul(add_products((sym(var),), (MINUS_ONE, b)), pow_(a, -1))
+
 
 @dataclass
-class PointTransform:
-    """Fiber-preserving transform t~ = T(t), x~ = X(x), u~ = U1(t,x) u + U0(t,x).
+class EquivParams:
+    """An element of the equivalence group:
+    t~ = c1 t + c0, x~ = phi(x), u~ = c2 u + c4 t^2 + c3 t + psi(x).
 
-    ``t_inv``/``x_inv`` express the inverse maps, written in the same symbol
-    (t resp. x) standing for the new coordinate; affine components invert
-    automatically.  T_t, X_x, U1 are recorded as nonvanishing.
+    ``phi_inv`` is the inverse of phi, written in x; an affine phi inverts
+    automatically.  c1, phi_x and c2 are recorded as nonvanishing.
     """
     chart: Chart
-    T: Expr
-    X: Expr
-    U1: Expr
-    U0: Expr
-    t_inv: Optional[Expr] = None
-    x_inv: Optional[Expr] = None
+    c0: Expr
+    c1: Expr
+    c2: Expr
+    c3: Expr
+    c4: Expr
+    phi: Expr
+    psi: Expr
+    phi_inv: Optional[Expr] = None
 
     def __post_init__(self):
         ch = self.chart
-        t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
-        for e, allowed, what in ((self.T, {t}, "T"), (self.X, {x}, "X"),
-                                 (self.U1, {t, x}, "U1"), (self.U0, {t, x}, "U0")):
+        t, x = ch.get("t"), ch.get("x")
+        for e, allowed, what in ((self.T(), {t}, "T"), (self.phi, {x}, "phi"),
+                                 (self.c2, {t, x}, "c2"), (self.U0(), {t, x}, "U0")):
             for s in free_symbols(e):
                 if s.kind in ("independent", "dependent", "jet") and s not in allowed:
                     raise ChartMismatch(f"{what} may not depend on {s.name}")
+        if self.phi_inv is not None and not equal(
+                substitute(self.phi_inv, {x: self.phi}), sym(x)):
+            raise ValueError("phi_inv(phi(x)) is not x")
+
+    @classmethod
+    def moved(cls, chart: Chart, **params) -> "EquivParams":
+        """The identity transformation with the named parameters set."""
+        one = rat(1)
+        identity = dict(c0=ZERO, c1=one, c2=one, c3=ZERO, c4=ZERO,
+                        phi=sym(chart.get("x")), psi=ZERO)
+        return cls(chart, **{**identity, **params})
+
+    def T(self) -> Expr:
+        return add_products((self.c1, sym(self.chart.get("t"))), (self.c0,))
+
+    def U0(self) -> Expr:
+        t = sym(self.chart.get("t"))
+        return add_products((self.c4, t, t), (self.c3, t), (self.psi,))
 
     def U(self) -> Expr:
+        return add_products((self.c2, sym(self.chart.get("u"))), (self.U0(),))
+
+    def compose(self, first: "EquivParams") -> "EquivParams":
+        """self after first (acts as self ∘ first): the parameters are read
+        off the maps of self with first's maps substituted in."""
         ch = self.chart
-        return add_products((self.U1, sym(ch.get("u"))), (self.U0,))
+        t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
+        maps = {t: first.T(), x: first.phi, u: first.U()}
+        T = substitute(self.T(), maps)
+        U = substitute(self.U(), maps)
+        U0 = substitute(U, {u: ZERO})
+        U0_t = diff(U0, t)
+        return EquivParams(
+            ch, c0=substitute(T, {t: ZERO}), c1=diff(T, t), c2=diff(U, u),
+            c3=substitute(U0_t, {t: ZERO}), c4=mul(rat(Fraction(1, 2)), diff(U0_t, t)),
+            phi=substitute(self.phi, maps), psi=substitute(U0, {t: ZERO}),
+            phi_inv=substitute(_invert(first.phi, x, first.phi_inv),
+                               {x: _invert(self.phi, x, self.phi_inv)}))
 
-    def _invert_component(self, expr: Expr, var: Symbol, given: Optional[Expr]) -> Expr:
-        if given is not None:
-            return given
-        # affine components invert in closed form
-        a = diff(expr, var)
-        if not structurally_zero(diff(a, var)):
-            raise ProlongationError(
-                f"no closed-form inverse available for {var.name}-component")
-        b = substitute(expr, {var: ZERO})
-        return mul(add_products((sym(var),), (MINUS_ONE, b)), pow_(a, -1))
-
-    def inverse_t(self) -> Expr:
-        return self._invert_component(self.T, self.chart.get("t"), self.t_inv)
-
-    def inverse_x(self) -> Expr:
-        return self._invert_component(self.X, self.chart.get("x"), self.x_inv)
+    def action(self, f: Expr, g: Expr) -> dict:
+        """The closed-form action on (t, x, u, u_x, f, g), each new coordinate
+        written in the old ones:
+        u_x~ = (c2 u_x + psi_x)/phi_x,  f~ = phi_x^2 f/c1^2,
+        g~ = (c2 g + u_x~ phi_xx f - psi_xx f + 2 c4)/c1^2."""
+        ch = self.chart
+        x, ux = ch.get("x"), sym(ch.get("u_x"))
+        phi_x = diff(self.phi, x)
+        psi_x = diff(self.psi, x)
+        inv_c1sq = pow_(self.c1, -2)
+        ux_new = mul(add_products((self.c2, ux), (psi_x,)), pow_(phi_x, -1))
+        return {"t": self.T(), "x": self.phi, "u": self.U(), "u_x": ux_new,
+                "f": mul(pow_(phi_x, 2), inv_c1sq, f),
+                "g": mul(inv_c1sq,
+                         add_products((self.c2, g), (ux_new, diff(phi_x, x), f),
+                                      (MINUS_ONE, diff(psi_x, x), f),
+                                      (rat(2), self.c4)))}
 
 
 def _new_symbols(chart: Chart, positive_x: bool):
@@ -318,7 +373,7 @@ def _new_symbols(chart: Chart, positive_x: bool):
     return out
 
 
-def transform_equation(P: PointTransform, f: Expr, g: Expr):
+def transform_equation(P: EquivParams, f: Expr, g: Expr):
     """Change of variables on u_tt = f u_xx + g.
 
     Succeeds iff the image again has the class form with (f~, g~) depending
@@ -328,15 +383,15 @@ def transform_equation(P: PointTransform, f: Expr, g: Expr):
     return _to_new_coords(P, *transform_equation_old_coords(P, f, g))
 
 
-def transform_equation_old_coords(P: PointTransform, f: Expr, g: Expr):
+def transform_equation_old_coords(P: EquivParams, f: Expr, g: Expr):
     """The transformed pair (f~, g~) still written in the old coordinates."""
     ch = P.chart
     t, x = ch.get("t"), ch.get("x")
     u_tt, u_tx, u_xx = ch.get("u_tt"), ch.get("u_tx"), ch.get("u_xx")
 
     U = P.U()
-    T_t = diff(P.T, t)
-    X_x = diff(P.X, x)
+    T_t = diff(P.T(), t)
+    X_x = diff(P.phi, x)
     DtU = total_derivative(U, "t", ch)
     DxU = total_derivative(U, "x", ch)
     ut_new = mul(DtU, pow_(T_t, -1))
@@ -364,20 +419,21 @@ def transform_equation_old_coords(P: PointTransform, f: Expr, g: Expr):
     return f_new, g_new
 
 
-def _to_new_coords(P: PointTransform, *exprs: Expr) -> tuple:
+def _to_new_coords(P: EquivParams, *exprs: Expr) -> tuple:
     """Each of ``exprs`` rewritten in the new coordinates (x, u_x standing for
     x~, u_x~); the map to them is built once."""
     ch = P.chart
     t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
     u_t, u_x = ch.get("u_t"), ch.get("u_x")
-    # a provably positive X puts the new x on a positive half-line
-    nT, nX, nU, nUT, nUX = _new_symbols(ch, positive_x=is_positive(P.X))
+    # a provably positive phi puts the new x on a positive half-line
+    nT, nX, nU, nUT, nUX = _new_symbols(ch, positive_x=is_positive(P.phi))
 
-    t_map = substitute(P.inverse_t(), {t: sym(nT)})
-    x_map = substitute(P.inverse_x(), {x: sym(nX)})
+    T = P.T()
+    t_map = substitute(_invert(T, t, None), {t: sym(nT)})
+    x_map = substitute(_invert(P.phi, x, P.phi_inv), {x: sym(nX)})
     base = {t: t_map, x: x_map}
-    U1i = substitute(P.U1, base)
-    U0i = substitute(P.U0, base)
+    U1i = substitute(P.c2, base)
+    U0i = substitute(P.U0(), base)
     u_map = mul(add_products((sym(nU),), (MINUS_ONE, U0i)), pow_(U1i, -1))
     full = {t: t_map, x: x_map, u: u_map}
     U = P.U()
@@ -385,8 +441,8 @@ def _to_new_coords(P: PointTransform, *exprs: Expr) -> tuple:
     U_t = substitute(diff(U, t), full)
     U_x = substitute(diff(U, x), full)
     U_u = substitute(diff(U, u), full)
-    T_t = substitute(diff(P.T, t), {t: t_map})
-    X_x = substitute(diff(P.X, x), {x: x_map})
+    T_t = substitute(diff(T, t), {t: t_map})
+    X_x = substitute(diff(P.phi, x), {x: x_map})
     ut_map = mul(add_products((T_t, sym(nUT)), (MINUS_ONE, U_t)), pow_(U_u, -1))
     ux_map = mul(add_products((X_x, sym(nUX)), (MINUS_ONE, U_x)), pow_(U_u, -1))
     full[u_t] = ut_map
@@ -404,86 +460,10 @@ def _to_new_coords(P: PointTransform, *exprs: Expr) -> tuple:
     return tuple(images)
 
 
-def compose_point_transforms(P2: PointTransform, P1: PointTransform) -> PointTransform:
-    """The single transform acting as P2 after P1."""
-    ch = P1.chart
-    t, x = ch.get("t"), ch.get("x")
-    base = {t: P1.T, x: P1.X}
-    return PointTransform(
-        ch,
-        T=substitute(P2.T, {t: P1.T}),
-        X=substitute(P2.X, {x: P1.X}),
-        U1=mul(substitute(P2.U1, base), P1.U1),
-        U0=add_products((substitute(P2.U1, base), P1.U0), (substitute(P2.U0, base),)),
-        t_inv=substitute(P1.inverse_t(), {t: P2.inverse_t()}),
-        x_inv=substitute(P1.inverse_x(), {x: P2.inverse_x()}),
-    )
-
-
-@dataclass
-class EquivParams:
-    """Parameters of a general equivalence transformation:
-    t~ = c1 t + c0, x~ = phi(x), u~ = c2 u + c4 t^2 + c3 t + psi(x)."""
-    chart: Chart
-    c0: Expr
-    c1: Expr
-    c2: Expr
-    c3: Expr
-    c4: Expr
-    phi: Expr
-    psi: Expr
-    phi_inv: Optional[Expr] = None
-
-    def __post_init__(self):
-        x = self.chart.get("x")
-        if self.phi_inv is not None and not equal(
-                substitute(self.phi_inv, {x: self.phi}), sym(x)):
-            raise ValueError("phi_inv(phi(x)) is not x")
-
-    @classmethod
-    def moved(cls, chart: Chart, **params) -> "EquivParams":
-        """The identity transformation with the named parameters set."""
-        one = rat(1)
-        identity = dict(c0=ZERO, c1=one, c2=one, c3=ZERO, c4=ZERO,
-                        phi=sym(chart.get("x")), psi=ZERO)
-        return cls(chart, **{**identity, **params})
-
-    def to_point_transform(self) -> PointTransform:
-        ch = self.chart
-        t = sym(ch.get("t"))
-        return PointTransform(
-            ch,
-            T=add_products((self.c1, t), (self.c0,)),
-            X=self.phi,
-            U1=self.c2,
-            U0=add_products((self.c4, t, t), (self.c3, t), (self.psi,)),
-            x_inv=self.phi_inv,
-        )
-
-    def action(self, f: Expr, g: Expr) -> dict:
-        """The closed-form action on (t, x, u, u_x, f, g), each new coordinate
-        written in the old ones:
-        u_x~ = (c2 u_x + psi_x)/phi_x,  f~ = phi_x^2 f/c1^2,
-        g~ = (c2 g + u_x~ phi_xx f - psi_xx f + 2 c4)/c1^2."""
-        ch = self.chart
-        x, ux = ch.get("x"), sym(ch.get("u_x"))
-        phi_x = diff(self.phi, x)
-        psi_x = diff(self.psi, x)
-        inv_c1sq = pow_(self.c1, -2)
-        ux_new = mul(add_products((self.c2, ux), (psi_x,)), pow_(phi_x, -1))
-        P = self.to_point_transform()
-        return {"t": P.T, "x": P.X, "u": P.U(), "u_x": ux_new,
-                "f": mul(pow_(phi_x, 2), inv_c1sq, f),
-                "g": mul(inv_c1sq,
-                         add_products((self.c2, g), (ux_new, diff(phi_x, x), f),
-                                      (MINUS_ONE, diff(psi_x, x), f),
-                                      (rat(2), self.c4)))}
-
-
 def apply_equivalence(par: EquivParams, f: Expr, g: Expr):
     """Equivalence action with arguments rewritten to the new coordinates."""
     image = par.action(f, g)
-    return _to_new_coords(par.to_point_transform(), image["f"], image["g"])
+    return _to_new_coords(par, image["f"], image["g"])
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,20 @@ def test_dim_refuses_a_dependent_basis(eta, tmp_path, capsys):
                                    "are linearly dependent")
 
 
+@pytest.mark.parametrize("eta", ["u; t*u; 1; t; lnabs(2)",
+                                 "u; t*u; 1; t; lnabs(4)*t - 2*lnabs(2)*t"],
+                         ids=["lnabs", "zero-over-logs"])
+def test_dim_refuses_a_constant_factor_in_the_basis(eta, tmp_path, capsys):
+    """Canonical terms prove independence over the rationals only: lnabs(2)
+    beside 1, or a zero the canonical form does not see, counted 8 (against
+    7), the second with a zero field.  Exit 2, naming the coordinate."""
+    cfg = tmp_path / "basis.cfg"
+    cfg.write_text(f"eta = {eta}\n")
+    _assert_usage_error(
+        main(["dim", "-f", "u_x^(-4)", "-g", "0", "--basis", str(cfg)]), capsys,
+        "ansatz basis function for eta has a factor free of t, x and u")
+
+
 def test_transform(tmp_path, capsys):
     params = tmp_path / "par.cfg"
     params.write_text("c1 = 2\n")
@@ -281,12 +295,12 @@ def test_python_m_wavesym(monkeypatch, capsys):
     assert "eta_uu" in capsys.readouterr().out
 
 
-def _assert_usage_error(code, capsys):
-    """Exit 2 with one ``error: ...`` line on stderr and no traceback."""
+def _assert_usage_error(code, capsys, reason=""):
+    """Exit 2 with one ``error: <reason>...`` line on stderr and no traceback."""
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: " + reason)
     assert "Traceback" not in captured.err
 
 
@@ -316,20 +330,33 @@ def test_bad_field_or_jet_exits_2(argv, capsys):
     _assert_usage_error(main(argv), capsys)
 
 
-@pytest.mark.parametrize("params", [
-    "phi = exp(x)\n",   # ProlongationError: no closed-form inverse of phi
-    "psi = u\n",        # ChartMismatch: U0 may not depend on u
-    "c2 = t\n",         # TransformLeavesClass: the image depends on t
-    "phi = 2*x\nphi_inv = x\n",  # phi_inv(phi(x)) = 2*x, not x
-    "c1 = 0\n",         # SingularValue: 0 raised to a negative power
-    "c2 = 0\n",
-    "phi = 0\n",
-])
+# each bad --params file and the start of the error it gives
+_BAD_PARAMS = {
+    # ProlongationError: no closed-form inverse of phi
+    "phi = exp(x)\n": "no closed-form inverse available for x-component",
+    # ChartMismatch, raised when EquivParams is built
+    "psi = u\n": "U0 may not depend on u",
+    "c1 = x\n": "T may not depend on x",
+    "phi = x + t\n": "phi may not depend on t",
+    # c2 may depend on t and x, so this one is built; TransformLeavesClass:
+    # the image depends on the new t
+    "c2 = t\n": "image depends on ['newT']",
+    # phi_inv(phi(x)) = 2*x, not x
+    "phi = 2*x\nphi_inv = x\n": "phi_inv(phi(x)) is not x",
+    # SingularValue
+    "c1 = 0\n": "0 raised to a negative power",
+    "c2 = 0\n": "0 raised to a negative power",
+    "phi = 0\n": "0 raised to a negative power",
+}
+
+
+@pytest.mark.parametrize("params", list(_BAD_PARAMS))
 def test_bad_transform_params_exit_2(params, tmp_path, capsys):
     cfg = tmp_path / "par.cfg"
     cfg.write_text(params)
     _assert_usage_error(main(["transform", "--params", str(cfg),
-                              "-f", "u_x^(-4)", "-g", "1"]), capsys)
+                              "-f", "u_x^(-4)", "-g", "1"]), capsys,
+                        _BAD_PARAMS[params])
 
 
 @pytest.mark.parametrize("f, g", [

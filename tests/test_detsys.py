@@ -204,6 +204,18 @@ def test_ansatz_basis_refuses_dependent_functions(ch):
         (("x", P("1", ch)), ("x", P("t", ch)))
 
 
+def test_ansatz_basis_refuses_constant_factors(ch):
+    """A term factor free of t, x and u (a logarithm or root of a rational,
+    a parameter) raises ValueError naming the coordinate, as canonical
+    terms do not prove independence over it; the default basis has none."""
+    small = _small_basis(ch)
+    for name, text in (("eta", "lnabs(2)"), ("tau", "2^(1/2)*t"),
+                       ("xi", "delta*x + 1")):
+        with pytest.raises(ValueError, match=f"for {name} has a factor free"):
+            dataclasses.replace(small, **{name: (P("x^2", ch), P(text, ch))})
+    AnsatzBasis.default(ch)
+
+
 def test_ansatz_monotone_under_enlargement(spec, ch):
     small = _small_basis(ch)
     f, g = P("u_x^(-4)", ch), rat(0)

@@ -16,11 +16,10 @@ from wavesym.equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt,
 from wavesym.expr import (Add, add, app, diff, equal, exp_, lnabs, mul, pow_,
                           rat, structurally_zero, substitute, sym)
 from wavesym.parse import parse, parse_vector_field
-from wavesym.vecfield import (ChartMismatch, EquivParams, PointTransform,
+from wavesym.vecfield import (ChartMismatch, EquivParams, ProlongationError,
                               TransformLeavesClass, VectorField, bracket,
-                              compose_point_transforms, prolong2, pushforward,
-                              transform_equation, transform_equation_old_coords,
-                              vf)
+                              prolong2, pushforward, transform_equation,
+                              transform_equation_old_coords, vf)
 
 from property_suites import random_base_field
 from sympy_text import SympyText
@@ -272,8 +271,7 @@ def test_memo_tables_are_transparent(ch):
 
 def test_transform_scaling(ch):
     c1 = sym(ch.get("c1"))
-    P = PointTransform(ch, T=mul(c1, sym(ch.get("t"))), X=sym(ch.get("x")),
-                       U1=rat(1), U0=rat(0))
+    P = EquivParams.moved(ch, c1=c1)
     f, g = parse("f(x,u_x)", ch), parse("g(x,u_x)", ch)
     fn, gn = transform_equation(P, f, g)
     assert equal(fn, mul(pow_(c1, -2), f))
@@ -281,8 +279,7 @@ def test_transform_scaling(ch):
 
 
 def test_transform_identity(ch):
-    P = PointTransform(ch, T=sym(ch.get("t")), X=sym(ch.get("x")),
-                       U1=rat(1), U0=rat(0))
+    P = EquivParams.moved(ch)
     f, g = parse("f(x,u_x)", ch), parse("g(x,u_x)", ch)
     fn, gn = transform_equation(P, f, g)
     assert equal(fn, f) and equal(gn, g)
@@ -292,7 +289,7 @@ def test_transform_gauge_psi(ch):
     """u~ = u + psi(x): f unchanged, g~ = g - psi_xx f, u_x~ = u_x + psi_x."""
     x = ch.get("x")
     psi = app(ch.get("psi"), (0,), (sym(x),))
-    P = PointTransform(ch, T=sym(ch.get("t")), X=sym(x), U1=rat(1), U0=psi)
+    P = EquivParams.moved(ch, psi=psi)
     f, g = parse("f(x,u_x)", ch), parse("g(x,u_x)", ch)
     fn, gn = transform_equation(P, f, g)
     shift = {ch.get("u_x"): parse("u_x - psi_x", ch)}
@@ -302,21 +299,17 @@ def test_transform_gauge_psi(ch):
 
 
 def test_inverse_unavailable_reported(ch):
-    from wavesym.vecfield import ProlongationError
-    P = PointTransform(ch, T=sym(ch.get("t")), X=parse("exp(x)", ch),
-                       U1=rat(1), U0=rat(0))  # x_inv not supplied
+    P = EquivParams.moved(ch, phi=parse("exp(x)", ch))  # phi_inv not supplied
     with pytest.raises(ProlongationError):
         transform_equation(P, parse("f(x,u_x)", ch), parse("g(x,u_x)", ch))
 
 
 def test_transform_leaves_class(ch):
-    # T = t^2 is not fiber-preserving in the admissible sense: the image
-    # inhomogeneity depends on the new time
-    P = PointTransform(ch, T=parse("t^2", ch), X=sym(ch.get("x")),
-                       U1=rat(1), U0=rat(0),
-                       t_inv=parse("abs(t)^(1/2)", ch))
-    with pytest.raises(TransformLeavesClass):
-        transform_equation(P, parse("f(x,u_x)", ch), parse("g(x,u_x)", ch))
+    # an input outside the class: g = t u_x depends on time, and so does the
+    # image inhomogeneity, in the new time
+    P = EquivParams.moved(ch, c1=rat(2))
+    with pytest.raises(TransformLeavesClass, match="image depends on .*newT"):
+        transform_equation(P, parse("f(x,u_x)", ch), parse("t*u_x", ch))
 
 
 def test_apply_equivalence_rows(ch):
@@ -341,8 +334,7 @@ def test_apply_equivalence_matches_transform_generic_phi(ch):
     par = EquivParams(ch, rat(0), rat(1), rat(1), rat(0), rat(0), phi, rat(0))
     f, g = parse("f(x,u_x)", ch), parse("g(x,u_x)", ch)
     image = par.action(f, g)
-    P = PointTransform(ch, T=sym(ch.get("t")), X=phi, U1=rat(1), U0=rat(0))
-    ft, gt = transform_equation_old_coords(P, f, g)
+    ft, gt = transform_equation_old_coords(par, f, g)
     assert equal(image["f"], ft) and equal(image["g"], gt)
     # printed row: f~ = phi_x^2 f, g~ = g + phi_xx u_x f / phi_x
     phi_x = diff(phi, x)
@@ -473,15 +465,24 @@ def test_pushforward_translation_fixes_own_generator(ea):
     assert got == ea.field(Gen("Pt"))
 
 
-def test_compose_point_transforms(ch):
-    t, x = sym(ch.get("t")), sym(ch.get("x"))
-    P1 = PointTransform(ch, T=mul(rat(2), t), X=x, U1=rat(1), U0=rat(0))
-    P2 = PointTransform(ch, T=add(t, rat(3)), X=x, U1=rat(1), U0=mul(rat(5), t))
-    C = compose_point_transforms(P2, P1)
-    assert equal(C.T, add(mul(rat(2), t), rat(3)))
-    assert equal(C.U0, mul(rat(10), t))
+def test_compose_matches_substitution(ch):
+    """b.compose(a) acts as b after a: its maps are b's maps at t -> a.T(),
+    x -> a.phi, u -> a.U(), and its phi_inv is a's inverse after b's.  Every
+    parameter is off the identity, so no term of the read-off can hide."""
+    t, x, u = (ch.get(n) for n in ("t", "x", "u"))
+    a = EquivParams(ch, c0=rat(3), c1=rat(2), c2=rat(-5), c3=rat(7), c4=rat(Fraction(1, 2)),
+                    phi=parse("2*x + 1", ch), psi=parse("x^2 - x", ch))
+    b = EquivParams(ch, c0=rat(-4), c1=rat(Fraction(-1, 3)), c2=rat(6), c3=rat(-2),
+                    c4=rat(5), phi=parse("exp(x)", ch), psi=parse("x^3 + 1", ch),
+                    phi_inv=lnabs(sym(x)))
+    C = b.compose(a)
+    maps = {t: a.T(), x: a.phi, u: a.U()}
+    assert equal(C.T(), substitute(b.T(), maps))
+    assert equal(C.phi, substitute(b.phi, maps))
+    assert equal(C.U(), substitute(b.U(), maps))
+    assert equal(C.phi_inv, parse("(lnabs(x) - 1)/2", ch))
+    # the whole change of variables equals the two steps
     f, g = parse("f(x,u_x)", ch), parse("g(x,u_x)", ch)
-    step = transform_equation(P1, f, g)
-    step = transform_equation(P2, step[0], step[1])
+    step = transform_equation(b, *transform_equation(a, f, g))
     whole = transform_equation(C, f, g)
     assert equal(step[0], whole[0]) and equal(step[1], whole[1])
