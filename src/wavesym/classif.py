@@ -609,14 +609,16 @@ def verify_equivalence_group(spec: ClassSpec, seed: int = 0) -> CaseReport:
         rep.add(f"composition decomposition (random draw {trial + 1}): "
                 "stepwise elementary action equals the whole transformation",
                 equal(cur[0], whole[0]) and equal(cur[1], whole[1]))
-        # and the composed single element agrees as well
+        # and the composed single element has the whole maps and image
         comp = seq_transforms[0]
         for P in seq_transforms[1:]:
             comp = P.compose(comp)
         comp_result = transform_equation(comp, f, g)
         rep.add(f"composition decomposition (random draw {trial + 1}): "
                 "composed transform equals the whole transformation",
-                equal(comp_result[0], whole[0]) and equal(comp_result[1], whole[1]))
+                equal(comp.T(), par.T()) and equal(comp.phi, par.phi)
+                and equal(comp.U(), par.U())
+                and equal(comp_result[0], whole[0]) and equal(comp_result[1], whole[1]))
     return rep
 
 

@@ -9,9 +9,9 @@ The generators live on the augmented chart (t,x,u,u_x,f,g):
     G(psi) = psi du + psi_x du_x - psi_xx f dg
 
 Elementary transformations (shift/scaling of t, scaling/gauging of u,
-arbitrary x-reparametrization) are provided as lifted transforms on the same
-chart, composable and push-forwardable; each is ``EquivParams.action`` with
-one parameter moved off the identity.
+arbitrary x-reparametrization) are ``EquivParams`` on the same chart, each
+with one parameter moved off the identity; they compose with
+``EquivParams.compose``, and ``vecfield.pushforward`` acts with them.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .charts import AUG_COORDS, augmented_chart
-from .expr import Chart, Expr, MINUS_ONE, add_products, app, diff, mul, pow_, rat, sym
-from .vecfield import EquivParams, LiftedTransform, VectorField
+from .expr import Chart, Expr, MINUS_ONE, add_products, app, diff, mul, rat, sym
+from .vecfield import EquivParams, VectorField
 
 
 @dataclass(frozen=True)
@@ -116,42 +116,35 @@ class EquivalenceAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# lifted elementary transformations: each moves one parameter of
-# EquivParams off the identity, and its inverse moves it to the inverse value
+# elementary transformations: each moves one parameter of EquivParams off
+# the identity; pushforward derives its inverse
 
-def _lift(ch: Chart, fwd: dict, bwd: dict) -> LiftedTransform:
-    f, g = sym(ch.get("f")), sym(ch.get("g"))
-    return LiftedTransform(ch, EquivParams.moved(ch, **fwd).action(f, g),
-                           EquivParams.moved(ch, **bwd).action(f, g))
+def lift_Pt(ch: Chart, c0: Expr) -> EquivParams:
+    return EquivParams.moved(ch, c0=c0)
 
 
-def lift_Pt(ch: Chart, c0: Expr) -> LiftedTransform:
-    return _lift(ch, {"c0": c0}, {"c0": mul(rat(-1), c0)})
+def lift_Dt(ch: Chart, c1: Expr) -> EquivParams:
+    return EquivParams.moved(ch, c1=c1)
 
 
-def lift_Dt(ch: Chart, c1: Expr) -> LiftedTransform:
-    return _lift(ch, {"c1": c1}, {"c1": pow_(c1, -1)})
+def lift_Du(ch: Chart, c2: Expr) -> EquivParams:
+    return EquivParams.moved(ch, c2=c2)
 
 
-def lift_Du(ch: Chart, c2: Expr) -> LiftedTransform:
-    return _lift(ch, {"c2": c2}, {"c2": pow_(c2, -1)})
+def lift_F1(ch: Chart, c3: Expr) -> EquivParams:
+    return EquivParams.moved(ch, c3=c3)
 
 
-def lift_F1(ch: Chart, c3: Expr) -> LiftedTransform:
-    return _lift(ch, {"c3": c3}, {"c3": mul(rat(-1), c3)})
+def lift_F2(ch: Chart, c4: Expr) -> EquivParams:
+    return EquivParams.moved(ch, c4=c4)
 
 
-def lift_F2(ch: Chart, c4: Expr) -> LiftedTransform:
-    return _lift(ch, {"c4": c4}, {"c4": mul(rat(-1), c4)})
+def lift_G(ch: Chart, psi: Expr) -> EquivParams:
+    return EquivParams.moved(ch, psi=psi)
 
 
-def lift_G(ch: Chart, psi: Expr) -> LiftedTransform:
-    return _lift(ch, {"psi": psi}, {"psi": mul(rat(-1), psi)})
-
-
-def lift_D(ch: Chart, phi: Expr, phi_inv: Expr) -> LiftedTransform:
+def lift_D(ch: Chart, phi: Expr, phi_inv: Expr) -> EquivParams:
     """x-reparametrization; ``phi_inv`` is the inverse function, written in
     x.  A ``phi_inv`` that does not invert ``phi`` raises ValueError, as
     ``EquivParams`` checks it."""
-    return _lift(ch, {"phi": phi, "phi_inv": phi_inv},
-                 {"phi": phi_inv, "phi_inv": phi})
+    return EquivParams.moved(ch, phi=phi, phi_inv=phi_inv)

@@ -14,10 +14,12 @@ are shared and must not be edited.  ``eta_tx``, which no invariance residual
 reads, is derived only when read, and so is the split of ``eta_tt`` as
 A + B u_tt that every invariance residual of the field reads.
 
-An element of the equivalence group is an ``EquivParams``: its parameters,
-the maps they give, ``compose`` and the closed-form ``action``.  The change
-of variables (``transform_equation``) and ``apply_equivalence`` take one;
-``LiftedTransform`` carries a lifted element on the augmented chart.
+An element of the equivalence group is an ``EquivParams`` on either chart:
+its parameters, the maps they give, ``compose``, ``inverse`` and the
+closed-form ``action``.  ``compose`` and ``inverse`` read the parameters
+off the composed or solved maps in one place, ``_read_off``.  The change of
+variables (``transform_equation``), ``apply_equivalence`` and, on the
+augmented chart, ``pushforward`` take one.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .charts import AUG_COORDS, BASE_COORDS
-from .expr import (Chart, Expr, MINUS_ONE, Symbol, ZERO, add_products, diff,
-                   equal, free_symbols, is_positive, mul, pow_, rat,
+from .expr import (Chart, Expr, MINUS_ONE, PARAMETER, Symbol, ZERO, add_products,
+                   diff, equal, free_symbols, is_positive, mul, pow_, rat,
                    structurally_zero, substitute, sym, total_derivative)
 
 
@@ -93,10 +95,11 @@ class VectorField:
 
     def _products(self, e: Expr, *more):
         """``(coeff, de/dcoord)`` over the ``(coord, coeff)`` pairs of this
-        field and ``more``, skipping structurally zero ``de/dcoord``."""
+        field and ``more``, skipping a zero ``de/dcoord`` (``diff`` returns
+        the interned ``ZERO`` for one)."""
         for c, v in (*self.coeffs.items(), *more):
             d = diff(e, self.chart.get(c))
-            if not structurally_zero(d):
+            if d is not ZERO:
                 yield v, d
 
     def __add__(self, other: "VectorField", *k: Expr) -> "VectorField":
@@ -277,13 +280,30 @@ def _invert(expr: Expr, var: Symbol, given: Optional[Expr]) -> Expr:
     return mul(add_products((sym(var),), (MINUS_ONE, b)), pow_(a, -1))
 
 
+def _read_off(ch: Chart, T: Expr, phi: Expr, U: Expr,
+              phi_inv: Optional[Expr]) -> "EquivParams":
+    """The element with maps t~ = T, x~ = phi, u~ = U: its parameters are read
+    off the maps by ``diff`` and ``substitute``, exactly, as the maps are of
+    the group's form."""
+    t, u = ch.get("t"), ch.get("u")
+    U0 = substitute(U, {u: ZERO})
+    U0_t = diff(U0, t)
+    return EquivParams(
+        ch, c0=substitute(T, {t: ZERO}), c1=diff(T, t), c2=diff(U, u),
+        c3=substitute(U0_t, {t: ZERO}), c4=mul(rat(Fraction(1, 2)), diff(U0_t, t)),
+        phi=phi, psi=substitute(U0, {t: ZERO}), phi_inv=phi_inv)
+
+
 @dataclass
 class EquivParams:
     """An element of the equivalence group:
     t~ = c1 t + c0, x~ = phi(x), u~ = c2 u + c4 t^2 + c3 t + psi(x).
 
     ``phi_inv`` is the inverse of phi, written in x; an affine phi inverts
-    automatically.  c1, phi_x and c2 are recorded as nonvanishing.
+    automatically.  c1, phi_x and c2 are recorded as nonvanishing.  The
+    constants c0..c4 may not depend on t, x, u or a jet, and phi and psi
+    may depend on x alone: on these terms ``compose`` and ``inverse`` read
+    the parameters off their maps exactly.
     """
     chart: Chart
     c0: Expr
@@ -296,12 +316,12 @@ class EquivParams:
     phi_inv: Optional[Expr] = None
 
     def __post_init__(self):
-        ch = self.chart
-        t, x = ch.get("t"), ch.get("x")
-        for e, allowed, what in ((self.T(), {t}, "T"), (self.phi, {x}, "phi"),
-                                 (self.c2, {t, x}, "c2"), (self.U0(), {t, x}, "U0")):
-            for s in free_symbols(e):
-                if s.kind in ("independent", "dependent", "jet") and s not in allowed:
+        x = self.chart.get("x")
+        for what in ("c0", "c1", "c2", "c3", "c4", "phi", "psi"):
+            allowed = (x,) if what in ("phi", "psi") else ()
+            for s in free_symbols(getattr(self, what)):
+                if s.kind in ("independent", "dependent", "jet", "coordinate") \
+                        and s not in allowed:
                     raise ChartMismatch(f"{what} may not depend on {s.name}")
         if self.phi_inv is not None and not equal(
                 substitute(self.phi_inv, {x: self.phi}), sym(x)):
@@ -331,16 +351,22 @@ class EquivParams:
         ch = self.chart
         t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
         maps = {t: first.T(), x: first.phi, u: first.U()}
-        T = substitute(self.T(), maps)
-        U = substitute(self.U(), maps)
-        U0 = substitute(U, {u: ZERO})
-        U0_t = diff(U0, t)
-        return EquivParams(
-            ch, c0=substitute(T, {t: ZERO}), c1=diff(T, t), c2=diff(U, u),
-            c3=substitute(U0_t, {t: ZERO}), c4=mul(rat(Fraction(1, 2)), diff(U0_t, t)),
-            phi=substitute(self.phi, maps), psi=substitute(U0, {t: ZERO}),
-            phi_inv=substitute(_invert(first.phi, x, first.phi_inv),
-                               {x: _invert(self.phi, x, self.phi_inv)}))
+        return _read_off(
+            ch, substitute(self.T(), maps), substitute(self.phi, maps),
+            substitute(self.U(), maps),
+            substitute(_invert(first.phi, x, first.phi_inv),
+                       {x: _invert(self.phi, x, self.phi_inv)}))
+
+    def inverse(self) -> "EquivParams":
+        """The inverse element: its parameters are read off the maps solved
+        for t, x and u.  It keeps no ``phi_inv``: phi need not invert the
+        inverse map exactly (phi = exp(x) against lnabs(x) gives |x|)."""
+        ch = self.chart
+        t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
+        back = {t: _invert(self.T(), t, None), x: _invert(self.phi, x, self.phi_inv)}
+        U = mul(add_products((sym(u),), (MINUS_ONE, substitute(self.U0(), back))),
+                pow_(self.c2, -1))
+        return _read_off(ch, back[t], back[x], U, None)
 
     def action(self, f: Expr, g: Expr) -> dict:
         """The closed-form action on (t, x, u, u_x, f, g), each new coordinate
@@ -361,16 +387,11 @@ class EquivParams:
                                       (rat(2), self.c4)))}
 
 
-def _new_symbols(chart: Chart, positive_x: bool):
-    """Internal placeholders for the new coordinates during conversion."""
-    xname = "newXP" if positive_x else "newX"
-    names = ("newT", xname, "newU", "newUT", "newUX")
-    out = []
-    for n in names:
-        if n not in chart:
-            chart.parameter(n, positive=(n == "newXP"))
-        out.append(chart.get(n))
-    return out
+# placeholders for the new coordinates while an image is rewritten in them;
+# a leading underscore: no chart declares them and no parse produces them
+_NEW_T, _NEW_X, _NEW_XP, _NEW_U, _NEW_UT, _NEW_UX = (
+    Symbol(n, PARAMETER, positive=(n == "_newXP"))
+    for n in ("_newT", "_newX", "_newXP", "_newU", "_newUT", "_newUX"))
 
 
 def transform_equation(P: EquivParams, f: Expr, g: Expr):
@@ -421,38 +442,26 @@ def transform_equation_old_coords(P: EquivParams, f: Expr, g: Expr):
 
 def _to_new_coords(P: EquivParams, *exprs: Expr) -> tuple:
     """Each of ``exprs`` rewritten in the new coordinates (x, u_x standing for
-    x~, u_x~); the map to them is built once."""
+    x~, u_x~); the map to them is built once, from ``P.inverse()``."""
     ch = P.chart
     t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
     u_t, u_x = ch.get("u_t"), ch.get("u_x")
     # a provably positive phi puts the new x on a positive half-line
-    nT, nX, nU, nUT, nUX = _new_symbols(ch, positive_x=is_positive(P.phi))
+    nX = _NEW_XP if is_positive(P.phi) else _NEW_X
+    new = {t: sym(_NEW_T), x: sym(nX), u: sym(_NEW_U), u_t: sym(_NEW_UT),
+           u_x: sym(_NEW_UX)}
+    Q = P.inverse()
+    old = Q.action(ZERO, ZERO)
+    # u_t = (c2 u~_t~ + U0_t~)/c1 of the inverse
+    old["u_t"] = mul(add_products((Q.c2, sym(u_t)), (diff(Q.U0(), t),)),
+                     pow_(Q.c1, -1))
+    full = {s: substitute(old[s.name], new) for s in new}
 
-    T = P.T()
-    t_map = substitute(_invert(T, t, None), {t: sym(nT)})
-    x_map = substitute(_invert(P.phi, x, P.phi_inv), {x: sym(nX)})
-    base = {t: t_map, x: x_map}
-    U1i = substitute(P.c2, base)
-    U0i = substitute(P.U0(), base)
-    u_map = mul(add_products((sym(nU),), (MINUS_ONE, U0i)), pow_(U1i, -1))
-    full = {t: t_map, x: x_map, u: u_map}
-    U = P.U()
-    # first derivatives: u~_t~ = (U_t + U_u u_t)/T_t, u~_x~ = (U_x + U_u u_x)/X_x
-    U_t = substitute(diff(U, t), full)
-    U_x = substitute(diff(U, x), full)
-    U_u = substitute(diff(U, u), full)
-    T_t = substitute(diff(T, t), {t: t_map})
-    X_x = substitute(diff(P.phi, x), {x: x_map})
-    ut_map = mul(add_products((T_t, sym(nUT)), (MINUS_ONE, U_t)), pow_(U_u, -1))
-    ux_map = mul(add_products((X_x, sym(nUX)), (MINUS_ONE, U_x)), pow_(U_u, -1))
-    full[u_t] = ut_map
-    full[u_x] = ux_map
-
-    back = {nX: sym(x), nUX: sym(u_x)}
+    back = {nX: sym(x), _NEW_UX: sym(u_x)}
     images = []
     for e in exprs:
         out = substitute(e, full)
-        bad = [s for s in free_symbols(out) if s in (nT, nU, nUT)]
+        bad = [s for s in free_symbols(out) if s in (_NEW_T, _NEW_U, _NEW_UT)]
         if bad:
             raise TransformLeavesClass(
                 f"image depends on {[s.name for s in bad]}; not a class member", out)
@@ -467,38 +476,18 @@ def apply_equivalence(par: EquivParams, f: Expr, g: Expr):
 
 
 # ---------------------------------------------------------------------------
-# lifted transformations on (t,x,u,u_x,f,g) and push-forwards
+# push-forwards on (t,x,u,u_x,f,g)
 
-class LiftedTransform:
-    """A point transformation lifted to the augmented chart.
-
-    For every coordinate c of the chart, ``maps[c]`` gives the new
-    coordinate c as an expression in the old ones, and ``inv[c]`` gives the
-    old coordinate c as an expression written in the new ones (same symbols).
-    """
-
-    def __init__(self, chart: Chart, maps: Mapping[str, Expr], inv: Mapping[str, Expr]):
-        self.chart = chart
-        self.maps = {c: maps[c] for c in AUG_COORDS}
-        self.inv = {c: inv[c] for c in AUG_COORDS}
-
-    def compose(self, first: "LiftedTransform") -> "LiftedTransform":
-        """self after first (acts as self ∘ first)."""
-        ch = self.chart
-        subs_fwd = {ch.get(c): first.maps[c] for c in AUG_COORDS}
-        subs_inv = {ch.get(c): self.inv[c] for c in AUG_COORDS}
-        maps = {c: substitute(self.maps[c], subs_fwd) for c in AUG_COORDS}
-        inv = {c: substitute(first.inv[c], subs_inv) for c in AUG_COORDS}
-        return LiftedTransform(ch, maps, inv)
-
-
-def pushforward(L: LiftedTransform, V: VectorField) -> VectorField:
-    """Standard transformation rule of vector-field coefficients under L."""
-    if V.coords != AUG_COORDS:
-        raise ChartMismatch("pushforward acts on augmented-chart fields")
+def pushforward(P: EquivParams, V: VectorField) -> VectorField:
+    """Standard transformation rule of vector-field coefficients under P on
+    the augmented chart: the maps are ``P.action(f, g)``, and the new
+    coefficients are written in the new coordinates through
+    ``P.inverse().action(f, g)``."""
+    if V.coords != AUG_COORDS or V.chart is not P.chart:
+        raise ChartMismatch("pushforward acts on augmented-chart fields of P's chart")
     ch = V.chart
-    subs_inv = {ch.get(c): L.inv[c] for c in AUG_COORDS}
-    out = {}
-    for c in AUG_COORDS:
-        out[c] = substitute(V.apply(L.maps[c]), subs_inv)
-    return VectorField(ch, AUG_COORDS, out, check=False)
+    f, g = sym(ch.get("f")), sym(ch.get("g"))
+    maps, inv = P.action(f, g), P.inverse().action(f, g)
+    subs_inv = {ch.get(c): inv[c] for c in AUG_COORDS}
+    return VectorField(ch, AUG_COORDS, {c: substitute(V.apply(maps[c]), subs_inv)
+                                        for c in AUG_COORDS}, check=False)

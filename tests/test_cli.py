@@ -334,13 +334,17 @@ def test_bad_field_or_jet_exits_2(argv, capsys):
 _BAD_PARAMS = {
     # ProlongationError: no closed-form inverse of phi
     "phi = exp(x)\n": "no closed-form inverse available for x-component",
-    # ChartMismatch, raised when EquivParams is built
-    "psi = u\n": "U0 may not depend on u",
-    "c1 = x\n": "T may not depend on x",
+    # ChartMismatch, raised when EquivParams is built: c0..c4 are constants,
+    # phi and psi depend on x alone
+    "psi = u\n": "psi may not depend on u",
+    "c1 = x\n": "c1 may not depend on x",
     "phi = x + t\n": "phi may not depend on t",
-    # c2 may depend on t and x, so this one is built; TransformLeavesClass:
-    # the image depends on the new t
-    "c2 = t\n": "image depends on ['newT']",
+    "c2 = t\n": "c2 may not depend on t",
+    # a c3 depending on t once gave g~ = 1 where the change of variables
+    # gives g~ = 3
+    "c3 = t\n": "c3 may not depend on t",
+    "c4 = x\n": "c4 may not depend on x",
+    "psi = t*x\n": "psi may not depend on t",
     # phi_inv(phi(x)) = 2*x, not x
     "phi = 2*x\nphi_inv = x\n": "phi_inv(phi(x)) is not x",
     # SingularValue

@@ -10,11 +10,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wavesym.charts import AUG_COORDS, BASE_COORDS
+from wavesym.charts import AUG_COORDS, BASE_COORDS, equation_chart
 from wavesym.equivalence import (EquivalenceAlgebra, Gen, lift_D, lift_Dt,
                                  lift_Du, lift_F1, lift_F2, lift_G, lift_Pt)
-from wavesym.expr import (Add, add, app, diff, equal, exp_, lnabs, mul, pow_,
-                          rat, structurally_zero, substitute, sym)
+from wavesym.expr import (Add, UnknownIdentifier, add, app, diff, equal, exp_,
+                          lnabs, mul, pow_, rat, structurally_zero, substitute,
+                          sym)
 from wavesym.parse import parse, parse_vector_field
 from wavesym.vecfield import (ChartMismatch, EquivParams, ProlongationError,
                               TransformLeavesClass, VectorField, bracket,
@@ -312,6 +313,21 @@ def test_transform_leaves_class(ch):
         transform_equation(P, parse("f(x,u_x)", ch), parse("t*u_x", ch))
 
 
+def test_placeholders_stay_off_the_chart():
+    """The new coordinates of a change of variables are held by symbols no
+    chart declares: after a transform ``newT`` still does not parse, and a
+    parameter named ``newT`` is an ordinary symbol of the image."""
+    ch = equation_chart()
+    f = parse("f(x,u_x)", ch)
+    transform_equation(EquivParams.moved(ch, c1=rat(2)), f, parse("g(x,u_x)", ch))
+    with pytest.raises(UnknownIdentifier):
+        parse("newT", ch)
+    ch.parameter("newT")
+    g = parse("newT*u_x", ch)
+    fn, gn = transform_equation(EquivParams.moved(ch), f, g)
+    assert equal(fn, f) and equal(gn, g)
+
+
 def test_apply_equivalence_rows(ch):
     f, g = parse("f(x,u_x)", ch), parse("g(x,u_x)", ch)
     x = sym(ch.get("x"))
@@ -362,10 +378,11 @@ def test_pushforward_examples(ea):
 
 
 def test_lift_inverse_inverts_maps(ea):
-    """For every elementary lift, substituting ``inv`` into ``maps``, and
-    ``maps`` into ``inv``, gives back each coordinate of the chart."""
+    """For every elementary lift, substituting the inverse's action into the
+    lift's, and the lift's into the inverse's, gives back each coordinate of
+    the chart."""
     ch = ea.chart
-    x = sym(ch.get("x"))
+    x, f, g = (sym(ch.get(n)) for n in ("x", "f", "g"))
     for seed in range(4):
         rng = random.Random(seed)
 
@@ -380,11 +397,12 @@ def test_lift_inverse_inverts_maps(ea):
                         mul(add(x, mul(rat(-1), b)), pow_(a, -1))),
                  lift_D(ch, exp_(x), lnabs(x))]
         for L in lifts:
-            fwd = {ch.get(n): L.maps[n] for n in AUG_COORDS}
-            bwd = {ch.get(n): L.inv[n] for n in AUG_COORDS}
+            maps, inv = L.action(f, g), L.inverse().action(f, g)
+            fwd = {ch.get(n): maps[n] for n in AUG_COORDS}
+            bwd = {ch.get(n): inv[n] for n in AUG_COORDS}
             for n in AUG_COORDS:
-                assert equal(substitute(L.maps[n], bwd), sym(ch.get(n))), n
-                assert equal(substitute(L.inv[n], fwd), sym(ch.get(n))), n
+                assert equal(substitute(maps[n], bwd), sym(ch.get(n))), n
+                assert equal(substitute(inv[n], fwd), sym(ch.get(n))), n
 
 
 def _reference_maps(ch, kind, p):
@@ -412,12 +430,12 @@ def _reference_maps(ch, kind, p):
 
 
 def test_lifts_match_reference_maps(ea):
-    """Each lift's ``maps`` and ``inv`` are the reference maps at the
-    parameter and at its inverse, as canonical trees: at seeded rational,
-    symbolic (c1, c4) and formal (psi(x)) parameters, and for D at an affine
-    and an exponential phi."""
+    """The actions of each lift and of its inverse are the reference maps at
+    the parameter and at its inverse, as canonical trees: at seeded
+    rational, symbolic (c1, c4) and formal (psi(x)) parameters, and for D at
+    an affine and an exponential phi."""
     ch = ea.chart
-    x = sym(ch.get("x"))
+    x, f, g = (sym(ch.get(n)) for n in ("x", "f", "g"))
     neg = lambda e: mul(rat(-1), e)
     recip = lambda e: pow_(e, -1)
     c1, c4 = sym(ch.get("c1")), sym(ch.get("c4"))
@@ -440,8 +458,8 @@ def test_lifts_match_reference_maps(ea):
     cases.append((lift_D, "D", exp_(x), lnabs(x)))
     for lift, kind, p, q in cases:
         L = lift(ch, p, q) if kind == "D" else lift(ch, p)
-        for got, want in ((L.maps, _reference_maps(ch, kind, p)),
-                          (L.inv, _reference_maps(ch, kind, q))):
+        for got, want in ((L.action(f, g), _reference_maps(ch, kind, p)),
+                          (L.inverse().action(f, g), _reference_maps(ch, kind, q))):
             assert got == {n: want.get(n, sym(ch.get(n))) for n in AUG_COORDS}, kind
 
 
@@ -449,12 +467,13 @@ def test_lift_D_refuses_a_wrong_inverse(ea):
     """``lift_D`` checks ``phi_inv`` against ``phi`` as ``EquivParams`` does;
     a true inverse leaves the maps as the reference writes them."""
     ch = ea.chart
+    f, g = sym(ch.get("f")), sym(ch.get("g"))
     with pytest.raises(ValueError):
         lift_D(ch, parse("2*x", ch), parse("x", ch))
     phi, phi_inv = parse("2*x + 1", ch), parse("(x - 1)/2", ch)
     L = lift_D(ch, phi, phi_inv)
-    for got, want in ((L.maps, _reference_maps(ch, "D", phi)),
-                      (L.inv, _reference_maps(ch, "D", phi_inv))):
+    for got, want in ((L.action(f, g), _reference_maps(ch, "D", phi)),
+                      (L.inverse().action(f, g), _reference_maps(ch, "D", phi_inv))):
         assert got == {n: want.get(n, sym(ch.get(n))) for n in AUG_COORDS}
 
 
@@ -486,3 +505,25 @@ def test_compose_matches_substitution(ch):
     step = transform_equation(b, *transform_equation(a, f, g))
     whole = transform_equation(C, f, g)
     assert equal(step[0], whole[0]) and equal(step[1], whole[1])
+
+
+def test_inverse_undoes_the_element(ch):
+    """P.inverse() after P gives back t, x and u, at two full elements (every
+    parameter off the identity); an affine element composed with its
+    inverse, either way round, has the identity parameters."""
+    t, x, u = (ch.get(n) for n in ("t", "x", "u"))
+    a = EquivParams(ch, c0=rat(3), c1=rat(2), c2=rat(-5), c3=rat(7), c4=rat(Fraction(1, 2)),
+                    phi=parse("2*x + 1", ch), psi=parse("x^2 - x", ch))
+    b = EquivParams(ch, c0=rat(-4), c1=rat(Fraction(-1, 3)), c2=rat(6), c3=rat(-2),
+                    c4=rat(5), phi=parse("exp(x)", ch), psi=parse("x^3 + 1", ch),
+                    phi_inv=lnabs(sym(x)))
+    for P in (a, b):
+        Q = P.inverse()
+        maps = {t: P.T(), x: P.phi, u: P.U()}
+        assert equal(substitute(Q.T(), maps), sym(t))
+        assert equal(substitute(Q.phi, maps), sym(x))
+        assert equal(substitute(Q.U(), maps), sym(u))
+    identity = EquivParams.moved(ch)
+    for C in (a.compose(a.inverse()), a.inverse().compose(a)):
+        for n in ("c0", "c1", "c2", "c3", "c4", "phi", "psi"):
+            assert equal(getattr(C, n), getattr(identity, n)), n
