@@ -647,7 +647,6 @@ def verify_reductions(spec: ClassSpec) -> list:
         rep.add(f"p={p}: image is the case-19 form with nu~ = delta - nu(p+1)",
                 ok_f and ok_g)
         for nuv in (1, 2):
-            fi = substitute(fn, {ch.get("nu"): rat(nuv)})
             gi = substitute(gn, {ch.get("nu"): rat(nuv)})
             rep.add(f"p={p}, nu={nuv}: instantiation consistent",
                     equal(substitute(gi, {ch.get("delta"): rat(1)}),

@@ -24,10 +24,10 @@ from typing import Optional
 
 from ._linalg import EchelonBasis, nullspace
 from .charts import BASE_COORDS, equation_chart
-from .expr import (DEPENDENT, INDEPENDENT, JET, Chart, Expr, MINUS_ONE, Sym,
-                   ZERO, add_products, app, atoms, collect, diff, free_symbols,
-                   is_zero, iter_terms, mul, product_terms, rat,
-                   structurally_zero, substitute, sym)
+from .expr import (DEPENDENT, INDEPENDENT, JET, PARAMETER, Chart, Expr,
+                   MINUS_ONE, Sym, Symbol, ZERO, add_products, app, atoms,
+                   collect, diff, free_symbols, is_zero, iter_terms, mul,
+                   product_terms, rat, structurally_zero, substitute, sym)
 from .parse import parse
 from .vecfield import (ProlongationError, ProlongedField, VectorField,
                        prolong2, vf)
@@ -303,8 +303,7 @@ class _ParametricAnsatz:
     @classmethod
     def build(cls, ch: Chart, basis: AnsatzBasis) -> "_ParametricAnsatz":
         # a leading underscore: no chart declares it and no parse produces it
-        names = [f"_k{j}" for j in range(basis.size())]
-        ks = tuple(ch.get(n) if n in ch else ch.parameter(n) for n in names)
+        ks = tuple(Symbol(f"_k{j}", PARAMETER) for j in range(basis.size()))
         return cls(basis, ks, prolong2(_combine(ch, basis.slots, enumerate(map(sym, ks)))))
 
 

@@ -34,8 +34,9 @@ the constant 2, ``(a+b)^(1/2)*(a+b)^(1/2)`` the two terms of ``a + b``.
 ``_TIMES`` keeps it for each pair of interned factor tuples, so every pair
 is merged once per process.  ``_times_into`` is that pair loop (a constant
 term times another is that term scaled): ``diff`` and ``total_derivative``
-run the product rule of all the terms of a sum through it into one map
-(``_product_rule``), with no node, memo entry or ``add`` per term.
+differ only at a symbol, and ``_derivation`` runs their product rule of all
+the terms of a sum, or chain rule of any other node, through it into one
+map, with no node, memo entry or ``add`` per term.
 ``product_terms`` has ``_mul_terms`` expand every product straight into one
 map; ``add_products`` is its sum.  A power of a sum over
 ``MAX_EXPANSION_PRODUCTS`` term products raises ``ExpansionTooLarge``, as
@@ -936,85 +937,67 @@ def _diff(e: Expr, s: Symbol) -> Expr:
         return ZERO
     if isinstance(e, Sym):
         return ONE if e.s == s else ZERO
-    if isinstance(e, App):
-        prods: dict = {}
-        for i, a in enumerate(e.args):
-            da = diff(a, s)
-            if isinstance(da, Rat) and da.q == 0:
-                continue
-            didx = list(e.didx)
-            didx[i] += 1
-            _times_into(prods, 1, (App(e.fn, tuple(didx), e.args),),
-                        iter_terms(da))
-        return _sum(prods)
-    if isinstance(e, Pow):
-        db = diff(e.base, s)
-        if isinstance(db, Rat) and db.q == 0:
-            return ZERO
-        return mul(rat(e.exp), pow_(e.base, e.exp - 1), db)
-    if isinstance(e, AbsPow):
-        db = diff(e.base, s)
-        dq = diff(e.exp, s)
-        parts = []
-        if not (isinstance(db, Rat) and db.q == 0):
-            parts.append((e.exp, e, pow_(e.base, -1), db))
-        if not (isinstance(dq, Rat) and dq.q == 0):
-            parts.append((e, lnabs(e.base), dq))
-        return add_products(*parts)
-    if isinstance(e, ExpF):
-        da = diff(e.arg, s)
-        if isinstance(da, Rat) and da.q == 0:
-            return ZERO
-        return mul(e, da)
-    if isinstance(e, LnAbs):
-        da = diff(e.arg, s)
-        if isinstance(da, Rat) and da.q == 0:
-            return ZERO
-        return mul(pow_(e.arg, -1), da)
-    if isinstance(e, (Mul, Add)):
-        return _product_rule(e, lambda f: diff(f, s))
-    raise TypeError(type(e))
+    return _derivation(e, lambda f: diff(f, s))
 
 
-def _product_rule(e: Expr, derivation) -> Expr:
-    """``derivation`` of a sum or product ``e``, from its value on each
-    distinct factor, by the product rule of all the terms into one map: the
-    factors but one of a product are its key-sorted factor tuple."""
+def _derivation(e: Expr, derivation) -> Expr:
+    """``derivation`` of a node other than ``Rat`` and ``Sym``, from its value
+    on the node's children, into one term map: a sum or product by the
+    product rule over its distinct factors (the factors but one of a product
+    are its key-sorted factor tuple), any other node by the chain rule, with
+    the outer partial formed only where the argument's derivative is not 0."""
     prods: dict = {}
-    done: dict = {}
-    for c, fs in iter_terms(e):
-        for i, f in enumerate(fs):
-            d = done.get(f)
-            if d is None:
-                d = derivation(f)
-                d = done[f] = [] if d is ZERO else iter_terms(d)
-            if d:
-                _times_into(prods, c, fs[:i] + fs[i + 1:], d)
+    if isinstance(e, (Mul, Add)):
+        done: dict = {}
+        for c, fs in iter_terms(e):
+            for i, f in enumerate(fs):
+                d = done.get(f)
+                if d is None:
+                    d = derivation(f)
+                    d = done[f] = [] if d is ZERO else iter_terms(d)
+                if d:
+                    _times_into(prods, c, fs[:i] + fs[i + 1:], d)
+        return _sum(prods)
+    args = (e.args if isinstance(e, App) else (e.base, e.exp)
+            if isinstance(e, AbsPow) else (e.base,) if isinstance(e, Pow)
+            else (e.arg,))
+    for i, a in enumerate(args):
+        d = derivation(a)
+        if d is not ZERO:
+            d = iter_terms(d)
+            for c, fs in iter_terms(_partial(e, i)):
+                _times_into(prods, c, fs, d)
     return _sum(prods)
+
+
+def _partial(e: Expr, i: int) -> Expr:
+    """The partial of ``e`` by its ``i``-th argument as ``_derivation`` lists
+    them; |e|^q's holds under the recorded nonvanishing of its base."""
+    if isinstance(e, App):
+        return App(e.fn, e.didx[:i] + (e.didx[i] + 1,) + e.didx[i + 1:], e.args)
+    if isinstance(e, Pow):
+        return mul(rat(e.exp), pow_(e.base, e.exp - 1))
+    if isinstance(e, AbsPow):
+        return mul(e.exp, e, pow_(e.base, -1)) if i == 0 else mul(e, lnabs(e.base))
+    return e if isinstance(e, ExpF) else pow_(e.arg, -1)    # exp or ln|.|
 
 
 def total_derivative(e: Expr, direction: str, chart: Chart) -> Expr:
-    """Total derivative D_t or D_x on the jet space of ``chart``.
-
-    Jet variables are promoted by one order; exceeding the chart's jet cap
-    raises JetOrderError.  A sum or product takes the product rule, as in
-    ``diff``, so the formula below runs on its distinct factors only.
-    """
-    if isinstance(e, (Mul, Add)):
-        return _product_rule(e, lambda f: total_derivative(f, direction, chart))
+    """Total derivative D_t or D_x on the jet space of ``chart``: the
+    derivation of ``diff`` that promotes a dependent or jet variable by one
+    order (exceeding the chart's jet cap raises JetOrderError) and takes
+    the direction's independent variable to one."""
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
-    di = (1, 0) if direction == "t" else (0, 1)
-    dir_sym = chart.get(direction)
-    prods = _mul_terms((diff(e, dir_sym),), {})
-    for s in free_symbols(e):
+    if isinstance(e, Rat):
+        return ZERO
+    if isinstance(e, Sym):
+        s = e.s
         if s.kind in (DEPENDENT, JET):
             nt, nx = s.index
-            promoted = chart.jet(s.dep, nt + di[0], nx + di[1])
-            d = diff(e, s)
-            if not (isinstance(d, Rat) and d.q == 0):
-                _times_into(prods, 1, (Sym(promoted),), iter_terms(d))
-    return _sum(prods)
+            return Sym(chart.jet(s.dep, nt + (direction == "t"), nx + (direction == "x")))
+        return ONE if s == chart.get(direction) else ZERO
+    return _derivation(e, lambda f: total_derivative(f, direction, chart))
 
 
 # ---------------------------------------------------------------------------

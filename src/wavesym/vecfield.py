@@ -67,7 +67,6 @@ class VectorField:
 
     def _validate(self):
         if self.coords == BASE_COORDS:
-            allowed = {self.chart.get(n) for n in ("t", "x", "u")}
             for c, e in self.coeffs.items():
                 for s in free_symbols(e):
                     if s.kind in ("jet",) or (s.kind == "dependent" and s.name != "u"):
@@ -75,7 +74,7 @@ class VectorField:
                             f"base-chart coefficient of d/d{c} depends on {s.name}")
         elif self.coords == AUG_COORDS:
             tau, xi, eta = (self.coeff(n) for n in ("t", "x", "u"))
-            t, x, u = (self.chart.get(n) for n in ("t", "x", "u"))
+            x, u = self.chart.get("x"), self.chart.get("u")
             ux = sym(self.chart.get("u_x"))
             if not structurally_zero(diff(tau, x)) or not structurally_zero(diff(tau, u)):
                 raise ChartMismatch("augmented chart needs tau = tau(t)")
@@ -267,15 +266,15 @@ def _prolong2(Q: VectorField) -> ProlongedField:
 # ---------------------------------------------------------------------------
 # the equivalence group
 
-def _invert(expr: Expr, var: Symbol, given: Optional[Expr]) -> Expr:
+def _invert(expr: Expr, var: Symbol, given: Optional[Expr]) -> Optional[Expr]:
     """The inverse map of ``expr``, a function of ``var`` alone, written in
-    ``var``: ``given`` when supplied, else the closed form of an affine map."""
+    ``var``: ``given`` when supplied, else the closed form of an affine map,
+    else None."""
     if given is not None:
         return given
     a = diff(expr, var)
     if not structurally_zero(diff(a, var)):
-        raise ProlongationError(
-            f"no closed-form inverse available for {var.name}-component")
+        return None
     b = substitute(expr, {var: ZERO})
     return mul(add_products((sym(var),), (MINUS_ONE, b)), pow_(a, -1))
 
@@ -299,11 +298,11 @@ class EquivParams:
     """An element of the equivalence group:
     t~ = c1 t + c0, x~ = phi(x), u~ = c2 u + c4 t^2 + c3 t + psi(x).
 
-    ``phi_inv`` is the inverse of phi, written in x; an affine phi inverts
-    automatically.  c1, phi_x and c2 are recorded as nonvanishing.  The
-    constants c0..c4 may not depend on t, x, u or a jet, and phi and psi
-    may depend on x alone: on these terms ``compose`` and ``inverse`` read
-    the parameters off their maps exactly.
+    ``phi_inv`` is the inverse of phi, written in x, or None where it has
+    no closed form; an affine phi inverts automatically.  c1, phi_x and c2
+    are recorded as nonvanishing.  The constants c0..c4 may not depend on
+    t, x, u or a jet, and phi and psi may depend on x alone: on these terms
+    ``compose`` and ``inverse`` read the parameters off their maps exactly.
     """
     chart: Chart
     c0: Expr
@@ -351,22 +350,27 @@ class EquivParams:
         ch = self.chart
         t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
         maps = {t: first.T(), x: first.phi, u: first.U()}
+        inv1, inv2 = (_invert(P.phi, x, P.phi_inv) for P in (first, self))
         return _read_off(
             ch, substitute(self.T(), maps), substitute(self.phi, maps),
             substitute(self.U(), maps),
-            substitute(_invert(first.phi, x, first.phi_inv),
-                       {x: _invert(self.phi, x, self.phi_inv)}))
+            None if inv1 is None or inv2 is None else substitute(inv1, {x: inv2}))
 
     def inverse(self) -> "EquivParams":
         """The inverse element: its parameters are read off the maps solved
-        for t, x and u.  It keeps no ``phi_inv``: phi need not invert the
-        inverse map exactly (phi = exp(x) against lnabs(x) gives |x|)."""
+        for t, x and u.  Its ``phi_inv`` is phi where phi inverts a given
+        ``phi_inv`` exactly, else None: where x has no sign, phi = exp(x)
+        against lnabs(x) gives |x|."""
         ch = self.chart
         t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
         back = {t: _invert(self.T(), t, None), x: _invert(self.phi, x, self.phi_inv)}
+        if back[x] is None:
+            raise ProlongationError("no closed-form inverse available for x-component")
         U = mul(add_products((sym(u),), (MINUS_ONE, substitute(self.U0(), back))),
                 pow_(self.c2, -1))
-        return _read_off(ch, back[t], back[x], U, None)
+        exact = self.phi_inv is not None and equal(
+            substitute(self.phi, {x: back[x]}), sym(x))
+        return _read_off(ch, back[t], back[x], U, self.phi if exact else None)
 
     def action(self, f: Expr, g: Expr) -> dict:
         """The closed-form action on (t, x, u, u_x, f, g), each new coordinate
@@ -387,11 +391,9 @@ class EquivParams:
                                       (rat(2), self.c4)))}
 
 
-# placeholders for the new coordinates while an image is rewritten in them;
-# a leading underscore: no chart declares them and no parse produces them
-_NEW_T, _NEW_X, _NEW_XP, _NEW_U, _NEW_UT, _NEW_UX = (
-    Symbol(n, PARAMETER, positive=(n == "_newXP"))
-    for n in ("_newT", "_newX", "_newXP", "_newU", "_newUT", "_newUX"))
+# the new x on a positive half-line while an image is rewritten in it; a
+# leading underscore: no chart declares it and no parse produces it
+_NEW_XP = Symbol("_newXP", PARAMETER, positive=True)
 
 
 def transform_equation(P: EquivParams, f: Expr, g: Expr):
@@ -442,30 +444,26 @@ def transform_equation_old_coords(P: EquivParams, f: Expr, g: Expr):
 
 def _to_new_coords(P: EquivParams, *exprs: Expr) -> tuple:
     """Each of ``exprs`` rewritten in the new coordinates (x, u_x standing for
-    x~, u_x~); the map to them is built once, from ``P.inverse()``."""
+    x~, u_x~), through the x and u_x maps of ``P.inverse()``.  x~ and u_x~
+    depend on x and u_x alone, so an image is a class member exactly when
+    it is free of t, u and u_t."""
     ch = P.chart
-    t, x, u = ch.get("t"), ch.get("x"), ch.get("u")
-    u_t, u_x = ch.get("u_t"), ch.get("u_x")
+    x, u_x = ch.get("x"), ch.get("u_x")
+    others = {ch.get(n) for n in ("t", "u", "u_t")}
+    old = P.inverse().action(ZERO, ZERO)
+    new = {x: old["x"], u_x: old["u_x"]}
     # a provably positive phi puts the new x on a positive half-line
-    nX = _NEW_XP if is_positive(P.phi) else _NEW_X
-    new = {t: sym(_NEW_T), x: sym(nX), u: sym(_NEW_U), u_t: sym(_NEW_UT),
-           u_x: sym(_NEW_UX)}
-    Q = P.inverse()
-    old = Q.action(ZERO, ZERO)
-    # u_t = (c2 u~_t~ + U0_t~)/c1 of the inverse
-    old["u_t"] = mul(add_products((Q.c2, sym(u_t)), (diff(Q.U0(), t),)),
-                     pow_(Q.c1, -1))
-    full = {s: substitute(old[s.name], new) for s in new}
-
-    back = {nX: sym(x), _NEW_UX: sym(u_x)}
+    positive = is_positive(P.phi)
+    if positive:
+        new = {s: substitute(e, {x: sym(_NEW_XP)}) for s, e in new.items()}
     images = []
     for e in exprs:
-        out = substitute(e, full)
-        bad = [s for s in free_symbols(out) if s in (_NEW_T, _NEW_U, _NEW_UT)]
+        bad = sorted(s.name for s in free_symbols(e) if s in others)
         if bad:
             raise TransformLeavesClass(
-                f"image depends on {[s.name for s in bad]}; not a class member", out)
-        images.append(substitute(out, back))
+                f"image depends on {bad}; not a class member", e)
+        out = substitute(e, new)
+        images.append(substitute(out, {_NEW_XP: sym(x)}) if positive else out)
     return tuple(images)
 
 

@@ -283,6 +283,17 @@ def test_default_ansatz_built_once_per_spec(monkeypatch):
     assert again.ks == spec.default_ansatz.ks
 
 
+def test_ansatz_unknowns_stay_off_the_chart():
+    """The ansatz unknowns _k0, _k1, ... are symbols no chart declares: after
+    a catalog case is verified, none of them is on the spec's chart."""
+    from wavesym import classif
+    spec = ClassSpec.default()
+    assert classif.verify_case(spec, classif.CATALOG[0]).status == "pass"
+    assert [k.name for k in spec.default_ansatz.ks[:2]] == ["_k0", "_k1"]
+    assert "_k0" not in spec.chart
+    assert not any(name.startswith("_k") for name in spec.chart.symbols)
+
+
 def test_prolonged_residual_restricts_before_multiplying(spec, ch):
     """The residual products of u_tt = R, with eta_tt split as A + B u_tt and
     restricted to A + B R, sum to the canonical form of restricting the

@@ -537,48 +537,93 @@ def test_rational_kernel_matches_fraction_arithmetic():
                 (want.numerator, want.denominator)
 
 
+def _chain_nodes(e):
+    """The distinct App, Pow, AbsPow, ExpF and LnAbs nodes of ``e``."""
+    out, stack = {}, [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (App, Pow, AbsPow, ExpF, LnAbs)):
+            out[n] = None
+        stack.extend(_children(n))
+    return list(out)
+
+
+def _derivative_products(t, s):
+    """The products whose sum is diff(t, s) by the product rule on a
+    product and the chain rule on the other nodes, each written out per
+    node kind."""
+    if isinstance(t, Mul):
+        return [(Rat(t.coef), diff(f, s), *t.factors[:i], *t.factors[i + 1:])
+                for i, f in enumerate(t.factors)]
+    if isinstance(t, App):
+        return [(App(t.fn, tuple(n + (j == i) for j, n in enumerate(t.didx)),
+                     t.args), diff(a, s))
+                for i, a in enumerate(t.args)]
+    if isinstance(t, Pow):
+        return [(rat(t.exp), pow_(t.base, t.exp - 1), diff(t.base, s))]
+    if isinstance(t, AbsPow):
+        return [(t.exp, t, pow_(t.base, -1), diff(t.base, s)),
+                (t, lnabs(t.base), diff(t.exp, s))]
+    if isinstance(t, ExpF):
+        return [(t, diff(t.arg, s))]
+    return [(pow_(t.arg, -1), diff(t.arg, s))]
+
+
 def test_derivative_products_match_add_products(spec, ch):
     """diff's product and chain rules and total_derivative multiply through
     _times_into, and return the node add_products returns for the same
     products, with _TIMES and diff's memo cleared: for every symbol of
-    every sample tree, on the tree's product and application terms."""
+    every sample tree, on the tree's product terms and on each of its App,
+    Pow, AbsPow, ExpF and LnAbs nodes.  On the tree and on each of those
+    nodes, total_derivative is the per-jet formula diff(e, x_i) plus the
+    sum of s_i diff(e, s) over the dependent and jet symbols s."""
     from wavesym.expr import JetOrderError
-    checked = 0
+    checked = chained = 0
     for e in _sample_trees(spec, ch):
+        nodes = _chain_nodes(e)
+        products = [t for t in _terms(e) if isinstance(t, Mul)]
         for s in sorted(free_symbols(e), key=lambda s: s.name):
             expr_module._TIMES.clear()
             expr_module._DIFF_CACHE.clear()
-            for t in _terms(e):
-                if isinstance(t, Mul):
-                    got = diff(t, s)
-                    want = add_products(*[
-                        (Rat(t.coef), diff(f, s), *t.factors[:i], *t.factors[i + 1:])
-                        for i, f in enumerate(t.factors)])
-                elif isinstance(t, App):
-                    got = diff(t, s)
-                    want = add_products(*[
-                        (App(t.fn, tuple(n + (j == i) for j, n in enumerate(t.didx)),
-                             t.args), diff(a, s))
-                        for i, a in enumerate(t.args)])
-                else:
-                    continue
-                assert got is want, (to_str(t), s.name)
+            for t in products + nodes:
+                got = diff(t, s)
+                assert got is add_products(*_derivative_products(t, s)), \
+                    (to_str(t), s.name)
                 _assert_constructor_fixpoint(got)
                 checked += 1
-        for direction in ("t", "x"):
+        for n, direction in itertools.product([e, *nodes], "tx"):
             try:
-                want = add_products((diff(e, ch.get(direction)),), *[
+                want = add_products((diff(n, ch.get(direction)),), *[
                     (sym(ch.jet(s.dep, s.index[0] + (direction == "t"),
-                                s.index[1] + (direction == "x"))), diff(e, s))
-                    for s in free_symbols(e) if s.kind in ("dependent", "jet")])
+                                s.index[1] + (direction == "x"))), diff(n, s))
+                    for s in free_symbols(n) if s.kind in ("dependent", "jet")])
             except JetOrderError:
                 with pytest.raises(JetOrderError):
-                    total_derivative(e, direction, ch)
+                    total_derivative(n, direction, ch)
                 continue
-            got = total_derivative(e, direction, ch)
-            assert got is want, (to_str(e), direction)
+            got = total_derivative(n, direction, ch)
+            assert got is want, (to_str(n), direction)
             _assert_constructor_fixpoint(got)
-    assert checked > 1000
+            chained += n is not e
+    assert checked > 1000 and chained > 1000
+
+
+def test_total_derivative_of_an_atom_leaves_diff_memo(ch, monkeypatch):
+    """total_derivative runs its own chain rule: on a function atom or an
+    exponential it adds no entry to diff's memo."""
+    memo = {}
+    monkeypatch.setattr(expr_module, "_DIFF_CACHE", memo)
+    for text in ("f(x,u_x)", "exp(u_x^2)", "lnabs(1 + u_x^2)*f(x,u_x)"):
+        for direction in "tx":
+            assert total_derivative(P(text, ch), direction, ch) is not ZERO
+    assert not any(memo.values())
+
+
+def test_total_derivative_refuses_other_directions(ch):
+    with pytest.raises(ValueError, match="direction"):
+        total_derivative(P("u_x + t*x", ch), "y", ch)
+    with pytest.raises(ValueError, match="direction"):
+        total_derivative(rat(3), "y", ch)
 
 
 def test_diff_of_product_makes_no_mul_terms_call(ch, monkeypatch):

@@ -307,9 +307,9 @@ def test_inverse_unavailable_reported(ch):
 
 def test_transform_leaves_class(ch):
     # an input outside the class: g = t u_x depends on time, and so does the
-    # image inhomogeneity, in the new time
+    # image inhomogeneity
     P = EquivParams.moved(ch, c1=rat(2))
-    with pytest.raises(TransformLeavesClass, match="image depends on .*newT"):
+    with pytest.raises(TransformLeavesClass, match=r"image depends on \['t'\]"):
         transform_equation(P, parse("f(x,u_x)", ch), parse("t*u_x", ch))
 
 
@@ -475,6 +475,33 @@ def test_lift_D_refuses_a_wrong_inverse(ea):
     for got, want in ((L.action(f, g), _reference_maps(ch, "D", phi)),
                       (L.inverse().action(f, g), _reference_maps(ch, "D", phi_inv))):
         assert got == {n: want.get(n, sym(ch.get(n))) for n in AUG_COORDS}
+
+
+def test_element_without_closed_form_inverse_inverts_again(ea):
+    """phi = exp(x) has no closed-form inverse, so the inverse element takes
+    its phi from the given phi_inv.  On the positive-x augmented chart phi
+    inverts that exactly, so the inverse keeps phi as its phi_inv: it is
+    inverted again, pushed forward through and composed with either way
+    round.  On the equation chart exp(-x/2) against -2 lnabs(x) gives |x|,
+    so there the inverse keeps none and cannot be inverted again."""
+    ch = ea.chart
+    x, f, g = (sym(ch.get(n)) for n in ("x", "f", "g"))
+    L = lift_D(ch, exp_(x), lnabs(x))
+    Li = L.inverse()
+    assert Li.phi is lnabs(x) and Li.phi_inv is exp_(x)
+    for gen in (Gen("G", ea.formal("psi")), Gen("Dt"), Gen("Du")):
+        V = ea.field(gen)
+        assert pushforward(Li, pushforward(L, V)) == V
+    identity = EquivParams.moved(ch).action(f, g)
+    assert Li.compose(L).action(f, g) == identity
+    assert L.compose(Li).action(f, g) == identity
+    assert Li.inverse().action(f, g) == L.action(f, g)
+    eq = equation_chart()
+    P = EquivParams.moved(eq, phi=parse("exp(-x/2)", eq),
+                          phi_inv=parse("-2*lnabs(x)", eq))
+    assert P.inverse().phi_inv is None
+    with pytest.raises(ProlongationError):
+        P.inverse().inverse()
 
 
 def test_pushforward_translation_fixes_own_generator(ea):
