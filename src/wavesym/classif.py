@@ -330,11 +330,11 @@ def verify_equivalence_algebra(seed: int = 0) -> CaseReport:
     gens = [Gen("Du"), Gen("Dt"), Gen("Pt"), Gen("F1"), Gen("F2")]
     gens += [Gen("D", fn) for fn in fns]
     gens += [Gen("G", fn) for fn in fns]
+    pairs = [(a, ea.field(a)) for a in gens]
     bad = 0
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            got = bracket(ea.field(a), ea.field(b))
-            if not (got == ea.expected_bracket(a, b)):
+    for i, (a, A) in enumerate(pairs):
+        for b, B in pairs[i + 1:]:
+            if not (bracket(A, B) == ea.expected_bracket(a, b)):
                 bad += 1
                 rep.add(f"instantiated [{a.label()}, {b.label()}]", False)
     rep.add(f"all {len(gens) * (len(gens) - 1) // 2} instantiated pairs match "

@@ -9,13 +9,12 @@ check, dim, transform) and the verification campaign (verify).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from .charts import AUG_COORDS, BASE_COORDS, augmented_chart
-from .detsys import (AnsatzBasis, ClassSpec, check_symmetry,
-                     generate_determining_system, solve_within_ansatz)
+from .detsys import (ClassSpec, check_symmetry, generate_determining_system,
+                     solve_within_ansatz)
 from .expr import (DEPENDENT, INDEPENDENT, JET, Chart, SingularValue,
                    UnknownIdentifier, diff, free_symbols, structurally_zero)
 from .parse import ParseError, parse, parse_vector_field
@@ -42,13 +41,6 @@ def _read_config(path: str, keys) -> dict:
                 raise ValueError(f"key {key!r} given twice")
             out[key] = value
     return out
-
-
-def _basis_from_config(cfg: dict, ch: Chart) -> AnsatzBasis:
-    overrides = {name: tuple(parse(s.strip(), ch)
-                             for s in text.split(";") if s.strip())
-                 for name, text in cfg.items()}
-    return dataclasses.replace(AnsatzBasis.default(ch), **overrides)
 
 
 def _parse_fg(args, ch: Chart):
@@ -126,11 +118,7 @@ def cmd_check(args) -> int:
 
 def cmd_dim(args) -> int:
     spec = ClassSpec.default()
-    ch = spec.chart
-    basis = None
-    if args.basis:
-        basis = _basis_from_config(_read_config(args.basis, ("tau", "xi", "eta")), ch)
-    sol = solve_within_ansatz(spec, *_parse_fg(args, ch), basis)
+    sol = solve_within_ansatz(spec, *_parse_fg(args, spec.chart))
     print(f"dimension within ansatz: {sol.dimension}")
     for F in sol.fields:
         print(f"  {F!r}")
@@ -202,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="symmetry dimension within the ansatz")
     p.add_argument("-f", required=True)
     p.add_argument("-g", required=True)
-    p.add_argument("--basis", help="config file overriding the ansatz basis")
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("transform", help="apply an equivalence transformation")

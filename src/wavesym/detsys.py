@@ -7,27 +7,27 @@ determining system.  The residual rule takes any equation u_tt = R with R
 free of u_tt and u_tx (``_residual_products``); the class is the one call
 with R = f u_xx + g (``ClassSpec.rhs``).  The restriction acts on eta_tt
 alone, split once per prolongation as A + B u_tt, so the residual is a
-sum of products.  A finite ansatz turns the symmetry condition into an exact
-rational linear system whose null space is the symmetry algebra within the
-ansatz; its rows are read from those products' term map (``product_terms``),
-and the residual is never built as an expression.  The basis functions of
-each coordinate are linearly independent (``AnsatzBasis`` refuses others),
-so a null vector stands for one field: the solution carries the vectors
-and builds the fields only when they are read.
+sum of products.  A finite ansatz, one fixed basis parsed and prolonged once
+per spec (``ClassSpec.default_ansatz``), turns the symmetry condition into an
+exact rational linear system whose null space is the symmetry algebra within
+the ansatz; its rows are read from those products' term map
+(``product_terms``), and the residual is never built as an expression.  The
+basis functions of each coordinate are linearly independent, so a null
+vector stands for one field: the solution carries the vectors and builds
+the fields only when they are read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
-from ._linalg import EchelonBasis, nullspace
+from ._linalg import nullspace
 from .charts import BASE_COORDS, equation_chart
-from .expr import (DEPENDENT, INDEPENDENT, JET, PARAMETER, Chart, Expr,
-                   MINUS_ONE, Sym, Symbol, ZERO, add_products, app, atoms,
-                   collect, diff, free_symbols, is_zero, iter_terms, mul,
-                   product_terms, rat, structurally_zero, substitute, sym)
+from .expr import (PARAMETER, Chart, Expr, MINUS_ONE, Sym, Symbol, ZERO,
+                   add_products, app, atoms, collect, diff, free_symbols,
+                   is_zero, mul, product_terms, rat, structurally_zero,
+                   substitute, sym)
 from .parse import parse
 from .vecfield import (ProlongationError, ProlongedField, VectorField,
                        prolong2, vf)
@@ -231,31 +231,12 @@ def satisfies_simplified_system(Q: VectorField) -> bool:
 
 @dataclass(frozen=True)
 class AnsatzBasis:
-    """Basis functions for tau, xi and eta.  The functions on one coordinate
-    must be linearly independent over their canonical terms, so that a
-    coefficient vector over ``slots`` stands for exactly one field; a
-    dependent basis raises ``ValueError`` naming the coordinate.  Canonical
-    terms prove that only over the rationals, so a term factor free of t, x
-    and u (``lnabs(2)``, ``2^(1/2)``, a parameter) raises as well."""
+    """Basis functions for tau, xi and eta.  The default basis has linearly
+    independent functions on each coordinate and no term factor free of t,
+    x and u, so a coefficient vector over ``slots`` stands for one field."""
     tau: tuple
     xi: tuple
     eta: tuple
-
-    def __post_init__(self):
-        for name in ("tau", "xi", "eta"):
-            axes: dict = {}
-            rows = EchelonBasis()
-            for b in getattr(self, name):
-                terms = iter_terms(b)
-                if any(all(s.kind not in (INDEPENDENT, DEPENDENT, JET)
-                           for s in free_symbols(fac))
-                       for _, sig in terms for fac in sig):
-                    raise ValueError(f"ansatz basis function for {name} has a "
-                                     f"factor free of t, x and u at {b!r}")
-                if not rows.insert({axes.setdefault(sig, len(axes)): c
-                                    for c, sig in terms}):
-                    raise ValueError(f"ansatz basis functions for {name} are "
-                                     f"linearly dependent at {b!r}")
 
     @classmethod
     def default(cls, ch: Chart) -> "AnsatzBasis":
@@ -329,18 +310,15 @@ class AnsatzSolution:
                 for vec in self.null]
 
 
-def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
-                        basis: Optional[AnsatzBasis] = None) -> AnsatzSolution:
-    """Plug the parametric ansatz into the invariance residual, split the
-    exact linear system over canonical monomials, and return the null space.
+def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr) -> AnsatzSolution:
+    """Plug the spec's parametric ansatz into the invariance residual, split
+    the exact linear system over canonical monomials, and return the null
+    space.
 
-    The reported dimension is a statement *within the declared ansatz*: an
-    under-approximation of the maximal algebra's dimension.  Without an
-    explicit basis the spec's default one is used.
+    The reported dimension is a statement *within the ansatz*: an
+    under-approximation of the maximal algebra's dimension.
     """
-    ch = spec.chart
-    ansatz = (spec.default_ansatz if basis is None
-              else _ParametricAnsatz.build(ch, basis))
+    ansatz = spec.default_ansatz
     ks = ansatz.ks
     terms = product_terms(*_residual_products(ansatz.prolonged, spec.rhs(f, g)))
 
@@ -360,5 +338,5 @@ def solve_within_ansatz(spec: ClassSpec, f: Expr, g: Expr,
         sig = tuple(fct for fct in factors if fct is not k_hits[0])
         rows_map.setdefault(sig, {})[column[k_hits[0].s]] = coef
 
-    return AnsatzSolution(ch, nullspace(rows_map.values(), len(ks)),
+    return AnsatzSolution(spec.chart, nullspace(rows_map.values(), len(ks)),
                           ansatz.basis, n_equations=len(rows_map))

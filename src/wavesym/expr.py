@@ -459,7 +459,8 @@ def provably_nonzero(e: Expr) -> bool:
     if isinstance(e, Sym):
         return e.s.nonzero or e.s.positive
     if isinstance(e, App):
-        return e.fn.nonzero
+        # a derivative of a nonzero function may vanish (f_ux = 0 on row 10)
+        return e.fn.nonzero and not any(e.didx)
     if isinstance(e, Pow):
         return provably_nonzero(e.base)
     if isinstance(e, Mul):
@@ -710,6 +711,9 @@ def pow_(base: Expr, exp) -> Expr:
             return mul(*[base] * int(k))
         return Pow(base, k)
     if isinstance(base, Sym):
+        if base.s.idempotent and k < 0:
+            raise SingularValue(f"{base.s.name} may be 0 and is raised to a "
+                                "negative power")
         base2, k2 = _constraint_fold(base, k)
         if k2 == 0:
             return Rat(1)
@@ -1144,10 +1148,6 @@ def _sample_value(s: Symbol, rng: random.Random) -> Fraction:
     return v if s.positive or rng.random() < 0.5 else -v
 
 
-class _Transcendental(Exception):
-    pass
-
-
 def _iv_exp(iv, v):
     # refused past 2^10000: mpmath's exp runs over a minute at 2^100000
     if iv.mag(v) > 10_000:
@@ -1194,15 +1194,6 @@ def _eval_interval(e: Expr, iv, env: Optional[Mapping] = None):
             v = v + _eval_interval(t, iv, env)
         return v
     raise SingularValue(f"cannot evaluate node {type(e).__name__}")
-
-
-def evaluate(e: Expr, env: Mapping) -> Fraction:
-    """Exact rational value of ``e`` at ``env``; a bound tree that does not
-    fold to a ``Rat`` raises ``_Transcendental``."""
-    v = substitute(e, env)
-    if not isinstance(v, Rat):
-        raise _Transcendental(f"{v!r} is not rational")
-    return Fraction(v.q)
 
 
 def _nonzero_at(e: Expr, env: Mapping) -> Optional[bool]:

@@ -300,9 +300,11 @@ class EquivParams:
 
     ``phi_inv`` is the inverse of phi, written in x, or None where it has
     no closed form; an affine phi inverts automatically.  c1, phi_x and c2
-    are recorded as nonvanishing.  The constants c0..c4 may not depend on
-    t, x, u or a jet, and phi and psi may depend on x alone: on these terms
-    ``compose`` and ``inverse`` read the parameters off their maps exactly.
+    must not vanish: ``action`` and ``inverse`` divide by them, so a zero
+    one, or ``eps`` (which takes the value 0), raises ``SingularValue``
+    there.  The constants c0..c4 may not depend on t, x, u or a jet, and
+    phi and psi may depend on x alone: on these terms ``compose`` and
+    ``inverse`` read the parameters off their maps exactly.
     """
     chart: Chart
     c0: Expr

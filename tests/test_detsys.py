@@ -181,67 +181,43 @@ def test_ansatz_solutions_are_symmetries(spec, ch):
         assert satisfies_simplified_system(F)
 
 
-def _small_basis(ch):
-    return AnsatzBasis(tau=(P("1", ch), P("t", ch)),
-                       xi=(P("1", ch), P("x", ch)),
-                       eta=(P("u", ch), P("1", ch), P("t", ch)))
-
-
-def test_ansatz_basis_refuses_dependent_functions(ch):
-    """Linear dependence is judged per coordinate over canonical terms: a
-    multiple, a zero or a sum of other functions on one coordinate raises
-    ValueError naming it; sums that stay independent, and one function on
-    two coordinates, are accepted."""
-    small = _small_basis(ch)
-    for name, texts in (("xi", ("1", "x", "3*x")), ("eta", ("u", "0")),
-                        ("tau", ("1", "t", "2 + 3*t"))):
-        with pytest.raises(ValueError, match=f"for {name} are linearly dependent"):
-            dataclasses.replace(small, **{name: tuple(P(s, ch) for s in texts)})
-    multi = dataclasses.replace(small, tau=(P("1 + t", ch), P("1 - t", ch)),
-                                eta=(P("u", ch), P("1", ch), P("t + u", ch)))
-    assert multi.slots[:2] == (("t", P("1 + t", ch)), ("t", P("1 - t", ch)))
-    assert dataclasses.replace(small, xi=small.tau).slots[2:4] == \
-        (("x", P("1", ch)), ("x", P("t", ch)))
-
-
-def test_ansatz_basis_refuses_constant_factors(ch):
-    """A term factor free of t, x and u (a logarithm or root of a rational,
-    a parameter) raises ValueError naming the coordinate, as canonical
-    terms do not prove independence over it; the default basis has none."""
-    small = _small_basis(ch)
-    for name, text in (("eta", "lnabs(2)"), ("tau", "2^(1/2)*t"),
-                       ("xi", "delta*x + 1")):
-        with pytest.raises(ValueError, match=f"for {name} has a factor free"):
-            dataclasses.replace(small, **{name: (P("x^2", ch), P(text, ch))})
-    AnsatzBasis.default(ch)
+def test_default_ansatz_basis_is_independent(ch):
+    """The one ansatz basis, 3 + 6 + 11 functions, stands for one field per
+    coefficient vector: the functions on each coordinate are linearly
+    independent over their canonical terms, and no term has a factor free
+    of t, x and u (lnabs(2), 2^(1/2), a parameter), over which canonical
+    terms prove nothing."""
+    from wavesym._linalg import EchelonBasis
+    from wavesym.expr import free_symbols, iter_terms
+    basis = AnsatzBasis.default(ch)
+    assert [len(basis.tau), len(basis.xi), len(basis.eta)] == [3, 6, 11]
+    assert basis.size() == len(basis.slots) == 20
+    for name in ("tau", "xi", "eta"):
+        axes, rows = {}, EchelonBasis()
+        for b in getattr(basis, name):
+            terms = iter_terms(b)
+            for _, factors in terms:
+                for fct in factors:
+                    assert {s.name for s in free_symbols(fct)} & {"t", "x", "u"}, \
+                        (name, b, fct)
+            assert rows.insert({axes.setdefault(sig, len(axes)): c
+                                for c, sig in terms}), (name, b)
 
 
 def test_ansatz_monotone_under_enlargement(spec, ch):
-    small = _small_basis(ch)
+    """A smaller basis, solved through a spec of its own, finds a subspace
+    of the default ansatz's solutions."""
+    from wavesym.detsys import _ParametricAnsatz
+    small = AnsatzBasis(tau=(P("1", ch), P("t", ch)),
+                        xi=(P("1", ch), P("x", ch)),
+                        eta=(P("u", ch), P("1", ch), P("t", ch)))
+    small_spec = ClassSpec(ch)
+    small_spec.default_ansatz = _ParametricAnsatz.build(ch, small)
     f, g = P("u_x^(-4)", ch), rat(0)
-    d_small = solve_within_ansatz(spec, f, g, small).dimension
+    d_small = solve_within_ansatz(small_spec, f, g).dimension
     d_full = solve_within_ansatz(spec, f, g).dimension
     assert d_small <= d_full
-
-
-def test_ansatz_cache_isolation():
-    """The default ansatz, kept once per spec, and a custom basis solved on
-    the same chart do not leak into each other, in either order."""
-    def dims(order):
-        spec = ClassSpec.default()
-        ch = spec.chart
-        f, g = P("u_x^(-4)", ch), rat(0)
-        small = _small_basis(ch)
-        sols = [solve_within_ansatz(spec, f, g, small if b else None)
-                for b in order]
-        # the shared default basis cannot be edited in place
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            sols[0].basis.tau = ()
-        return [sol.dimension for sol in sols]
-
-    fresh_default, fresh_small = dims([False]) + dims([True])
-    assert dims([False, True, False]) == [fresh_default, fresh_small,
-                                          fresh_default] == [7, 6, 7]
+    assert (d_small, d_full) == (6, 7)
 
 
 def test_default_ansatz_built_once_per_spec(monkeypatch):

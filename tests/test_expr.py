@@ -13,12 +13,11 @@ import sympy
 
 import wavesym.expr as expr_module
 from wavesym.expr import (AbsPow, Add, App, ExpF, LnAbs, Mul, Pow, Rat, Sym,
-                          ZERO, ExpansionTooLarge, SingularValue,
-                          _Transcendental, _sum, abspow, add, add_products,
-                          app, collect, diff, equal, evaluate, exp_,
-                          free_symbols, is_zero, iter_terms, lnabs, mul, pow_,
-                          product_terms, rat, substitute, sym,
-                          total_derivative, NotPolynomial)
+                          ZERO, ExpansionTooLarge, SingularValue, _sum,
+                          abspow, add, add_products, app, collect, diff,
+                          equal, exp_, free_symbols, is_zero, iter_terms,
+                          lnabs, mul, pow_, product_terms, rat, substitute,
+                          sym, total_derivative, NotPolynomial)
 from wavesym.parse import parse
 from wavesym.printer import to_str
 
@@ -27,6 +26,14 @@ from sympy_text import SympyText
 
 def P(s, ch):
     return parse(s, ch)
+
+
+def _evaluate(e, env):
+    """The exact rational value of ``e`` at ``env`` (symbols and atoms to
+    ``Rat``) as a Fraction, or None where the bound tree does not fold to a
+    ``Rat``."""
+    v = substitute(e, env)
+    return Fraction(v.q) if isinstance(v, Rat) else None
 
 
 def test_parse_examples(ch):
@@ -54,7 +61,7 @@ def test_abs_power_derivative_oracle(ch):
     assert equal(e, mul(rat(2), sym(ch.get("p")), P("abs(u_x)^(2*p)", ch),
                         pow_(sym(ch.get("u_x")), -1)))
     for v in (3, -3):
-        got = evaluate(substitute(e, {ch.get("u_x"): rat(v), ch.get("p"): rat(2)}), {})
+        got = _evaluate(e, {ch.get("u_x"): rat(v), ch.get("p"): rat(2)})
         # oracle: (u_x^2)^p with p = 2 differentiates to 4 u_x^3
         assert got == Fraction(4 * v ** 3)
 
@@ -196,6 +203,25 @@ def test_singularities(ch):
         pow_(rat(0), -1)
     with pytest.raises(SingularValue):
         lnabs(rat(0))
+    # eps takes the values 0 and 1, so it has no negative power either
+    for k in (-1, -2, Fraction(-1, 2)):
+        with pytest.raises(SingularValue, match="eps may be 0"):
+            pow_(sym(ch.get("eps")), k)
+
+
+def test_derivative_of_a_nonzero_function_is_not_provably_nonzero(ch):
+    """f is declared nonzero, f_ux is not (it vanishes on row 10): f_ux is
+    not provably nonzero and f_ux^2 not positive, so a symbolic power of
+    f_ux^2 is refused as one of u_x^2 is, where f^2 becomes abs(f)."""
+    from wavesym.expr import is_positive, provably_nonzero
+    f, f_ux = P("f", ch), P("f_ux", ch)
+    assert provably_nonzero(f) and is_positive(mul(f, f))
+    assert not provably_nonzero(f_ux)
+    assert not is_positive(mul(f_ux, f_ux))
+    assert P("(f^2)^p", ch) == P("abs(f)^(2*p)", ch)
+    for text in ("(f_ux^2)^p", "(u_x^2)^p"):
+        with pytest.raises(ValueError, match="unknown sign"):
+            P(text, ch)
 
 
 _SYMS = ("t", "x", "u", "u_t", "u_x")
@@ -348,11 +374,8 @@ def test_mul_matches_term_by_term_reference(ch):
         env[ch.get("delta")] = rat(rng.choice((1, -1)))
         env[ch.get("eps")] = rat(rng.choice((0, 1)))
         env[ch.get("p")] = rat(rng.randint(-2, 2))
-        try:
-            want = Fraction(1)
-            for s in sums:
-                want *= evaluate(s, env)
-        except _Transcendental:
+        values = [_evaluate(s, env) for s in sums]
+        if None in values:
             enclose = [expr_module._eval_interval(substitute(e, env), mpmath.iv)
                        for e in (got, *sums)]
             prod = mpmath.iv.mpf(1)
@@ -360,7 +383,10 @@ def test_mul_matches_term_by_term_reference(ch):
                 prod = prod * w
             assert enclose[0].a <= prod.b and prod.a <= enclose[0].b
             continue
-        assert evaluate(got, env) == want
+        want = Fraction(1)
+        for v in values:
+            want *= v
+        assert _evaluate(got, env) == want
         evaluated += 1
     assert evaluated > 30
 
@@ -997,12 +1023,15 @@ def test_rational_powers_exact(base, k, want):
 
 
 def test_evaluate_returns_fraction(ch):
-    """x^-2 * u evaluates exactly, as a Fraction even where it is integral."""
+    """x^-2 * u binds to an exact rational: the bound Rat stores an int or a
+    Fraction, never a float, and reads back as a Fraction."""
     x, u = ch.get("x"), ch.get("u")
     e = mul(pow_(sym(x), -2), sym(u))
     for xv, uv, want in ((3, 5, Fraction(5, 9)), (1, 3, Fraction(3)),
                          (Fraction(1, 2), 2, Fraction(8))):
-        got = evaluate(e, {x: rat(xv), u: rat(uv)})
+        env = {x: rat(xv), u: rat(uv)}
+        assert type(substitute(e, env).q) in (int, Fraction)
+        got = _evaluate(e, env)
         assert type(got) is Fraction and got == want
 
 
@@ -1036,7 +1065,7 @@ def test_evaluation_homomorphism_random():
         env = {ch.get(n): rat(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
                for n in _SYMS}
         e, value = _random_valued_expr(ch, rng, env)
-        assert evaluate(e, env) == value
+        assert _evaluate(e, env) == value
 
 
 def test_mixed_partials_random():

@@ -3,7 +3,8 @@ import pytest
 
 from wavesym.charts import AUG_COORDS, BASE_COORDS, augmented_chart
 from wavesym.classif import builtin_catalog
-from wavesym.expr import UnknownIdentifier, add, equal, mul, rat, sym
+from wavesym.expr import (SingularValue, UnknownIdentifier, add, equal, mul,
+                          rat, sym)
 from wavesym.parse import ParseError, parse, parse_vector_field
 from wavesym.vecfield import VectorField
 
@@ -42,6 +43,15 @@ def test_syntax_error_offset(ch):
 def test_unknown_identifier(ch):
     with pytest.raises(UnknownIdentifier):
         parse("x + bogus", ch)
+
+
+def test_idempotent_parameter_in_a_denominator(ch):
+    """eps may be 0, so no text that divides by it parses, even where the
+    quotient would cancel; eps^2 = eps still folds."""
+    for text in ("eps/eps", "eps^(1/2)*eps^(-1/2)", "1/eps", "x*eps^(-2)"):
+        with pytest.raises(SingularValue, match="eps may be 0"):
+            parse(text, ch)
+    assert parse("eps^2/eps^0", ch) == parse("eps", ch)
 
 
 def test_arity_mismatch(ch):
